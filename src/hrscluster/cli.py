@@ -4,8 +4,7 @@ Subcommands:
 
     gen-dataset --config F --out D     generate and store a labeled dataset
     train       --data D --out M       train the classifier on a dataset
-    eval        --data D --model M --out R    accuracy + relative-rate report
-    compare     --data D --model M [--out R]  four-baseline rate comparison
+    compare     --data D --model M [--out R]  accuracy, relative rate and baselines
     sweep       --configs DIR --out R  full pipeline for every config file
 
 Global flags ``--seed``, ``--threads``, ``--power`` override the config.
@@ -48,17 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
 
-    p = sub.add_parser("eval", help="accuracy and relative-rate report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("compare", help="run the four clustering baselines")
+    p = sub.add_parser("compare", help="accuracy, relative rate and the four clustering baselines")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=".", help="output directory")
 
-    p = sub.add_parser("sweep", help="gen + train + eval + compare per config")
+    p = sub.add_parser("sweep", help="gen + train + compare per config")
     p.add_argument("--configs", required=True, help="directory of scenario config JSON files")
     p.add_argument("--out", required=True, help="output directory")
     return parser
@@ -110,22 +104,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    dataset = data.load(args.data)
-    model = mlp.load_model(args.model)
-    _check_compatible(dataset, model)
-    metrics = evaluation.accuracy_metrics(dataset, model)
-    results = evaluation.run_baselines(dataset, model)
-    paths = evaluation.report(results, metrics, dataset.config.name, args.out)
-    rel = evaluation.relative_rate(results)
-    print(
-        f"{dataset.config.name}: test top-1 {metrics['test_top1']:.3f}, "
-        f"top-3 {metrics['test_top3']:.3f}, top-5 {metrics['test_top5']:.3f}, "
-        f"relative rate {rel.ratio:.3f} -> {paths['csv']}"
-    )
-    return 0
-
-
 def _cmd_compare(args) -> int:
     dataset = data.load(args.data)
     model = mlp.load_model(args.model)
@@ -133,6 +111,12 @@ def _cmd_compare(args) -> int:
     results = evaluation.run_baselines(dataset, model)
     metrics = evaluation.accuracy_metrics(dataset, model)
     paths = evaluation.report(results, metrics, dataset.config.name, args.out)
+    rel = evaluation.relative_rate(results)
+    print(
+        f"{dataset.config.name}: test top-1 {metrics['test_top1']:.3f}, "
+        f"top-3 {metrics['test_top3']:.3f}, top-5 {metrics['test_top5']:.3f}, "
+        f"relative rate {rel.ratio:.3f}"
+    )
     for res in results:
         print(
             f"{res.method:>4}: median {res.summary.median:.3f} "
@@ -181,7 +165,6 @@ def _check_compatible(dataset: data.DatasetSplit, model: mlp.MlpModel) -> None:
 _COMMANDS = {
     "gen-dataset": _cmd_gen_dataset,
     "train": _cmd_train,
-    "eval": _cmd_eval,
     "compare": _cmd_compare,
     "sweep": _cmd_sweep,
 }

@@ -9,9 +9,9 @@ principal directions. The projection-Frobenius score
 cosine of the principal angles and lives in [0, 1]. For well-separated
 cluster sizes the raw score is biased, so it is standardized against the
 mean and deviation it takes on independent isotropic subspaces of the same
-sizes; those constants are estimated once per (M, N_k, N_j) by Monte Carlo
-and cached. Standardization needs M > N_k + N_j, otherwise the raw score is
-used as is.
+sizes; those constants have a closed form (see ``calibrate_similarity``)
+and are tabulated once per scenario. Standardization needs M > N_k + N_j,
+otherwise the raw score is used as is.
 
 A bottom-up agglomeration merges the most similar pair of clusters one step
 at a time, yielding N nested partitions from all-singletons to a single
@@ -22,7 +22,7 @@ the optimality reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,6 @@ from .hrs import HrsConfig, RateBreakdown, evaluate_partition
 from .partitions import Partition, enumerate_partitions
 
 CONDITION_LIMIT = 1e12
-MIN_CALIBRATION_DRAWS = 2000
 EXHAUSTIVE_USER_LIMIT = 6
 
 
@@ -85,66 +84,49 @@ def pf_similarity(H_k: np.ndarray, H_j: np.ndarray) -> float:
 
 @dataclass
 class SimilarityCalibration:
-    """Cached mean/deviation of the similarity of independent random subspaces.
+    """Mean/deviation of the similarity of independent random subspaces.
 
     Keys are (M, N_small, N_large); the score is symmetric so sizes are
     stored sorted.
     """
 
-    num_draws: int = MIN_CALIBRATION_DRAWS
-    seed: int = 0
-    table: dict[tuple[int, int, int], tuple[float, float]] = field(default_factory=dict)
+    table: dict[tuple[int, int, int], tuple[float, float]]
 
     @staticmethod
-    def for_scenario(m: int, n_users: int, num_draws: int = MIN_CALIBRATION_DRAWS, seed: int = 0) -> "SimilarityCalibration":
-        """Precompute every size pair an agglomeration over n_users can need."""
-        calib = SimilarityCalibration(num_draws=num_draws, seed=seed)
-        for small in range(1, n_users):
-            for large in range(small, n_users):
-                if small + large <= n_users and m > small + large:
-                    calib.ensure(m, small, large)
-        return calib
-
-    def key(self, m: int, n_k: int, n_j: int) -> tuple[int, int, int]:
-        return (m, min(n_k, n_j), max(n_k, n_j))
-
-    def ensure(self, m: int, n_k: int, n_j: int) -> tuple[float, float]:
-        key = self.key(m, n_k, n_j)
-        if key not in self.table:
-            self.table[key] = calibrate_similarity(
-                m, key[1], key[2], self.num_draws, rng_seed=(self.seed, *key)
-            )
-        return self.table[key]
+    def for_scenario(m: int, n_users: int) -> "SimilarityCalibration":
+        """Every size pair an agglomeration over n_users can standardize."""
+        return SimilarityCalibration(
+            {
+                (m, small, large): calibrate_similarity(m, small, large)
+                for small in range(1, n_users)
+                for large in range(small, n_users - small + 1)
+                if m > small + large
+            }
+        )
 
     def lookup(self, m: int, n_k: int, n_j: int) -> tuple[float, float]:
-        key = self.key(m, n_k, n_j)
+        key = (m, min(n_k, n_j), max(n_k, n_j))
         if key not in self.table:
             raise CalibrationError(f"no calibration entry for (M, N_k, N_j) = {key}")
         return self.table[key]
 
 
-def calibrate_similarity(
-    m: int, n_k: int, n_j: int, num_draws: int = MIN_CALIBRATION_DRAWS, rng_seed=0
-) -> tuple[float, float]:
-    """Monte Carlo mean and deviation of the similarity under independence.
+def calibrate_similarity(m: int, n_k: int, n_j: int) -> tuple[float, float]:
+    """Exact mean and deviation of the similarity under independence.
 
-    Draws i.i.d. complex Gaussian matrix pairs; the analytic mean for
-    isotropic subspaces is N_k N_j / (M min(N_k, N_j)), which the estimate
-    approaches at rate 1/sqrt(draws).
+    For independent isotropic subspaces of dimensions a and b in C^M the
+    Weingarten calculus (Collins & Sniady 2006) gives E[trace(P_a P_b)] = ab/M
+    and Var = ab(M-a)(M-b) / (M^2 (M^2-1)); the mean and the deviation are
+    divided by min(a, b).
     """
     if m <= n_k + n_j:
         raise CalibrationError(
             f"standardization needs M > N_k + N_j, got M={m}, sizes ({n_k}, {n_j})"
         )
-    if num_draws < MIN_CALIBRATION_DRAWS:
-        raise CalibrationError(f"need at least {MIN_CALIBRATION_DRAWS} draws")
-    rng = np.random.default_rng(rng_seed)
-    values = np.empty(num_draws)
-    for i in range(num_draws):
-        a = rng.standard_normal((m, n_k)) + 1j * rng.standard_normal((m, n_k))
-        b = rng.standard_normal((m, n_j)) + 1j * rng.standard_normal((m, n_j))
-        values[i] = pf_similarity(a, b)
-    return float(values.mean()), float(values.std())
+    ab = n_k * n_j
+    variance = ab * (m - n_k) * (m - n_j) / (m * m * (m * m - 1))
+    scale = min(n_k, n_j)
+    return ab / (m * scale), float(np.sqrt(variance)) / scale
 
 
 def normalized_similarity(

@@ -26,11 +26,11 @@ from . import _binio
 from .channel import ArrayGeometry, CovarianceMatrix, build_covariance, corrupt_csi, sample_channels
 from .clustering import SimilarityCalibration, agglomerate, best_partition
 from .errors import ConfigurationError, DataFormatError, StratificationError
-from .hrs import HrsConfig
+from .hrs import HrsConfig, uniform_alpha_grid, uniform_beta_grid
 from .partitions import Partition
 
 DATASET_MAGIC = b"HRSDAT01"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 REFERENCE_SCENARIOS = ((8, 4), (8, 8), (8, 12), (12, 6), (12, 12), (12, 16))
 
@@ -62,7 +62,6 @@ class ScenarioConfig:
     integration_points: int = 512
     num_alpha: int = 10
     num_beta: int = 10
-    calibration_draws: int = 2000
     rate_floor_frac: float = 0.25
     min_class_samples: int = 50
     max_class_samples: int = 200
@@ -92,9 +91,11 @@ class ScenarioConfig:
         return float(np.sqrt(self.tau_sq))
 
     def hrs_config(self) -> HrsConfig:
-        alpha = (1e-3,) + tuple((i + 1) / self.num_alpha for i in range(self.num_alpha))
-        beta = tuple((i + 1) / self.num_beta for i in range(self.num_beta))
-        return HrsConfig(total_power=self.total_power, alpha_grid=alpha, beta_grid=beta)
+        return HrsConfig(
+            total_power=self.total_power,
+            alpha_grid=uniform_alpha_grid(self.num_alpha),
+            beta_grid=uniform_beta_grid(self.num_beta),
+        )
 
     def covariances(self) -> tuple[CovarianceMatrix, ...]:
         geometry = ArrayGeometry.uca(self.antennas)
@@ -104,9 +105,7 @@ class ScenarioConfig:
         )
 
     def calibration(self) -> SimilarityCalibration:
-        return SimilarityCalibration.for_scenario(
-            self.antennas, self.users, self.calibration_draws, seed=self.seed
-        )
+        return SimilarityCalibration.for_scenario(self.antennas, self.users)
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +122,6 @@ class ScenarioConfig:
             "integration_points": self.integration_points,
             "num_alpha": self.num_alpha,
             "num_beta": self.num_beta,
-            "calibration_draws": self.calibration_draws,
             "rate_floor_frac": self.rate_floor_frac,
             "min_class_samples": self.min_class_samples,
             "max_class_samples": self.max_class_samples,

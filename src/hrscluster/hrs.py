@@ -34,13 +34,13 @@ RANK_TOL_REL = 1e-12
 DENOMINATOR_GUARD = -1e-12
 
 
-def _default_alpha_grid(points: int = 10) -> tuple[float, ...]:
-    # 10 uniform points on (0, 1] plus a near-zero entry that effectively
-    # switches the outer common layer off.
+def uniform_alpha_grid(points: int = 10) -> tuple[float, ...]:
+    # `points` uniform points on (0, 1] plus a near-zero entry that
+    # effectively switches the outer common layer off.
     return (1e-3,) + tuple((i + 1) / points for i in range(points))
 
 
-def _default_beta_grid(points: int = 10) -> tuple[float, ...]:
+def uniform_beta_grid(points: int = 10) -> tuple[float, ...]:
     return tuple((i + 1) / points for i in range(points))
 
 
@@ -53,8 +53,8 @@ class HrsConfig:
     """
 
     total_power: float = 100.0
-    alpha_grid: tuple[float, ...] = _default_alpha_grid()
-    beta_grid: tuple[float, ...] = _default_beta_grid()
+    alpha_grid: tuple[float, ...] = uniform_alpha_grid()
+    beta_grid: tuple[float, ...] = uniform_beta_grid()
     b: tuple[int, ...] | None = None
     r: tuple[int, ...] | None = None
 
@@ -76,14 +76,15 @@ class HrsConfig:
         return (d,) * num_groups, (d,) * num_groups
 
 
-def check_feasibility(m: int, partition: Partition, b, r) -> None:
+def check_feasibility(m: int, b, r) -> None:
     """Raise FeasibilityError unless every group gets a workable precoder.
 
-    Requires b_g >= 1 (a group with no reduced dimensions cannot carry any
-    message, which is what rules out all-singleton serving when G > M) and
-    b_g + sum of the other groups' nulled directions <= M.
+    ``b`` and ``r`` hold one entry per group. Requires b_g >= 1 (a group
+    with no reduced dimensions cannot carry any message, which is what rules
+    out all-singleton serving when G > M) and b_g + sum of the other groups'
+    nulled directions <= M.
     """
-    g_count = partition.num_groups
+    g_count = len(b)
     for g in range(g_count):
         if b[g] < 1:
             raise FeasibilityError(
@@ -169,11 +170,11 @@ def compute_outer_precoders(H_hat_grouped, config: HrsConfig, m: int | None = No
         m = groups[0].shape[0]
     if any(h.shape[0] != m for h in groups):
         raise FeasibilityError("grouped channels disagree on antenna count")
+    if any(h.shape[1] < 1 for h in groups):
+        raise FeasibilityError("every group must contain at least one user")
     g_count = len(groups)
-    sizes = [h.shape[1] for h in groups]
-    fake = Partition.from_blocks(_blocks_from_sizes(sizes))
     b, r = config.group_dims(m, g_count)
-    check_feasibility(m, fake, b, r)
+    check_feasibility(m, b, r)
 
     if g_count == 1:
         return [np.eye(m, dtype=complex)[:, : min(m, b[0])]]
@@ -347,7 +348,7 @@ def evaluate_partition(
     m = channels.num_antennas
     b, r = config.group_dims(m, g_count)
     try:
-        check_feasibility(m, partition, b, r)
+        check_feasibility(m, b, r)
     except FeasibilityError:
         return RateBreakdown.infeasible()
 
@@ -379,13 +380,3 @@ def evaluate_partition(
     return RateBreakdown(
         float(r_oc[best]), float(r_ic[best]), float(r_p[best]), float(totals[best]), a, bb, True
     )
-
-
-def _blocks_from_sizes(sizes):
-    blocks, start = [], 1
-    for s in sizes:
-        if s < 1:
-            raise FeasibilityError("every group must contain at least one user")
-        blocks.append(list(range(start, start + s)))
-        start += s
-    return blocks

@@ -193,10 +193,13 @@ def loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
     """Analytic gradients of the mean loss for every weight and bias.
 
-    Softmax and cross entropy fuse to (probs - onehot) / batch_size at the
-    output; ReLU passes gradient only where its input was positive.
+    Returns ((weight grads, bias grads), mean loss); the loss comes from the
+    same forward pass as the gradients. Softmax and cross entropy fuse to
+    (probs - onehot) / batch_size at the output; ReLU passes gradient only
+    where its input was positive.
     """
     probs, activations = _forward_cached(model, batch)
+    batch_loss = loss(probs, labels)
     labels = np.asarray(labels, dtype=int)
     n = probs.shape[0]
     delta = probs.copy()
@@ -209,7 +212,7 @@ def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (activations[i] > 0)
-    return grads_w, grads_b
+    return (grads_w, grads_b), batch_loss
 
 
 @dataclass
@@ -297,8 +300,8 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            grads = backward(model, xb, yb)
-            total += loss(forward(model, xb), yb) * len(idx)
+            grads, batch_loss = backward(model, xb, yb)
+            total += batch_loss * len(idx)
             adam_step(model, state, grads)
         epoch_losses.append(total / n)
         if len(x_val):

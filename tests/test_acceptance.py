@@ -140,7 +140,7 @@ def test_criterion_2_gradient_oracle():
             b += rng.normal(0.0, 0.1, b.shape)
         x = kink_free_batch(model, rng, int(rng.integers(2, 7)))
         y = rng.integers(0, dims[-1], x.shape[0])
-        analytic_w, analytic_b = mlp.backward(model, x, y)
+        (analytic_w, analytic_b), _ = mlp.backward(model, x, y)
         numeric_w, numeric_b = finite_difference_grads(model, x, y)
         for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):
             rel = np.abs(a - n) / np.maximum(np.abs(n), 1e-8)

@@ -54,21 +54,8 @@ def test_train_writes_model_and_report(workdir):
     assert len(report["train_loss"]) == 4
 
 
-def test_eval_and_compare_produce_reports(workdir, capsys):
+def test_compare_produces_reports(workdir, capsys):
     out = workdir / "report"
-    rc = cli.run(
-        [
-            "eval",
-            "--data",
-            str(workdir / "data.hrsdat"),
-            "--model",
-            str(workdir / "model.hrsmlp"),
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    assert (out / "clitiny_summary.csv").exists()
     rc = cli.run(
         [
             "compare",
@@ -81,8 +68,10 @@ def test_eval_and_compare_produce_reports(workdir, capsys):
         ]
     )
     assert rc == 0
+    assert (out / "clitiny_summary.csv").exists()
     assert (out / "clitiny_boxplot.svg").exists()
     printed = capsys.readouterr().out
+    assert "test top-1" in printed and "top-5" in printed and "relative rate" in printed
     for method in ("HC", "NN", "UNI", "SING"):
         assert method in printed
 
@@ -132,7 +121,7 @@ def test_scenario_model_mismatch_exits_2(workdir, tmp_path):
     assert cli.run(["gen-dataset", "--config", str(other_cfg), "--out", str(other_data)]) == 0
     rc = cli.run(
         [
-            "eval",
+            "compare",
             "--data",
             str(other_data),
             "--model",
@@ -155,8 +144,21 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     header["format_version"] = 1
     _binio.write_container(path, mlp.MODEL_MAGIC, header, blob)
     rc = cli.run(
-        ["eval", "--data", str(workdir / "data.hrsdat"), "--model", str(path), "--out", str(tmp_path / "r")]
+        ["compare", "--data", str(workdir / "data.hrsdat"), "--model", str(path), "--out", str(tmp_path / "r")]
     )
+    assert rc == 3
+    assert "version 1" in capsys.readouterr().err
+
+
+def test_version_one_dataset_exits_3(workdir, tmp_path, capsys):
+    # a version-1 dataset was labelled with Monte Carlo similarity constants
+    # and its config carried their draw count
+    path = tmp_path / "old.hrsdat"
+    header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC)
+    header["format_version"] = 1
+    header["config"]["calibration_draws"] = 2000
+    _binio.write_container(path, data.DATASET_MAGIC, header, blob)
+    rc = cli.run(["train", "--data", str(path), "--out", str(tmp_path / "m")])
     assert rc == 3
     assert "version 1" in capsys.readouterr().err
 

@@ -99,32 +99,36 @@ def test_mean_similarity_of_random_pairs_matches_analytic():
 # ---------------------------------------------------------------- calibration
 
 
-def test_calibration_means_match_analytic():
-    eta, sigma = calibrate_similarity(8, 1, 1, 4000, rng_seed=1)
-    assert eta == pytest.approx(1 / 8, abs=0.01)
-    assert sigma > 0
-    eta, sigma = calibrate_similarity(12, 2, 3, 4000, rng_seed=2)
-    assert eta == pytest.approx(6 / 24, abs=0.01)
-    assert sigma > 0
+@pytest.mark.parametrize("m, n_k, n_j", [(8, 1, 1), (8, 2, 3), (12, 2, 5), (12, 3, 3)])
+def test_calibration_matches_monte_carlo(m, n_k, n_j):
+    # sample mean and variance of the similarity of independent Gaussian
+    # subspaces land within 4 standard errors of the closed form
+    rng = np.random.default_rng((m, n_k, n_j))
+    n = 4000
+    vals = np.array(
+        [pf_similarity(complex_gaussian(rng, (m, n_k)), complex_gaussian(rng, (m, n_j))) for _ in range(n)]
+    )
+    eta, sigma = calibrate_similarity(m, n_k, n_j)
+    assert abs(vals.mean() - eta) < 4 * sigma / np.sqrt(n)
+    sq_dev = (vals - eta) ** 2
+    assert abs(sq_dev.mean() - sigma**2) < 4 * sq_dev.std() / np.sqrt(n)
+
+
+@pytest.mark.parametrize("m", [3, 8, 12])
+def test_single_user_calibration_is_beta(m):
+    # |u^H v|^2 of independent isotropic unit vectors in C^M is Beta(1, M - 1)
+    eta, sigma = calibrate_similarity(m, 1, 1)
+    assert eta == pytest.approx(1 / m, rel=1e-15)
+    assert sigma**2 == pytest.approx((m - 1) / (m * m * (m + 1)), rel=1e-12)
 
 
 def test_calibration_rejects_small_geometry():
     with pytest.raises(CalibrationError):
-        calibrate_similarity(4, 2, 2, 2000)
-    with pytest.raises(CalibrationError):
-        calibrate_similarity(8, 1, 1, 100)
-
-
-def test_calibration_stable_across_seeds():
-    n = 4000
-    eta1, sig1 = calibrate_similarity(8, 1, 2, n, rng_seed=10)
-    eta2, sig2 = calibrate_similarity(8, 1, 2, n, rng_seed=11)
-    combined_se = np.hypot(sig1, sig2) / np.sqrt(n)
-    assert abs(eta1 - eta2) < 3 * combined_se
+        calibrate_similarity(4, 2, 2)
 
 
 def test_scenario_calibration_covers_needed_keys():
-    calib = SimilarityCalibration.for_scenario(8, 4, num_draws=2000, seed=0)
+    calib = SimilarityCalibration.for_scenario(8, 4)
     assert (8, 1, 1) in calib.table
     assert (8, 2, 2) in calib.table
     assert (8, 1, 3) in calib.table
@@ -133,7 +137,7 @@ def test_scenario_calibration_covers_needed_keys():
 
 
 def test_normalized_similarity_branches(rng):
-    calib = SimilarityCalibration.for_scenario(8, 4, num_draws=2000, seed=1)
+    calib = SimilarityCalibration.for_scenario(8, 4)
     # wide geometry: standardized score; centered value maps near zero
     h1 = complex_gaussian(rng, (8, 1))
     h2 = complex_gaussian(rng, (8, 1))
@@ -163,7 +167,7 @@ def test_two_user_dendrogram():
 
 def test_dendrogram_structure(rng):
     channels = random_channelset(8, 6, seed=31)
-    calib = SimilarityCalibration.for_scenario(8, 6, num_draws=2000, seed=2)
+    calib = SimilarityCalibration.for_scenario(8, 6)
     d = agglomerate(channels.H_hat, calib)
     assert len(d.levels) == 6
     assert d.levels[0] == Partition.singletons(6)
@@ -177,7 +181,7 @@ def test_dendrogram_structure(rng):
 
 def test_first_merge_attains_level_zero_maximum():
     channels = random_channelset(8, 5, seed=32)
-    calib = SimilarityCalibration.for_scenario(8, 5, num_draws=2000, seed=3)
+    calib = SimilarityCalibration.for_scenario(8, 5)
     d = agglomerate(channels.H_hat, calib)
     first = d.merge_trace[0]
     h = channels.H_hat
@@ -204,7 +208,7 @@ def test_recovers_two_separated_angular_groups():
 
 def test_merge_sequence_invariant_under_common_unitary(rng):
     channels = random_channelset(8, 5, seed=34, tau=0.4)
-    calib = SimilarityCalibration.for_scenario(8, 5, num_draws=2000, seed=4)
+    calib = SimilarityCalibration.for_scenario(8, 5)
     q, _ = np.linalg.qr(complex_gaussian(rng, (8, 8)))
     d1 = agglomerate(channels.H_hat, calib)
     d2 = agglomerate(q @ channels.H_hat, calib)
@@ -226,7 +230,7 @@ def test_single_user_best_partition():
 
 def test_best_partition_dominates_universal():
     cfg = HrsConfig(total_power=20.0)
-    calib = SimilarityCalibration.for_scenario(8, 5, num_draws=2000, seed=5)
+    calib = SimilarityCalibration.for_scenario(8, 5)
     for seed in range(36, 41):
         channels = random_channelset(8, 5, seed=seed, tau=0.6)
         d = agglomerate(channels.H_hat, calib)

@@ -110,11 +110,14 @@ def test_feasibility_rules():
     cfg = HrsConfig()
     # more groups than antennas: floor(M/G) = 0
     with pytest.raises(FeasibilityError):
-        check_feasibility(4, Partition.singletons(8), *cfg.group_dims(4, 8))
+        check_feasibility(4, *cfg.group_dims(4, 8))
     # explicit oversize request
     bad = HrsConfig(b=(3, 3), r=(3, 3))
     with pytest.raises(FeasibilityError):
-        check_feasibility(4, Partition.from_blocks([[1], [2]]), *bad.group_dims(4, 2))
+        check_feasibility(4, *bad.group_dims(4, 2))
+    # a group without users
+    with pytest.raises(FeasibilityError, match="at least one user"):
+        compute_outer_precoders([np.ones((4, 1)), np.zeros((4, 0))], cfg)
 
 
 # ------------------------------------------------------------ inner precoders

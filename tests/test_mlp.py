@@ -199,18 +199,29 @@ def test_gradients_match_finite_differences():
         b += rng.normal(0.0, 0.1, b.shape)
     x = kink_free_batch(model, rng, 5)
     y = rng.integers(0, 2, 5)
-    analytic_w, analytic_b = mlp.backward(model, x, y)
+    (analytic_w, analytic_b), _ = mlp.backward(model, x, y)
     numeric_w, numeric_b = finite_difference_grads(model, x, y)
     for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):
         scale = np.maximum(np.abs(n), 1e-8)
         assert (np.abs(a - n) / scale).max() < 1e-4
 
 
+def test_backward_returns_the_forward_loss():
+    rng = np.random.default_rng(9)
+    model = toy_model([4, 3, 2], seed=9)
+    x = rng.standard_normal((5, 4))
+    y = rng.integers(0, 2, 5)
+    _, batch_loss = mlp.backward(model, x, y)
+    assert batch_loss == mlp.loss(mlp.forward(model, x), y)
+    with pytest.raises(ConfigurationError):
+        mlp.backward(model, x, [0, 1, 2, 0, 1])
+
+
 def test_dead_relu_units_get_zero_gradient():
     model = toy_model([2, 3, 2], seed=7)
     model.biases[0][:] = -100.0  # all hidden pre-activations negative
     x = np.array([[0.1, -0.2]])
-    grads_w, grads_b = mlp.backward(model, x, [0])
+    (grads_w, grads_b), _ = mlp.backward(model, x, [0])
     assert np.all(grads_w[0] == 0.0)
     assert np.all(grads_b[0] == 0.0)
 
@@ -220,9 +231,9 @@ def test_duplicate_sample_leaves_mean_gradient_unchanged():
     model = toy_model([3, 4, 2], seed=8)
     x = rng.standard_normal((3, 3))
     y = [0, 1, 0]
-    gw1, gb1 = mlp.backward(model, x, y)
+    (gw1, gb1), _ = mlp.backward(model, x, y)
     x2 = np.vstack([x, x])
-    gw2, gb2 = mlp.backward(model, x2, y + y)
+    (gw2, gb2), _ = mlp.backward(model, x2, y + y)
     for a, b in zip(gw1 + gb1, gw2 + gb2):
         assert np.abs(a - b).max() < 1e-12
 
@@ -261,7 +272,8 @@ def test_adam_deterministic_over_steps():
         for _ in range(10):
             x = rng.standard_normal((4, 3))
             y = rng.integers(0, 2, 4)
-            mlp.adam_step(model, state, mlp.backward(model, x, y))
+            grads, _ = mlp.backward(model, x, y)
+            mlp.adam_step(model, state, grads)
         runs.append([w.tobytes() for w in model.weights])
     assert runs[0] == runs[1]
 
