@@ -16,13 +16,15 @@ otherwise the raw score is used as is.
 A bottom-up agglomeration merges the most similar pair of clusters one step
 at a time, yielding N nested partitions from all-singletons to a single
 universal cluster; the level with the best achievable rate is the clustering
-decision. For small N an exhaustive sweep over all set partitions serves as
-the optimality reference.
+decision; it decomposes each cluster's basis once and scores each pair of
+clusters once, 2N - 2 SVDs per draw. For small N an exhaustive sweep over all
+set partitions serves as the optimality reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -76,10 +78,22 @@ def pf_similarity(H_k: np.ndarray, H_j: np.ndarray) -> float:
     denominator stays min(N_k, N_j) even when a stack exceeds the antenna
     count and its column space saturates.
     """
-    u_k = _column_space_basis(H_k)
-    u_j = _column_space_basis(H_j)
-    overlap = np.linalg.norm(u_k.conj().T @ u_j) ** 2
-    return float(overlap / min(H_k.shape[1], H_j.shape[1]))
+    return _overlap(_column_space_basis(H_k), _column_space_basis(H_j), H_k.shape[1], H_j.shape[1])
+
+
+def _overlap(u_k: np.ndarray, u_j: np.ndarray, n_k: int, n_j: int) -> float:
+    """trace(P_k P_j) / min(N_k, N_j) from orthonormal bases."""
+    return float(np.linalg.norm(u_k.conj().T @ u_j) ** 2 / min(n_k, n_j))
+
+
+def _standardize(s: float, m: int, n_k: int, n_j: int, calib: SimilarityCalibration | None) -> float:
+    """(s - eta) / sigma when M > N_k + N_j, the raw score otherwise."""
+    if m > n_k + n_j:
+        if calib is None:
+            raise CalibrationError("calibration required for M > N_k + N_j")
+        eta, sigma = calib.lookup(m, n_k, n_j)
+        return (s - eta) / sigma
+    return s
 
 
 @dataclass
@@ -133,15 +147,7 @@ def normalized_similarity(
     H_k: np.ndarray, H_j: np.ndarray, calib: SimilarityCalibration | None
 ) -> float:
     """Standardized similarity when applicable, raw similarity otherwise."""
-    n_k, n_j = H_k.shape[1], H_j.shape[1]
-    m = H_k.shape[0]
-    s = pf_similarity(H_k, H_j)
-    if m > n_k + n_j:
-        if calib is None:
-            raise CalibrationError("calibration required for M > N_k + N_j")
-        eta, sigma = calib.lookup(m, n_k, n_j)
-        return (s - eta) / sigma
-    return s
+    return _standardize(pf_similarity(H_k, H_j), H_k.shape[0], H_k.shape[1], H_j.shape[1], calib)
 
 
 class MergeStep(NamedTuple):
@@ -164,29 +170,35 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
     At each step every pair of current clusters is scored on the stacked
     channel columns and the highest-scoring pair merges; ties go to the
     lexicographically smallest pair of block minima, which makes the merge
-    order reproducible.
+    order reproducible. Scores and bases are cached per block, and a basis is
+    decomposed the first time its cluster is scored: 2N - 2 SVDs, as the
+    universal cluster is never scored.
     """
-    n = H_hat.shape[1]
+    m, n = H_hat.shape
     if n < 1:
         raise DegenerateInputError("need at least one user")
+
+    @cache
+    def basis(block):
+        return _column_space_basis(H_hat[:, np.asarray(block, dtype=int) - 1])
+
+    @cache
+    def score(a, b):  # not bit-symmetric; the scan passes the smaller minimum first
+        return _standardize(_overlap(basis(a), basis(b), len(a), len(b)), m, len(a), len(b), calib)
+
     blocks = [(u,) for u in range(1, n + 1)]
     levels = [Partition(tuple(blocks))]
     trace: list[MergeStep] = []
     while len(blocks) > 1:
         best_score, best_pair = -np.inf, None
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                cols = np.asarray(blocks[i], dtype=int) - 1
-                cols_j = np.asarray(blocks[j], dtype=int) - 1
-                score = normalized_similarity(H_hat[:, cols], H_hat[:, cols_j], calib)
-                if score > best_score:
-                    best_score, best_pair = score, (i, j)
-        i, j = best_pair
-        merged = tuple(sorted(blocks[i] + blocks[j]))
-        trace.append(MergeStep(len(levels), (blocks[i], blocks[j]), float(best_score)))
-        blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
-        blocks.append(merged)
-        blocks.sort(key=lambda b: b[0])
+        for i, a in enumerate(blocks):
+            for b in blocks[i + 1 :]:
+                s = score(a, b)
+                if s > best_score:
+                    best_score, best_pair = s, (a, b)
+        trace.append(MergeStep(len(levels), best_pair, float(best_score)))
+        merged = tuple(sorted(best_pair[0] + best_pair[1]))
+        blocks = sorted([b for b in blocks if b not in best_pair] + [merged])  # by block minimum
         levels.append(Partition(tuple(blocks)))
     return Dendrogram(tuple(levels), tuple(trace))
 

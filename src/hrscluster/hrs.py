@@ -123,18 +123,21 @@ class PowerAllocation:
     def for_partition(alpha: float, beta: float, total_power: float, partition: Partition) -> "PowerAllocation":
         if not 0.0 < alpha <= 1.0 or not 0.0 < beta <= 1.0:
             raise FeasibilityError("alpha and beta must lie in (0, 1]")
-        g_count = partition.num_groups
-        p_oc = alpha * total_power
-        p_ic = np.full(g_count, (1.0 - alpha) * beta * total_power / g_count)
-        p_priv = np.empty(partition.num_users)
-        for g, block in enumerate(partition.blocks):
-            p_priv[partition.block_columns(g)] = (
-                (1.0 - alpha) * (1.0 - beta) * total_power / (g_count * len(block))
-            )
-        return PowerAllocation(alpha, beta, p_oc, p_ic, p_priv)
+        p_oc, p_ic, p_priv = split_power(np.array([alpha]), np.array([beta]), total_power, partition)
+        return PowerAllocation(alpha, beta, float(p_oc[0]), p_ic[0], p_priv[0])
 
     def total(self) -> float:
         return self.p_oc + self.p_ic.sum() + self.p_priv.sum()
+
+
+def split_power(alpha: np.ndarray, beta: np.ndarray, total_power: float, partition: Partition):
+    """p_oc (K,), p_ic (K, G) and p_priv (K, N) for K (alpha, beta) pairs given as two (K,) arrays."""
+    g_count = partition.num_groups
+    sizes = np.array([len(blk) for blk in partition.blocks])
+    per_user_scale = 1.0 / (g_count * sizes[partition.group_of_user()])
+    p_ic = (1.0 - alpha) * beta * total_power / g_count
+    p_priv = (1.0 - alpha) * (1.0 - beta) * total_power
+    return alpha * total_power, np.repeat(p_ic[:, None], g_count, axis=1), p_priv[:, None] * per_user_scale
 
 
 @dataclass(frozen=True)
@@ -309,6 +312,17 @@ def _layer_rates(gains: _LinkGains, p_oc, p_ic, p_priv):
     return r_oc, r_ic, r_p
 
 
+def _best_row(gains: _LinkGains, alpha, beta, p_oc, p_ic, p_priv) -> RateBreakdown:
+    """Breakdown of the first rate-maximizing row of K power allocations."""
+    r_oc, r_ic, r_p = _layer_rates(gains, p_oc, p_ic, p_priv)
+    totals = r_oc + r_ic + r_p
+    best = int(np.argmax(totals))
+    return RateBreakdown(
+        float(r_oc[best]), float(r_ic[best]), float(r_p[best]), float(totals[best]),
+        float(alpha[best]), float(beta[best]), True,
+    )
+
+
 def compute_sinr_and_rate(
     H_true: np.ndarray,
     partition: Partition,
@@ -317,21 +331,8 @@ def compute_sinr_and_rate(
 ) -> RateBreakdown:
     """Exact layer rates for one power allocation against the true channel."""
     gains = _LinkGains(H_true, partition, precoders)
-    r_oc, r_ic, r_p = _layer_rates(
-        gains,
-        np.array([power.p_oc]),
-        power.p_ic[None, :],
-        power.p_priv[None, :],
-    )
-    return RateBreakdown(
-        float(r_oc[0]),
-        float(r_ic[0]),
-        float(r_p[0]),
-        float(r_oc[0] + r_ic[0] + r_p[0]),
-        power.alpha,
-        power.beta,
-        True,
-    )
+    rows = (np.array([power.p_oc]), power.p_ic[None, :], power.p_priv[None, :])
+    return _best_row(gains, [power.alpha], [power.beta], *rows)
 
 
 def evaluate_partition(
@@ -359,24 +360,6 @@ def evaluate_partition(
 
     alphas = (min(config.alpha_grid),) if g_count == 1 else config.alpha_grid
     betas = config.beta_grid
-    p = config.total_power
-    combos = [(a, bb) for a in alphas for bb in betas]
-    k = len(combos)
-    p_oc = np.array([a * p for a, _ in combos])
-    p_ic = np.empty((k, g_count))
-    p_priv = np.empty((k, partition.num_users))
-    sizes = np.array([len(blk) for blk in partition.blocks])
-    per_user_scale = np.empty(partition.num_users)
-    for g in range(g_count):
-        per_user_scale[partition.block_columns(g)] = 1.0 / (g_count * sizes[g])
-    for i, (a, bb) in enumerate(combos):
-        p_ic[i] = (1.0 - a) * bb * p / g_count
-        p_priv[i] = (1.0 - a) * (1.0 - bb) * p * per_user_scale
-
-    r_oc, r_ic, r_p = _layer_rates(gains, p_oc, p_ic, p_priv)
-    totals = r_oc + r_ic + r_p
-    best = int(np.argmax(totals))  # first maximizer; combo order is fixed
-    a, bb = combos[best]
-    return RateBreakdown(
-        float(r_oc[best]), float(r_ic[best]), float(r_p[best]), float(totals[best]), a, bb, True
-    )
+    # alpha-major, so the first maximizer is the smallest alpha, then beta
+    alpha, beta = np.repeat(alphas, len(betas)), np.tile(betas, len(alphas))
+    return _best_row(gains, alpha, beta, *split_power(alpha, beta, config.total_power, partition))

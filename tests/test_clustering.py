@@ -217,6 +217,64 @@ def test_merge_sequence_invariant_under_common_unitary(rng):
         assert s1.similarity == pytest.approx(s2.similarity, abs=1e-9)
 
 
+def _rescoring_agglomerate(h, calib):
+    """Reference merge order: every pair rescored from its stacked columns at every step."""
+    blocks = [(u,) for u in range(1, h.shape[1] + 1)]
+    keys, trace = [Partition(tuple(blocks)).key()], []
+    while len(blocks) > 1:
+        best, pair = -np.inf, None
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                cols_i, cols_j = np.asarray(blocks[i]) - 1, np.asarray(blocks[j]) - 1
+                s = normalized_similarity(h[:, cols_i], h[:, cols_j], calib)
+                if s > best:
+                    best, pair = s, (i, j)
+        i, j = pair
+        trace.append(((blocks[i], blocks[j]), float(best)))
+        merged = tuple(sorted(blocks[i] + blocks[j]))
+        blocks = sorted([b for k, b in enumerate(blocks) if k not in pair] + [merged])
+        keys.append(Partition(tuple(blocks)).key())
+    return keys, trace
+
+
+def _assert_matches_rescoring(h, calib):
+    d = agglomerate(h, calib)
+    keys, trace = _rescoring_agglomerate(h, calib)
+    assert [p.key() for p in d.levels] == keys
+    assert [(step.merged, step.similarity) for step in d.merge_trace] == trace
+    return d
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (12, 12), (6, 12)])
+def test_agglomerate_matches_rescoring_reference(m, n):
+    calib = SimilarityCalibration.for_scenario(m, n)
+    covs = [build_covariance(ArrayGeometry.uca(m), az, np.pi / 6) for az in (-np.pi / 2, 0.0, np.pi / 2)]
+    for seed in range(6):
+        _assert_matches_rescoring(random_channelset(m, n, seed=60 + seed, tau=0.4).H_hat, calib)
+        assignment = [(seed + u) % len(covs) for u in range(n)]
+        _assert_matches_rescoring(sample_channels(covs, assignment, rng_seed=70 + seed).H_hat, calib)
+
+
+def test_agglomerate_tie_merges_smallest_block_minima_first():
+    # orthonormal users: every singleton pair scores the same, so (1, 2)
+    # merges first, then (3, 4) beats the pairs of unequal sizes
+    h = np.eye(8, dtype=complex)[:, :4]
+    calib = SimilarityCalibration.for_scenario(8, 4)
+    d = _assert_matches_rescoring(h, calib)
+    assert len({normalized_similarity(h[:, [i]], h[:, [j]], calib) for i in range(4) for j in range(i + 1, 4)}) == 1
+    assert [step.merged for step in d.merge_trace[:2]] == [((1,), (2,)), ((3,), (4,))]
+
+
+def test_agglomerate_never_decomposes_the_universal_cluster():
+    # two parallel users: the merged cluster is rank deficient, but it is
+    # the universal cluster and is never scored
+    h = np.array([[1.0, 2.0], [0.5j, 1.0j], [0.2, 0.4], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(DegenerateInputError):
+        pf_similarity(h, h[:, :1])
+    d = agglomerate(h, SimilarityCalibration.for_scenario(4, 2))
+    assert [p.key() for p in d.levels] == ["1|2", "1,2"]
+
+
 # ------------------------------------------------------------ rate selection
 
 

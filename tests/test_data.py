@@ -77,6 +77,85 @@ def test_generation_deterministic(tiny_config):
     assert all(x.H_true.tobytes() == y.H_true.tobytes() for x, y in zip(a, b))
 
 
+# (label, label_rate) of draws 0..29 at seed 20240801, recorded from the
+# unoptimized HC path: every cluster pair rescored from its stacked columns at
+# every merge, and the power grid built one (alpha, beta) point at a time.
+N8M8 = (
+    ('1,2,3,4,5,7,8|6', 10.39758791694035),
+    ('1,2,3,4,5,6,7,8', 11.722285687333347),
+    ('1,5,6,8|2|3|4|7', 7.326939403726152),
+    ('1,2,3,4,5,6,7|8', 10.711573148641904),
+    ('1,2|3|4,8|5|6|7', 11.03833865958665),
+    ('1,2,3,4,5,6,7,8', 7.842725441465617),
+    ('1,5,6,7,8|2|3|4', 12.753859689344385),
+    ('1|2,5|3|4,7,8|6', 9.973681758115852),
+    ('1|2|3|4,5,6|7|8', 5.514171055351572),
+    ('1,7|2,3,4,5,8|6', 10.765079056200863),
+    ('1,2,5|3,4|6|7|8', 8.314016818738299),
+    ('1,2,3,4,5,6,7,8', 11.706587860337663),
+    ('1|2,3,4,5,6,7,8', 10.531851542371992),
+    ('1,5,6|2|3|4,7|8', 14.348540906047834),
+    ('1,2,3,4,5,6,7,8', 11.621032981593503),
+    ('1,2,3,4,5,6,7,8', 8.621284430884833),
+    ('1|2,4,5|3|6|7|8', 11.184523940599174),
+    ('1,5,6,7,8|2,3|4', 8.627598638282361),
+    ('1|2|3|4|5|6|7,8', 9.527224576636273),
+    ('1,3,5|2,7|4|6|8', 7.269019946140505),
+    ('1|2|3,5|4|6,7|8', 10.63768589979677),
+    ('1,3,4,5,6,8|2,7', 5.61933093419122),
+    ('1,2,3,5,6,7,8|4', 10.077268478068737),
+    ('1,3,4,5,6,7,8|2', 9.7301216993174),
+    ('1,2,3,4,5,6,7,8', 6.61817194765047),
+    ('1,2,3,4,5,6,7,8', 9.519435817628374),
+    ('1|2,3|4|5|6|7|8', 8.014785939163488),
+    ('1,2,3,4,5,6,7,8', 12.715699761792866),
+    ('1,4|2|3,6,8|5|7', 8.944232742342958),
+    ('1,2,3,4,6,7|5|8', 8.591748938748923),
+)
+N12M12 = (
+    ('1,2,3,7,9,11|4,8,12|5,6|10', 10.394172693703025),
+    ('1,2,8,10,11|3,5,7|4,9|6|12', 14.086691740543523),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 10.490064605796611),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 12.913321434172062),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 11.003539421147881),
+    ('1,9|2,11|3,10|4|5|6|7|8|12', 11.990145125791368),
+    ('1,5,6,7,8,10,11|2|3|4|9|12', 12.906142220543012),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 16.87168545718965),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 10.56407177365203),
+    ('1,2,3,4,5,6,8,9,10,11,12|7', 12.117684622536636),
+    ('1,2,3,4,5,6,8,11,12|7,10|9', 13.82416606702726),
+    ('1,6|2|3,9|4,12|5,10|7|8|11', 13.495065910972205),
+    ('1|2,9,10,12|3|4|5|6|7,11|8', 13.075656269761511),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 9.62097522461803),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 8.192813700547289),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 10.166011507253215),
+    ('1,3,11|2,4,5,6,7,9,10,12|8', 8.174377418383335),
+    ('1,9|2,3|4,11|5|6,7,10|8|12', 12.702367352557978),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 11.303040449905831),
+    ('1,2,3,4,5,6,7,8,9,11,12|10', 13.203361255738994),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 12.258583676787747),
+    ('1,2,3,4,6,7,8,10,11,12|5,9', 7.342081728891815),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 9.127633905829773),
+    ('1|2,7|3,8,9,11|4|5|6|10|12', 10.47936956009874),
+    ('1|2,10|3,11|4,6|5,8|7|9,12', 10.586836863149054),
+    ('1,2,3,10|4,7|5,8|6|9|11|12', 14.752941383204835),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 10.159794207472082),
+    ('1,4,6,9,12|2,5,8,11|3,7|10', 12.169235106559606),
+    ('1|2,3,6,8,10|4|5|7|9|11|12', 9.974701492245494),
+    ('1,3,4,6,7,10,12|2|5|8|9|11', 10.401723937075168),
+)
+
+
+@pytest.mark.parametrize("users, antennas, recorded", [(8, 8, N8M8), (12, 12, N12M12)])
+def test_labels_match_recorded_values(users, antennas, recorded):
+    # a fast path must leave the labels as they were; rates may move by rounding only
+    cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=len(recorded), seed=20240801)
+    samples = data.generate_samples(cfg)
+    assert [s.label for s in samples] == [label for label, _ in recorded]
+    for s, (_, rate) in zip(samples, recorded):
+        assert s.label_rate == pytest.approx(rate, rel=1e-12, abs=0)
+
+
 def test_covariance_assignment_uniformity():
     # chi-square over 1e4 sampled assignments at the 1 % level
     cfg = data.ScenarioConfig(users=8, antennas=8, samples=10_000, seed=7)

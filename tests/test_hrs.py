@@ -13,6 +13,7 @@ from hrscluster.hrs import (
     compute_outer_precoders,
     compute_sinr_and_rate,
     evaluate_partition,
+    split_power,
 )
 from hrscluster.partitions import Partition
 
@@ -275,6 +276,41 @@ def test_grid_search_dominates_every_grid_point():
         PowerAllocation.for_partition(best.best_alpha, best.best_beta, 25.0, partition),
     )
     assert again.R_total == pytest.approx(best.R_total, abs=1e-9)
+
+
+@pytest.mark.parametrize("blocks", [[[1, 2, 3], [4], [5, 6]], [[1, 2, 3, 4, 5, 6]]])
+def test_power_grid_rows_are_one_row_splits(blocks):
+    partition = Partition.from_blocks(blocks)
+    g_count = partition.num_groups
+    cfg = HrsConfig(total_power=25.0)
+    alphas = (min(cfg.alpha_grid),) if g_count == 1 else cfg.alpha_grid
+    alpha = np.repeat(alphas, len(cfg.beta_grid))
+    beta = np.tile(cfg.beta_grid, len(alphas))
+    p_oc, p_ic, p_priv = split_power(alpha, beta, 25.0, partition)
+    for k in range(len(alpha)):
+        a, b = float(alpha[k]), float(beta[k])
+        alloc = PowerAllocation.for_partition(a, b, 25.0, partition)
+        assert alloc.p_oc == p_oc[k]
+        assert np.array_equal(alloc.p_ic, p_ic[k]) and np.array_equal(alloc.p_priv, p_priv[k])
+        # the scalar expressions of the former per-grid-point loop
+        assert p_oc[k] == a * 25.0
+        assert np.all(p_ic[k] == (1.0 - a) * b * 25.0 / g_count)
+        for g, block in enumerate(partition.blocks):
+            want = (1.0 - a) * (1.0 - b) * 25.0 * (1.0 / (g_count * len(block)))
+            assert np.all(p_priv[k, partition.block_columns(g)] == want)
+
+    channels = random_channelset(8, 6, seed=26, tau=0.3)
+    best = evaluate_partition(channels, partition, cfg)
+    assert best.best_alpha in alphas and best.best_beta in cfg.beta_grid
+    again = compute_sinr_and_rate(
+        channels.H_true,
+        partition,
+        _precoders_for(channels, partition, cfg),
+        PowerAllocation.for_partition(best.best_alpha, best.best_beta, 25.0, partition),
+    )
+    # not bit-equal: numpy hands a one-row matmul to BLAS gemv and the grid's
+    # to gemm, which sum the interference terms in different orders
+    assert again.R_total == pytest.approx(best.R_total, rel=64 * np.finfo(float).eps, abs=0)
 
 
 def test_orthogonal_groups_prefer_minimal_outer_common():
