@@ -127,14 +127,6 @@ class ChannelSet:
     innovations: np.ndarray = field(repr=False)
     covariances: tuple[CovarianceMatrix, ...] = field(repr=False)
 
-    @property
-    def num_antennas(self) -> int:
-        return self.H_true.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.H_true.shape[1]
-
 
 def build_covariance(
     geometry: ArrayGeometry,

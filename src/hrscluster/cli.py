@@ -108,21 +108,8 @@ def _cmd_compare(args) -> int:
     dataset = data.load(args.data)
     model = mlp.load_model(args.model)
     _check_compatible(dataset, model)
-    results = evaluation.run_baselines(dataset, model)
-    metrics = evaluation.accuracy_metrics(dataset, model)
-    paths = evaluation.report(results, metrics, dataset.config.name, args.out)
-    rel = evaluation.relative_rate(results)
-    print(
-        f"{dataset.config.name}: test top-1 {metrics['test_top1']:.3f}, "
-        f"top-3 {metrics['test_top3']:.3f}, top-5 {metrics['test_top5']:.3f}, "
-        f"relative rate {rel.ratio:.3f}"
-    )
-    for res in results:
-        print(
-            f"{res.method:>4}: median {res.summary.median:.3f} "
-            f"[{res.summary.p25:.3f}, {res.summary.p75:.3f}] bps/Hz"
-        )
-    print(f"plots and records -> {paths['svg'].parent}")
+    _evaluate(dataset, model, args.out)
+    print(f"plots and records -> {Path(args.out)}")
     return 0
 
 
@@ -142,15 +129,29 @@ def _cmd_sweep(args) -> int:
         hyper = mlp.TrainingHyper(seed=args.seed if args.seed is not None else cfg.seed)
         model, rep = mlp.train(dataset, hyper)
         mlp.save_model(model, scdir / "model.hrsmlp")
-        metrics = evaluation.accuracy_metrics(dataset, model)
-        results = evaluation.run_baselines(dataset, model)
-        evaluation.report(results, metrics, cfg.name, scdir)
-        rel = evaluation.relative_rate(results)
-        rows.append({"scenario": cfg.name, "relative_rate": rel.ratio, **metrics})
-        print(f"{cfg.name}: test top-1 {metrics['test_top1']:.3f}, relative rate {rel.ratio:.3f}")
+        rows.append(_evaluate(dataset, model, scdir))
     evaluation.write_summary_csv(rows, out_root / "summary.csv")
     print(f"summary -> {out_root / 'summary.csv'}")
     return 0
+
+
+def _evaluate(dataset: data.DatasetSplit, model: mlp.MlpModel, out_dir) -> dict:
+    """Score the baselines and accuracies, write the reports and print them;
+    returns the summary row."""
+    results = evaluation.run_baselines(dataset, model)
+    metrics = evaluation.accuracy_metrics(dataset, model)
+    row = evaluation.report(results, metrics, dataset.config.name, out_dir)
+    print(
+        f"{row['scenario']}: test top-1 {row['test_top1']:.3f}, "
+        f"top-3 {row['test_top3']:.3f}, top-5 {row['test_top5']:.3f}, "
+        f"relative rate {row['relative_rate']:.3f}"
+    )
+    for res in results:
+        print(
+            f"{res.method:>4}: median {res.summary.median:.3f} "
+            f"[{res.summary.p25:.3f}, {res.summary.p75:.3f}] bps/Hz"
+        )
+    return row
 
 
 def _check_compatible(dataset: data.DatasetSplit, model: mlp.MlpModel) -> None:

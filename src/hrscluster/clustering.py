@@ -13,12 +13,14 @@ sizes; those constants have a closed form (see ``calibrate_similarity``)
 and are tabulated once per scenario. Standardization needs M > N_k + N_j,
 otherwise the raw score is used as is.
 
-A bottom-up agglomeration merges the most similar pair of clusters one step
-at a time, yielding N nested partitions from all-singletons to a single
-universal cluster; the level with the best achievable rate is the clustering
-decision; it decomposes each cluster's basis once and scores each pair of
-clusters once, 2N - 2 SVDs per draw. For small N an exhaustive sweep over all
-set partitions serves as the optimality reference.
+A bottom-up agglomeration of the estimate H_hat merges the most similar pair
+of clusters one step at a time, yielding N nested partitions from
+all-singletons to a single universal cluster; it decomposes each cluster's
+basis once and scores each pair of clusters once, 2N - 2 SVDs per draw.
+``best_partition(H_true, H_hat, dendrogram, config)`` picks the level with
+the best achievable rate as the clustering decision; for small N
+``exhaustive_best(H_true, H_hat, config)`` sweeps all set partitions as the
+optimality reference. Both keep the highest rate, then the fewest groups.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet
 from .errors import (
     CalibrationError,
     DegenerateInputError,
@@ -204,35 +205,29 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
 
 
 def best_partition(
-    channels: ChannelSet, dendrogram: Dendrogram, config: HrsConfig
+    H_true: np.ndarray, H_hat: np.ndarray, dendrogram: Dendrogram, config: HrsConfig
 ) -> tuple[Partition, RateBreakdown]:
     """Best-rate dendrogram level; ties prefer fewer groups."""
-    best: tuple[Partition, RateBreakdown] | None = None
-    for level in reversed(dendrogram.levels):  # universal first
-        result = evaluate_partition(channels, level, config)
-        if not result.feasible:
-            continue
-        if best is None or result.R_total > best[1].R_total:
-            best = (level, result)
-    if best is None:
-        raise NoFeasiblePartitionError(
-            "no dendrogram level is feasible for this antenna count"
-        )
-    return best
+    return _best_feasible(H_true, H_hat, reversed(dendrogram.levels), config)  # universal first
 
 
 def exhaustive_best(
-    channels: ChannelSet, config: HrsConfig
+    H_true: np.ndarray, H_hat: np.ndarray, config: HrsConfig
 ) -> tuple[Partition, RateBreakdown]:
     """Global best partition by full enumeration (small N only)."""
-    n = channels.num_users
+    n = H_hat.shape[1]
     if n > EXHAUSTIVE_USER_LIMIT:
         raise ResourceLimitError(
             f"exhaustive search is guarded at {EXHAUSTIVE_USER_LIMIT} users, got {n}"
         )
+    return _best_feasible(H_true, H_hat, enumerate_partitions(n), config)
+
+
+def _best_feasible(H_true, H_hat, partitions, config: HrsConfig) -> tuple[Partition, RateBreakdown]:
+    """Highest R_total; on a tie fewer groups, then the earlier partition."""
     best: tuple[Partition, RateBreakdown] | None = None
-    for partition in enumerate_partitions(n):
-        result = evaluate_partition(channels, partition, config)
+    for partition in partitions:
+        result = evaluate_partition(H_true, H_hat, partition, config)
         if not result.feasible:
             continue
         if (
@@ -245,5 +240,5 @@ def exhaustive_best(
         ):
             best = (partition, result)
     if best is None:
-        raise NoFeasiblePartitionError("every partition is infeasible")
+        raise NoFeasiblePartitionError("every candidate partition is infeasible")
     return best

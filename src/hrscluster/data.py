@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -190,28 +191,19 @@ class _GenContext:
     hrs: HrsConfig
 
 
-_WORKER_CTX: _GenContext | None = None
-
-
-def _init_worker(ctx: _GenContext):
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
 def draw_assignment(cfg: ScenarioConfig, index: int) -> tuple[int, ...]:
     """Uniform covariance index per user for sample ``index``."""
     rng = np.random.default_rng((cfg.seed, index, _SALT_SAMPLE))
     return tuple(int(a) for a in rng.integers(0, cfg.num_covs, cfg.users))
 
 
-def _generate_one(args) -> Sample:
-    ctx, index = args if isinstance(args, tuple) else (_WORKER_CTX, args)
+def _generate_one(ctx: _GenContext, index: int) -> Sample:
     cfg = ctx.config
     assignment = draw_assignment(cfg, index)
     channels = sample_channels(ctx.covariances, assignment, (cfg.seed, index, _SALT_SAMPLE, 1))
     channels = corrupt_csi(channels, cfg.tau, (cfg.seed, index, _SALT_CSI))
     dendrogram = agglomerate(channels.H_hat, ctx.calibration)
-    partition, rate = best_partition(channels, dendrogram, ctx.hrs)
+    partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, ctx.hrs)
     return Sample(
         channels.H_true, channels.H_hat, partition.key(), rate.R_total, assignment
     )
@@ -223,12 +215,12 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> list[Sample]:
     Every sample owns a child seed derived from (master seed, index), so the
     result is identical whether generated serially or across workers.
     """
-    ctx = _GenContext(cfg, cfg.covariances(), cfg.calibration(), cfg.hrs_config())
+    one = partial(_generate_one, _GenContext(cfg, cfg.covariances(), cfg.calibration(), cfg.hrs_config()))
     indices = range(cfg.samples)
     if threads <= 1:
-        return [_generate_one((ctx, i)) for i in indices]
-    with Pool(threads, initializer=_init_worker, initargs=(ctx,)) as pool:
-        return pool.map(_generate_one, indices, chunksize=8)
+        return [one(i) for i in indices]
+    with Pool(threads) as pool:
+        return pool.map(one, indices, chunksize=8)
 
 
 def balance(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:

@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, Sample
+from .data import DatasetSplit
 from .errors import ConfigurationError
 from .hrs import evaluate_partition
-from .channel import ChannelSet
 from .mlp import MlpModel, evaluate_topk, predict_labels
 from .partitions import Partition
 
@@ -66,23 +65,9 @@ def boxplot_stats(values) -> BoxplotSummary:
     return BoxplotSummary(float(p1), float(p25), float(med), float(p75), float(p99), outliers)
 
 
-def _sample_channelset(sample: Sample, dataset: DatasetSplit) -> ChannelSet:
-    # Rate evaluation only touches the stored matrices; innovations and
-    # covariances are not needed downstream of generation.
-    return ChannelSet(
-        sample.H_true,
-        sample.H_hat,
-        sample.cov_assignment,
-        dataset.config.tau,
-        np.zeros_like(sample.H_true),
-        (),
-    )
-
-
-def run_baselines(dataset: DatasetSplit, model: MlpModel, samples=None) -> list[MethodResult]:
+def run_baselines(dataset: DatasetSplit, model: MlpModel) -> list[MethodResult]:
     """Score the four policies per test sample."""
-    if samples is None:
-        samples = dataset.test
+    samples = dataset.test
     if not samples:
         empty = BoxplotSummary(0.0, 0.0, 0.0, 0.0, 0.0, ())
         return [MethodResult(m, [], empty) for m in METHODS]
@@ -91,11 +76,10 @@ def run_baselines(dataset: DatasetSplit, model: MlpModel, samples=None) -> list[
     predicted = predict_labels(model, samples)
     rates = {m: [] for m in METHODS}
     for s, pred in zip(samples, predicted):
-        channels = _sample_channelset(s, dataset)
         rates["HC"].append(s.label_rate)
-        rates["NN"].append(evaluate_partition(channels, Partition.from_key(pred), cfg).R_total)
-        rates["UNI"].append(evaluate_partition(channels, Partition.universal(n), cfg).R_total)
-        rates["SING"].append(evaluate_partition(channels, Partition.singletons(n), cfg).R_total)
+        rates["NN"].append(evaluate_partition(s.H_true, s.H_hat, Partition.from_key(pred), cfg).R_total)
+        rates["UNI"].append(evaluate_partition(s.H_true, s.H_hat, Partition.universal(n), cfg).R_total)
+        rates["SING"].append(evaluate_partition(s.H_true, s.H_hat, Partition.singletons(n), cfg).R_total)
     return [MethodResult(m, rates[m], boxplot_stats(rates[m])) for m in METHODS]
 
 
@@ -108,16 +92,16 @@ def relative_rate(results: list[MethodResult]) -> RelativeRateMetric:
 
 
 def accuracy_metrics(dataset: DatasetSplit, model: MlpModel) -> dict:
-    """Validation top-1 plus test top-1/3/5 accuracies."""
-    ks = tuple(k for k in (1, 3, 5) if k <= model.num_classes)
+    """Validation top-1 plus test top-1/3/5 accuracies.
+
+    k saturates at the class count, as in ``mlp.train``: with C classes
+    top-k for k >= C is top-C.
+    """
+    ks = tuple(min(k, model.num_classes) for k in (1, 3, 5))
     val = evaluate_topk(model, dataset.validation, (1,)) if dataset.validation else {1: float("nan")}
-    test = evaluate_topk(model, dataset.test, ks) if dataset.test else {k: float("nan") for k in ks}
-    return {
-        "val_top1": val[1],
-        "test_top1": test.get(1, float("nan")),
-        "test_top3": test.get(3, test.get(1, float("nan"))),
-        "test_top5": test.get(5, test.get(3, test.get(1, float("nan")))),
-    }
+    test = evaluate_topk(model, dataset.test, ks) if dataset.test else dict.fromkeys(ks, float("nan"))
+    top1, top3, top5 = (test[k] for k in ks)
+    return {"val_top1": val[1], "test_top1": top1, "test_top3": top3, "test_top5": top5}
 
 
 def write_records_jsonl(results: list[MethodResult], scenario: str, path) -> None:
@@ -193,18 +177,13 @@ def report(
     metrics: dict,
     scenario: str,
     out_dir,
-) -> dict[str, Path]:
-    """Emit the JSONL, CSV, and SVG artifacts for one scenario."""
+) -> dict:
+    """Write ``<scenario>_rates.jsonl``, ``_summary.csv`` and ``_boxplot.svg``
+    under ``out_dir``; returns the summary row."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "jsonl": out / f"{scenario}_rates.jsonl",
-        "csv": out / f"{scenario}_summary.csv",
-        "svg": out / f"{scenario}_boxplot.svg",
-    }
-    write_records_jsonl(results, scenario, paths["jsonl"])
-    rel = relative_rate(results) if any(r.rates for r in results) else RelativeRateMetric(float("nan"), False)
-    row = {"scenario": scenario, "relative_rate": rel.ratio, **metrics}
-    write_summary_csv([row], paths["csv"])
-    write_boxplot_svg(results, scenario, paths["svg"])
-    return paths
+    write_records_jsonl(results, scenario, out / f"{scenario}_rates.jsonl")
+    row = {"scenario": scenario, "relative_rate": relative_rate(results).ratio, **metrics}
+    write_summary_csv([row], out / f"{scenario}_summary.csv")
+    write_boxplot_svg(results, scenario, out / f"{scenario}_boxplot.svg")
+    return row

@@ -14,10 +14,11 @@ Power is controlled by two fractions alpha, beta in (0, 1]:
     p_ic,g = (1 - alpha) * beta * P / G      (inner common, per group)
     p_gk   = (1 - alpha) * (1 - beta) * P / (G * N_g)   (private, per user)
 
-so the three layers always sum to P. Rates are evaluated against the true
-channel while every precoder is designed from the (possibly imperfect)
-estimate; a brute-force sweep over an (alpha, beta) grid picks the best
-split per channel realization.
+so the three layers always sum to P. ``evaluate_partition(H_true, H_hat,
+partition, config)`` takes rates against the true channel H_true while every
+precoder is designed from the (possibly imperfect) estimate H_hat; a
+brute-force sweep over an (alpha, beta) grid picks the best split per
+channel realization.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet
 from .errors import FeasibilityError, NumericalConsistencyError
 from .partitions import Partition
 
@@ -157,7 +157,7 @@ class RateBreakdown:
         return RateBreakdown(0.0, 0.0, 0.0, 0.0, float("nan"), float("nan"), False)
 
 
-def compute_outer_precoders(H_hat_grouped, config: HrsConfig, m: int | None = None) -> list[np.ndarray]:
+def compute_outer_precoders(H_hat_grouped, config: HrsConfig) -> list[np.ndarray]:
     """Per-group semi-unitary precoders that null the other groups' dominant
     channel directions.
 
@@ -169,8 +169,7 @@ def compute_outer_precoders(H_hat_grouped, config: HrsConfig, m: int | None = No
     columns.
     """
     groups = [np.asarray(h) for h in H_hat_grouped]
-    if m is None:
-        m = groups[0].shape[0]
+    m = groups[0].shape[0]
     if any(h.shape[0] != m for h in groups):
         raise FeasibilityError("grouped channels disagree on antenna count")
     if any(h.shape[1] < 1 for h in groups):
@@ -336,27 +335,28 @@ def compute_sinr_and_rate(
 
 
 def evaluate_partition(
-    channels: ChannelSet, partition: Partition, config: HrsConfig
+    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig
 ) -> RateBreakdown:
     """Best achievable rate for one partition over the (alpha, beta) grid.
 
-    Precoders are designed once from the channel estimate; the grid sweep
-    only rescales powers. Partitions that cannot be served return a zero,
-    infeasible breakdown. A single group never benefits from the outer
+    Both matrices are (M, N). Precoders are designed once from the estimate
+    H_hat and rates are taken against H_true; the grid sweep only rescales
+    powers. Partitions that cannot be served return a zero, infeasible
+    breakdown. A single group never benefits from the outer
     common layer, so alpha is pinned at the grid minimum there.
     """
     g_count = partition.num_groups
-    m = channels.num_antennas
+    m = H_hat.shape[0]
     b, r = config.group_dims(m, g_count)
     try:
         check_feasibility(m, b, r)
     except FeasibilityError:
         return RateBreakdown.infeasible()
 
-    grouped = [channels.H_hat[:, partition.block_columns(g)] for g in range(g_count)]
-    outer = compute_outer_precoders(grouped, config, m)
+    grouped = [H_hat[:, partition.block_columns(g)] for g in range(g_count)]
+    outer = compute_outer_precoders(grouped, config)
     precoders = compute_inner_precoders(outer, grouped, config)
-    gains = _LinkGains(channels.H_true, partition, precoders)
+    gains = _LinkGains(H_true, partition, precoders)
 
     alphas = (min(config.alpha_grid),) if g_count == 1 else config.alpha_grid
     betas = config.beta_grid

@@ -274,7 +274,6 @@ class TrainReport:
     test_top1: float
     test_top3: float
     test_top5: float
-    relative_rate: float | None = None
 
 
 def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tuple[MlpModel, TrainReport]:

@@ -4,7 +4,6 @@ import pytest
 from hrscluster.channel import (
     ArrayGeometry,
     CovarianceMatrix,
-    ChannelSet,
     build_covariance,
     corrupt_csi,
     sample_channels,

@@ -186,10 +186,13 @@ def test_sweep_runs_all_configs(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("scenario,")
     assert len(summary) == 3
-    for name in ("s1", "s2"):
+    for name, row in zip(("s1", "s2"), summary[1:]):
         assert (out / name / "dataset.hrsdat").exists()
         assert (out / name / "model.hrsmlp").exists()
         assert (out / name / f"{name}_boxplot.svg").exists()
+        per_scenario = (out / name / f"{name}_summary.csv").read_text().splitlines()
+        assert per_scenario[0] == summary[0]
+        assert row == per_scenario[1]
 
 
 def test_threads_flag_preserves_determinism(workdir, tmp_path):

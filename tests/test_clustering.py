@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_channelset
-from hrscluster.channel import ArrayGeometry, ChannelSet, build_covariance, sample_channels
+from hrscluster.channel import ArrayGeometry, build_covariance, sample_channels
 from hrscluster.clustering import (
     Dendrogram,
     SimilarityCalibration,
@@ -281,7 +281,7 @@ def test_agglomerate_never_decomposes_the_universal_cluster():
 def test_single_user_best_partition():
     channels = random_channelset(4, 1, seed=35)
     d = agglomerate(channels.H_hat, None)
-    part, rate = best_partition(channels, d, HrsConfig(total_power=10.0))
+    part, rate = best_partition(channels.H_true, channels.H_hat, d, HrsConfig(total_power=10.0))
     assert part.key() == "1"
     assert rate.feasible and rate.R_total > 0
 
@@ -292,8 +292,8 @@ def test_best_partition_dominates_universal():
     for seed in range(36, 41):
         channels = random_channelset(8, 5, seed=seed, tau=0.6)
         d = agglomerate(channels.H_hat, calib)
-        part, rate = best_partition(channels, d, cfg)
-        uni = evaluate_partition(channels, Partition.universal(5), cfg)
+        part, rate = best_partition(channels.H_true, channels.H_hat, d, cfg)
+        uni = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(5), cfg)
         assert rate.R_total >= uni.R_total - 1e-12
 
 
@@ -303,8 +303,8 @@ def test_exhaustive_dominates_dendrogram_selection():
     for seed in range(41, 51):
         channels = random_channelset(8, 4, seed=seed, tau=0.6)
         d = agglomerate(channels.H_hat, calib)
-        _, hc = best_partition(channels, d, cfg)
-        _, oracle = exhaustive_best(channels, cfg)
+        _, hc = best_partition(channels.H_true, channels.H_hat, d, cfg)
+        _, oracle = exhaustive_best(channels.H_true, channels.H_hat, cfg)
         assert oracle.R_total >= hc.R_total - 1e-12
 
 
@@ -312,19 +312,17 @@ def test_aligned_channels_prefer_universal():
     # nearly parallel channels cannot be separated; single common stream wins
     base = np.array([1.0, 0.5 + 0.2j, -0.3j, 0.1], dtype=complex)
     h = np.stack([base, base * (1 + 1e-3), base * (1 - 1e-3)], axis=1)
-    channels = ChannelSet(h, h, (0,) * 3, 0.0, h.copy(), ())
-    part, _ = exhaustive_best(channels, HrsConfig(total_power=10.0))
+    part, _ = exhaustive_best(h, h, HrsConfig(total_power=10.0))
     assert part == Partition.universal(3)
 
 
 def test_orthogonal_channels_prefer_singletons():
     h = np.eye(4, dtype=complex)[:, :2]
-    channels = ChannelSet(h, h, (0, 0), 0.0, h.copy(), ())
-    part, _ = exhaustive_best(channels, HrsConfig(total_power=10.0))
+    part, _ = exhaustive_best(h, h, HrsConfig(total_power=10.0))
     assert part == Partition.singletons(2)
 
 
 def test_exhaustive_guard():
     channels = random_channelset(8, 7, seed=51)
     with pytest.raises(ResourceLimitError):
-        exhaustive_best(channels, HrsConfig())
+        exhaustive_best(channels.H_true, channels.H_hat, HrsConfig())

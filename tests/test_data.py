@@ -172,14 +172,9 @@ def test_label_rate_reproducible_from_stored_channels(tiny_dataset):
     cfg = tiny_dataset.config
     calib = cfg.calibration()
     hrs = cfg.hrs_config()
-    from hrscluster.channel import ChannelSet
-
     for s in tiny_dataset.train[:3]:
-        channels = ChannelSet(
-            s.H_true, s.H_hat, s.cov_assignment, cfg.tau, np.zeros_like(s.H_true), ()
-        )
-        dendro = agglomerate(channels.H_hat, calib)
-        part, rate = best_partition(channels, dendro, hrs)
+        dendro = agglomerate(s.H_hat, calib)
+        part, rate = best_partition(s.H_true, s.H_hat, dendro, hrs)
         assert part.key() == s.label
         assert rate.R_total == pytest.approx(s.label_rate, abs=1e-9)
 
@@ -264,17 +259,13 @@ def test_augment_permutes_within_blocks_only(tiny_config):
 
 def test_augmented_sample_rate_matches_on_reevaluation(tiny_dataset):
     # permuting users within blocks cannot change the achievable rate
-    from hrscluster.channel import ChannelSet
     from hrscluster.hrs import evaluate_partition
 
     cfg = tiny_dataset.config
     hrs = cfg.hrs_config()
     seen = 0
     for s in tiny_dataset.train:
-        channels = ChannelSet(
-            s.H_true, s.H_hat, s.cov_assignment, cfg.tau, np.zeros_like(s.H_true), ()
-        )
-        out = evaluate_partition(channels, Partition.from_key(s.label), hrs)
+        out = evaluate_partition(s.H_true, s.H_hat, Partition.from_key(s.label), hrs)
         assert out.R_total == pytest.approx(s.label_rate, abs=1e-9)
         seen += 1
         if seen >= 6:

@@ -111,13 +111,16 @@ def test_relative_rate_consistent_with_raw_records(tiny_dataset, tiny_model, tmp
 def test_report_files_and_csv_schema(tiny_dataset, tiny_model, tmp_path):
     results = evaluation.run_baselines(tiny_dataset, tiny_model)
     metrics = evaluation.accuracy_metrics(tiny_dataset, tiny_model)
-    paths = evaluation.report(results, metrics, "scn", tmp_path)
-    header = paths["csv"].read_text().splitlines()[0]
+    row = evaluation.report(results, metrics, "scn", tmp_path)
+    header = (tmp_path / "scn_summary.csv").read_text().splitlines()[0]
     assert header == "scenario,val_top1,test_top1,test_top3,test_top5,relative_rate"
-    rows = paths["csv"].read_text().splitlines()
+    rows = (tmp_path / "scn_summary.csv").read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].startswith("scn,")
-    lines = paths["jsonl"].read_text().splitlines()
+    # the returned row is the one written
+    assert rows[1] == ",".join(str(row[c]) for c in evaluation.CSV_COLUMNS)
+    assert row["relative_rate"] == evaluation.relative_rate(results).ratio
+    lines = (tmp_path / "scn_rates.jsonl").read_text().splitlines()
     assert len(lines) == 4 * len(tiny_dataset.test)
 
 
@@ -126,10 +129,10 @@ def test_empty_results_produce_valid_files(tmp_path):
         evaluation.MethodResult(m, [], evaluation.BoxplotSummary(0, 0, 0, 0, 0, ()))
         for m in evaluation.METHODS
     ]
-    paths = evaluation.report(results, {"val_top1": 0.0}, "empty", tmp_path)
-    assert paths["jsonl"].read_text() == ""
-    assert len(paths["csv"].read_text().splitlines()) == 2
-    assert "<svg" in paths["svg"].read_text()
+    evaluation.report(results, {"val_top1": 0.0}, "empty", tmp_path)
+    assert (tmp_path / "empty_rates.jsonl").read_text() == ""
+    assert len((tmp_path / "empty_summary.csv").read_text().splitlines()) == 2
+    assert "<svg" in (tmp_path / "empty_boxplot.svg").read_text()
 
 
 def test_svg_box_groups_in_method_order(tiny_dataset, tiny_model, tmp_path):
@@ -146,3 +149,16 @@ def test_method_medians_follow_expected_ordering(tiny_dataset, tiny_model):
     by = {r.method: r.summary.median for r in results}
     assert by["HC"] >= by["UNI"] - 1e-9
     assert by["HC"] >= by["SING"] - 1e-9
+
+
+def test_topk_saturates_at_class_count_as_in_training():
+    # two classes: top-3 and top-5 are top-2, in compare as in train
+    cfg = data.ScenarioConfig(users=2, antennas=8, samples=60, seed=5)
+    dataset = data.build_dataset(cfg)
+    assert dataset.num_classes == 2
+    model, report = mlp.train(dataset, mlp.TrainingHyper(epochs=3, seed=cfg.seed))
+    metrics = evaluation.accuracy_metrics(dataset, model)
+    assert metrics["test_top1"] == report.test_top1
+    assert metrics["test_top3"] == report.test_top3
+    assert metrics["test_top5"] == report.test_top5
+    assert metrics["test_top5"] == 1.0

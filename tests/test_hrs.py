@@ -159,8 +159,8 @@ def test_large_regularization_approaches_matched_filter(rng):
 # ------------------------------------------------------------------ SINR/rate
 
 
-def _precoders_for(channels, partition, cfg):
-    groups = [channels.H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
+def _precoders_for(H_hat, partition, cfg):
+    groups = [H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
     b = compute_outer_precoders(groups, cfg)
     return compute_inner_precoders(b, groups, cfg)
 
@@ -186,7 +186,7 @@ def test_rate_total_is_sum_of_layers(rng):
     channels = random_channelset(4, 4, seed=21)
     partition = Partition.from_blocks([[1, 2], [3, 4]])
     cfg = HrsConfig(total_power=20.0)
-    pre = _precoders_for(channels, partition, cfg)
+    pre = _precoders_for(channels.H_hat, partition, cfg)
     alloc = PowerAllocation.for_partition(0.4, 0.6, 20.0, partition)
     out = compute_sinr_and_rate(channels.H_true, partition, pre, alloc)
     assert out.R_total == pytest.approx(out.R_oc + out.R_ic + out.R_p, abs=1e-9)
@@ -196,16 +196,13 @@ def test_rate_total_is_sum_of_layers(rng):
 def test_two_orthogonal_users_hand_computed_private_rate():
     # perfect CSI, orthogonal unit channels, negligible common power:
     # each user gets p = 10/2 with zero leakage, so R_p = 2 log2(1 + 5)
-    from hrscluster.channel import ChannelSet
-
     h = np.eye(2, dtype=complex)
-    channels = ChannelSet(h, h, (0, 0), 0.0, h.copy(), ())
     partition = Partition.singletons(2)
     cfg = HrsConfig(total_power=10.0)
-    pre = _precoders_for(channels, partition, cfg)
+    pre = _precoders_for(h, partition, cfg)
     tiny = 1e-12
     alloc = PowerAllocation.for_partition(tiny, tiny, 10.0, partition)
-    out = compute_sinr_and_rate(channels.H_true, partition, pre, alloc)
+    out = compute_sinr_and_rate(h, partition, pre, alloc)
     assert out.R_p == pytest.approx(2 * np.log2(1 + 5.0), abs=1e-9)
 
 
@@ -216,7 +213,7 @@ def test_sic_denominators_ordered(rng):
     channels = random_channelset(6, 5, seed=22)
     partition = Partition.from_blocks([[1, 2], [3, 4, 5]])
     cfg = HrsConfig(total_power=30.0)
-    pre = _precoders_for(channels, partition, cfg)
+    pre = _precoders_for(channels.H_hat, partition, cfg)
     gains = _LinkGains(channels.H_true, partition, pre)
     alloc = PowerAllocation.for_partition(0.25, 0.5, 30.0, partition)
     users = np.arange(5)
@@ -232,7 +229,7 @@ def test_rate_monotone_in_power_for_fixed_precoders():
     channels = random_channelset(4, 4, seed=23)
     partition = Partition.from_blocks([[1, 3], [2, 4]])
     cfg = HrsConfig(total_power=10.0)
-    pre = _precoders_for(channels, partition, cfg)
+    pre = _precoders_for(channels.H_hat, partition, cfg)
     for alpha, beta in ((0.2, 0.3), (0.7, 0.9), (1e-3, 0.1)):
         lo = compute_sinr_and_rate(
             channels.H_true, partition, pre, PowerAllocation.for_partition(alpha, beta, 10.0, partition)
@@ -248,7 +245,7 @@ def test_rate_monotone_in_power_for_fixed_precoders():
 
 def test_singleton_partition_infeasible_when_users_exceed_antennas():
     channels = random_channelset(4, 8, seed=24)
-    out = evaluate_partition(channels, Partition.singletons(8), HrsConfig())
+    out = evaluate_partition(channels.H_true, channels.H_hat, Partition.singletons(8), HrsConfig())
     assert not out.feasible
     assert out.R_total == 0.0
 
@@ -257,8 +254,8 @@ def test_grid_search_dominates_every_grid_point():
     channels = random_channelset(4, 4, seed=25, tau=0.3)
     partition = Partition.from_blocks([[1, 2], [3, 4]])
     cfg = HrsConfig(total_power=25.0)
-    best = evaluate_partition(channels, partition, cfg)
-    pre = _precoders_for(channels, partition, cfg)
+    best = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
+    pre = _precoders_for(channels.H_hat, partition, cfg)
     for alpha in cfg.alpha_grid:
         for beta in cfg.beta_grid:
             point = compute_sinr_and_rate(
@@ -300,12 +297,12 @@ def test_power_grid_rows_are_one_row_splits(blocks):
             assert np.all(p_priv[k, partition.block_columns(g)] == want)
 
     channels = random_channelset(8, 6, seed=26, tau=0.3)
-    best = evaluate_partition(channels, partition, cfg)
+    best = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
     assert best.best_alpha in alphas and best.best_beta in cfg.beta_grid
     again = compute_sinr_and_rate(
         channels.H_true,
         partition,
-        _precoders_for(channels, partition, cfg),
+        _precoders_for(channels.H_hat, partition, cfg),
         PowerAllocation.for_partition(best.best_alpha, best.best_beta, 25.0, partition),
     )
     # not bit-equal: numpy hands a one-row matmul to BLAS gemv and the grid's
@@ -316,27 +313,24 @@ def test_power_grid_rows_are_one_row_splits(blocks):
 def test_orthogonal_groups_prefer_minimal_outer_common():
     # with zero inter-group leakage the outer common layer only burns power,
     # so the total rate is non-increasing in alpha
-    from hrscluster.channel import ChannelSet
-
     h = np.eye(4, dtype=complex)
-    channels = ChannelSet(h, h, (0,) * 4, 0.0, h.copy(), ())
     partition = Partition.from_blocks([[1, 2], [3, 4]])
     cfg = HrsConfig(total_power=40.0)
-    pre = _precoders_for(channels, partition, cfg)
+    pre = _precoders_for(h, partition, cfg)
     rates = []
     for alpha in cfg.alpha_grid:
         out = compute_sinr_and_rate(
-            channels.H_true, partition, pre, PowerAllocation.for_partition(alpha, 0.5, 40.0, partition)
+            h, partition, pre, PowerAllocation.for_partition(alpha, 0.5, 40.0, partition)
         )
         rates.append(out.R_total)
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
-    best = evaluate_partition(channels, partition, cfg)
+    best = evaluate_partition(h, h, partition, cfg)
     assert best.best_alpha == min(cfg.alpha_grid)
 
 
 def test_single_group_pins_alpha_at_grid_minimum():
     channels = random_channelset(4, 3, seed=26)
-    out = evaluate_partition(channels, Partition.universal(3), HrsConfig(total_power=10.0))
+    out = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(3), HrsConfig(total_power=10.0))
     assert out.feasible
     assert out.best_alpha == pytest.approx(1e-3)
 
@@ -345,20 +339,10 @@ def test_permutation_equivariance(rng):
     channels = random_channelset(6, 5, seed=27, tau=0.5)
     partition = Partition.from_blocks([[1, 4], [2, 3], [5]])
     cfg = HrsConfig(total_power=15.0)
-    base = evaluate_partition(channels, partition, cfg)
+    base = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
     perm = rng.permutation(5)
-    from hrscluster.channel import ChannelSet
-
     inv = np.empty(5, dtype=int)
     inv[perm] = np.arange(5)
-    permuted = ChannelSet(
-        channels.H_true[:, perm],
-        channels.H_hat[:, perm],
-        tuple(channels.cov_assignment[p] for p in perm),
-        channels.tau,
-        channels.innovations[:, perm],
-        channels.covariances,
-    )
     relabeled = partition.relabeled(inv)
-    out = evaluate_partition(permuted, relabeled, cfg)
+    out = evaluate_partition(channels.H_true[:, perm], channels.H_hat[:, perm], relabeled, cfg)
     assert out.R_total == pytest.approx(base.R_total, abs=1e-9)
