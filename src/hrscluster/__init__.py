@@ -46,13 +46,12 @@ from .errors import (
 )
 from .hrs import (
     HrsConfig,
-    PowerAllocation,
     PrecoderSet,
     RateBreakdown,
     compute_inner_precoders,
     compute_outer_precoders,
-    compute_sinr_and_rate,
     evaluate_partition,
+    rate,
 )
 from .mlp import (
     AdamState,

@@ -253,8 +253,9 @@ def balance(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
 
 def augment(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
     """Append ``num_shuffles`` copies of each sample with users shuffled
-    inside their labeled blocks; both matrices are permuted identically and
-    the canonical label is unchanged by construction."""
+    inside their labeled blocks; both matrices are permuted identically. A
+    shuffle inside blocks maps every block onto itself, so each copy keeps
+    the sample's canonical label."""
     out: list[Sample] = []
     for index, s in enumerate(samples):
         out.append(s)
@@ -266,14 +267,11 @@ def augment(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
             for g in range(partition.num_groups):
                 cols = partition.block_columns(g)
                 perm[cols] = rng.permutation(perm[cols])
-            relabeled = Partition.from_blocks(
-                [[int(np.flatnonzero(perm == u - 1)[0]) + 1 for u in block] for block in partition.blocks]
-            )
             out.append(
                 Sample(
                     s.H_true[:, perm],
                     s.H_hat[:, perm],
-                    relabeled.key(),
+                    s.label,
                     s.label_rate,
                     tuple(int(s.cov_assignment[p]) for p in perm),
                 )

@@ -31,14 +31,8 @@ class NumericalConsistencyError(HrsError):
 
 
 class FeasibilityError(ConfigurationError):
-    """A partition cannot be served with the requested precoder dimensions.
-
-    ``constraint`` names the violated condition.
-    """
-
-    def __init__(self, message, constraint=None):
-        super().__init__(message)
-        self.constraint = constraint
+    """A partition cannot be served (more groups than antennas, an empty
+    group), or a power setting lies outside its domain."""
 
 
 class DegenerateInputError(NumericalConsistencyError):

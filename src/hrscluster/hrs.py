@@ -46,17 +46,17 @@ def uniform_beta_grid(points: int = 10) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class HrsConfig:
-    """Precoder dimensioning and power-sweep parameters.
+    """Total transmit power and the (alpha, beta) sweep grids.
 
-    ``b`` (reduced subspace size) and ``r`` (interference directions nulled
-    per group) default to floor(M / G) for every group when left unset.
+    Precoder dimensions are fixed by the JSDM rule: with G groups on M
+    antennas every group gets d = floor(M / G) reduced dimensions and nulls d
+    dominant directions of every other group, so a partition can be served
+    exactly when G <= M.
     """
 
     total_power: float = 100.0
     alpha_grid: tuple[float, ...] = uniform_alpha_grid()
     beta_grid: tuple[float, ...] = uniform_beta_grid()
-    b: tuple[int, ...] | None = None
-    r: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.total_power <= 0:
@@ -64,40 +64,6 @@ class HrsConfig:
         for name, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if not grid or any(not 0.0 < v <= 1.0 for v in grid):
                 raise FeasibilityError(f"{name} grid values must lie in (0, 1]")
-
-    def group_dims(self, m: int, num_groups: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self.b is not None and self.r is not None:
-            if len(self.b) != num_groups or len(self.r) != num_groups:
-                raise FeasibilityError(
-                    f"explicit b/r must have one entry per group ({num_groups})"
-                )
-            return tuple(self.b), tuple(self.r)
-        d = m // num_groups
-        return (d,) * num_groups, (d,) * num_groups
-
-
-def check_feasibility(m: int, b, r) -> None:
-    """Raise FeasibilityError unless every group gets a workable precoder.
-
-    ``b`` and ``r`` hold one entry per group. Requires b_g >= 1 (a group
-    with no reduced dimensions cannot carry any message, which is what rules
-    out all-singleton serving when G > M) and b_g + sum of the other groups'
-    nulled directions <= M.
-    """
-    g_count = len(b)
-    for g in range(g_count):
-        if b[g] < 1:
-            raise FeasibilityError(
-                f"group {g} has b={b[g]} < 1 (G={g_count} groups exceed what "
-                f"M={m} antennas can separate)",
-                constraint="b_g >= 1",
-            )
-        r_star = sum(r[l] for l in range(g_count) if l != g)
-        if b[g] + r_star > m:
-            raise FeasibilityError(
-                f"group {g}: b={b[g]} plus {r_star} nulled directions exceeds M={m}",
-                constraint="b_g <= M - r*",
-            )
 
 
 @dataclass(frozen=True)
@@ -109,25 +75,6 @@ class PrecoderSet:
     W: tuple[np.ndarray, ...]
     w_ic: tuple[np.ndarray, ...]
     w_oc: np.ndarray
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    alpha: float
-    beta: float
-    p_oc: float
-    p_ic: np.ndarray  # per group
-    p_priv: np.ndarray  # per user, indexed by 0-based user column
-
-    @staticmethod
-    def for_partition(alpha: float, beta: float, total_power: float, partition: Partition) -> "PowerAllocation":
-        if not 0.0 < alpha <= 1.0 or not 0.0 < beta <= 1.0:
-            raise FeasibilityError("alpha and beta must lie in (0, 1]")
-        p_oc, p_ic, p_priv = split_power(np.array([alpha]), np.array([beta]), total_power, partition)
-        return PowerAllocation(alpha, beta, float(p_oc[0]), p_ic[0], p_priv[0])
-
-    def total(self) -> float:
-        return self.p_oc + self.p_ic.sum() + self.p_priv.sum()
 
 
 def split_power(alpha: np.ndarray, beta: np.ndarray, total_power: float, partition: Partition):
@@ -157,16 +104,17 @@ class RateBreakdown:
         return RateBreakdown(0.0, 0.0, 0.0, 0.0, float("nan"), float("nan"), False)
 
 
-def compute_outer_precoders(H_hat_grouped, config: HrsConfig) -> list[np.ndarray]:
-    """Per-group semi-unitary precoders that null the other groups' dominant
-    channel directions.
+def compute_outer_precoders(H_hat_grouped) -> list[np.ndarray]:
+    """Per-group semi-unitary (M, d) precoders, d = floor(M / G), that null
+    the other groups' dominant channel directions.
 
-    For group g the r_l dominant left singular vectors of every other group's
-    estimated channel are stacked; B_g is built from the dominant directions
-    of group g's channel inside the orthogonal complement of that stack, so
-    every column of B_g is orthogonal to every retained interference
-    direction. A single group needs no nulling and uses the leading identity
-    columns.
+    For group g the d dominant left singular vectors of every other group's
+    estimated channel are stacked; B_g holds the d dominant directions of
+    group g's channel inside the orthogonal complement of that stack, which
+    has at least M - (G - 1) d >= d dimensions, so every column of B_g is
+    orthogonal to every retained interference direction. A single group
+    needs no nulling and uses the (M, M) identity. More groups than antennas
+    raise FeasibilityError.
     """
     groups = [np.asarray(h) for h in H_hat_grouped]
     m = groups[0].shape[0]
@@ -175,51 +123,33 @@ def compute_outer_precoders(H_hat_grouped, config: HrsConfig) -> list[np.ndarray
     if any(h.shape[1] < 1 for h in groups):
         raise FeasibilityError("every group must contain at least one user")
     g_count = len(groups)
-    b, r = config.group_dims(m, g_count)
-    check_feasibility(m, b, r)
-
+    if g_count > m:
+        raise FeasibilityError(f"G={g_count} groups exceed what M={m} antennas can separate")
     if g_count == 1:
-        return [np.eye(m, dtype=complex)[:, : min(m, b[0])]]
+        return [np.eye(m, dtype=complex)]
 
-    dominant = []
-    for l in range(g_count):
-        if r[l] == 0:
-            dominant.append(np.zeros((m, 0), dtype=complex))
-            continue
-        u_l, _, _ = np.linalg.svd(groups[l], full_matrices=False)
-        dominant.append(u_l[:, : r[l]])
-
+    d = m // g_count
+    dominant = [np.linalg.svd(h, full_matrices=False)[0][:, :d] for h in groups]
     outer = []
     for g in range(g_count):
         stack = np.concatenate([dominant[l] for l in range(g_count) if l != g], axis=1)
-        if stack.shape[1] == 0:
-            basis = np.eye(m, dtype=complex)
-        else:
-            u_full, s_full, _ = np.linalg.svd(stack, full_matrices=True)
-            rank = int(np.sum(s_full > s_full[0] * RANK_TOL_REL)) if s_full.size else 0
-            basis = u_full[:, rank:]  # orthonormal complement of the stack
-        reduced = basis.conj().T @ groups[g]
-        u_r, _, _ = np.linalg.svd(reduced, full_matrices=True)
-        if u_r.shape[1] < b[g]:
-            raise FeasibilityError(
-                f"group {g}: complement of the interference directions has only "
-                f"{u_r.shape[1]} dimensions, need b={b[g]}"
-            )
-        outer.append(basis @ u_r[:, : b[g]])
+        u_full, s_full, _ = np.linalg.svd(stack, full_matrices=True)
+        rank = int(np.sum(s_full > s_full[0] * RANK_TOL_REL))
+        basis = u_full[:, rank:]  # orthonormal complement of the stack
+        u_r, _, _ = np.linalg.svd(basis.conj().T @ groups[g], full_matrices=True)
+        outer.append(basis @ u_r[:, :d])
     return outer
 
 
-def compute_inner_precoders(
-    B, H_hat_grouped, config: HrsConfig, epsilon: float | None = None
-) -> PrecoderSet:
+def compute_inner_precoders(B, H_hat_grouped, config: HrsConfig) -> PrecoderSet:
     """Private RZF columns plus the two matched-beamforming common precoders.
 
     Inside each reduced space the private precoder is
-    (H_eff H_eff^H + eps I)^-1 H_eff with eps = N_g / P unless overridden,
-    each column renormalized to unit norm so the per-user power split is
-    exact. The inner common vector is the normalized sum of a group's
-    private columns; the outer common vector is the normalized sum of every
-    user's effective channel lifted back to the full array.
+    (H_eff H_eff^H + eps I)^-1 H_eff with eps = N_g / P, each column
+    renormalized to unit norm so the per-user power split is exact. The
+    inner common vector is the normalized sum of a group's private columns;
+    the outer common vector is the normalized sum of every user's effective
+    channel lifted back to the full array.
     """
     B = tuple(np.asarray(x) for x in B)
     groups = [np.asarray(h) for h in H_hat_grouped]
@@ -227,15 +157,8 @@ def compute_inner_precoders(
     w_priv, w_ic = [], []
     w_oc = np.zeros(m, dtype=complex)
     for b_g, h_g in zip(B, groups):
-        h_eff = b_g.conj().T @ h_g  # (b, N_g)
-        n_g = h_eff.shape[1]
-        eps = (n_g / config.total_power) if epsilon is None else float(epsilon)
-        if eps <= 0:
-            gram = h_eff @ h_eff.conj().T
-            if np.linalg.matrix_rank(gram) < gram.shape[0]:
-                raise NumericalConsistencyError(
-                    "zero regularization with a rank-deficient effective channel"
-                )
+        h_eff = b_g.conj().T @ h_g  # (d, N_g)
+        eps = h_eff.shape[1] / config.total_power
         gram = h_eff @ h_eff.conj().T + eps * np.eye(h_eff.shape[0])
         w = np.linalg.solve(gram, h_eff)
         norms = np.linalg.norm(w, axis=0)
@@ -278,14 +201,19 @@ class _LinkGains:
         self.n = n
 
 
-def _layer_rates(gains: _LinkGains, p_oc, p_ic, p_priv):
-    """Rates for a batch of K power allocations.
+def rate(
+    H_true: np.ndarray, partition: Partition, precoders: PrecoderSet, alpha, beta, total_power: float
+) -> RateBreakdown:
+    """Layer rates against the true channel at the best of K power splits.
 
-    p_oc: (K,), p_ic: (K, G), p_priv: (K, N). Returns (K,) arrays
-    (R_oc, R_ic, R_p). The interference seen by a user sums the inner-common
-    and private leakage of every group and every user; the user's own terms
-    are then subtracted in the lower SIC layers.
+    ``alpha`` and ``beta`` are (K,) arrays; the first maximizer wins. The
+    interference seen by a user sums the inner-common and private leakage of
+    every group and every user; the user's own terms are then subtracted in
+    the lower SIC layers.
     """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    gains = _LinkGains(H_true, partition, precoders)
+    p_oc, p_ic, p_priv = split_power(alpha, beta, total_power, partition)
     users = np.arange(gains.n)
     interference = p_ic @ gains.common.T + p_priv @ gains.private.T  # (K, N)
     self_ic = p_ic[:, gains.group_of_user] * gains.common[users, gains.group_of_user]
@@ -308,12 +236,6 @@ def _layer_rates(gains: _LinkGains, p_oc, p_ic, p_priv):
     r_ic_users = np.log2(1.0 + gamma_ic)
     r_ic = sum(r_ic_users[:, cols].min(axis=1) for cols in gains.blocks)
     r_p = np.log2(1.0 + gamma_p).sum(axis=1)
-    return r_oc, r_ic, r_p
-
-
-def _best_row(gains: _LinkGains, alpha, beta, p_oc, p_ic, p_priv) -> RateBreakdown:
-    """Breakdown of the first rate-maximizing row of K power allocations."""
-    r_oc, r_ic, r_p = _layer_rates(gains, p_oc, p_ic, p_priv)
     totals = r_oc + r_ic + r_p
     best = int(np.argmax(totals))
     return RateBreakdown(
@@ -322,44 +244,28 @@ def _best_row(gains: _LinkGains, alpha, beta, p_oc, p_ic, p_priv) -> RateBreakdo
     )
 
 
-def compute_sinr_and_rate(
-    H_true: np.ndarray,
-    partition: Partition,
-    precoders: PrecoderSet,
-    power: PowerAllocation,
-) -> RateBreakdown:
-    """Exact layer rates for one power allocation against the true channel."""
-    gains = _LinkGains(H_true, partition, precoders)
-    rows = (np.array([power.p_oc]), power.p_ic[None, :], power.p_priv[None, :])
-    return _best_row(gains, [power.alpha], [power.beta], *rows)
-
-
 def evaluate_partition(
     H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig
 ) -> RateBreakdown:
     """Best achievable rate for one partition over the (alpha, beta) grid.
 
     Both matrices are (M, N). Precoders are designed once from the estimate
-    H_hat and rates are taken against H_true; the grid sweep only rescales
-    powers. Partitions that cannot be served return a zero, infeasible
-    breakdown. A single group never benefits from the outer
+    H_hat with d = floor(M / G) dimensions per group and rates are taken
+    against H_true; the grid sweep only rescales powers. A partition with
+    more groups than antennas (G > M) cannot be served and returns a zero,
+    infeasible breakdown. A single group never benefits from the outer
     common layer, so alpha is pinned at the grid minimum there.
     """
     g_count = partition.num_groups
-    m = H_hat.shape[0]
-    b, r = config.group_dims(m, g_count)
-    try:
-        check_feasibility(m, b, r)
-    except FeasibilityError:
+    if g_count > H_hat.shape[0]:
         return RateBreakdown.infeasible()
 
     grouped = [H_hat[:, partition.block_columns(g)] for g in range(g_count)]
-    outer = compute_outer_precoders(grouped, config)
+    outer = compute_outer_precoders(grouped)
     precoders = compute_inner_precoders(outer, grouped, config)
-    gains = _LinkGains(H_true, partition, precoders)
 
     alphas = (min(config.alpha_grid),) if g_count == 1 else config.alpha_grid
     betas = config.beta_grid
     # alpha-major, so the first maximizer is the smallest alpha, then beta
     alpha, beta = np.repeat(alphas, len(betas)), np.tile(betas, len(alphas))
-    return _best_row(gains, alpha, beta, *split_power(alpha, beta, config.total_power, partition))
+    return rate(H_true, partition, precoders, alpha, beta, config.total_power)

@@ -28,9 +28,9 @@ from hrscluster.clustering import (
 from hrscluster.errors import DataFormatError
 from hrscluster.hrs import (
     HrsConfig,
-    PowerAllocation,
     compute_inner_precoders,
     compute_outer_precoders,
+    split_power,
 )
 from hrscluster.partitions import Partition
 
@@ -83,13 +83,12 @@ def test_criterion_1_numerical_invariants():
     for _ in range(1000):  # power conservation at <= 1e-9 relative
         n = int(rng.integers(1, 10))
         part = _random_partition(rng, n)
-        alloc = PowerAllocation.for_partition(
-            float(rng.uniform(1e-4, 1.0)),
-            float(rng.uniform(1e-4, 1.0)),
-            float(rng.uniform(0.5, 300.0)),
-            part,
-        )
-        assert abs(alloc.total() - alloc.p_oc / alloc.alpha) / (alloc.p_oc / alloc.alpha) <= 1e-9
+        alpha = float(rng.uniform(1e-4, 1.0))
+        beta = float(rng.uniform(1e-4, 1.0))
+        power = float(rng.uniform(0.5, 300.0))
+        p_oc, p_ic, p_priv = split_power(np.array([alpha]), np.array([beta]), power, part)
+        total = p_oc[0] + p_ic[0].sum() + p_priv[0].sum()
+        assert abs(total - p_oc[0] / alpha) / (p_oc[0] / alpha) <= 1e-9
 
     cfg = HrsConfig(total_power=60.0)
     count = 0
@@ -97,7 +96,7 @@ def test_criterion_1_numerical_invariants():
         sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         m = 8
         groups = [_complex(rng, (m, s)) for s in sizes]
-        b = compute_outer_precoders(groups, cfg)
+        b = compute_outer_precoders(groups)
         pre = compute_inner_precoders(b, groups, cfg)
         for w in pre.W:
             for norm in np.linalg.norm(w, axis=0):

@@ -6,16 +6,14 @@ from conftest import random_channelset
 from hrscluster.errors import FeasibilityError
 from hrscluster.hrs import (
     HrsConfig,
-    PowerAllocation,
     PrecoderSet,
-    check_feasibility,
     compute_inner_precoders,
     compute_outer_precoders,
-    compute_sinr_and_rate,
     evaluate_partition,
+    rate,
     split_power,
 )
-from hrscluster.partitions import Partition
+from hrscluster.partitions import Partition, enumerate_partitions
 
 
 def complex_gaussian(rng, shape):
@@ -25,14 +23,19 @@ def complex_gaussian(rng, shape):
 # ---------------------------------------------------------------- power split
 
 
+def _one_split(alpha, beta, total_power, partition):
+    p_oc, p_ic, p_priv = split_power(np.array([alpha]), np.array([beta]), total_power, partition)
+    return p_oc[0], p_ic[0], p_priv[0]
+
+
 def test_power_allocation_formulas():
     p = Partition.from_blocks([[1, 2], [3]])
-    alloc = PowerAllocation.for_partition(0.3, 0.5, 100.0, p)
-    assert alloc.p_oc == pytest.approx(30.0)
-    assert alloc.p_ic == pytest.approx([0.7 * 0.5 * 100 / 2] * 2)
+    p_oc, p_ic, p_priv = _one_split(0.3, 0.5, 100.0, p)
+    assert p_oc == pytest.approx(30.0)
+    assert p_ic == pytest.approx([0.7 * 0.5 * 100 / 2] * 2)
     # private budget splits equally over groups, then over group members
-    assert alloc.p_priv[0] == pytest.approx(0.7 * 0.5 * 100 / (2 * 2))
-    assert alloc.p_priv[2] == pytest.approx(0.7 * 0.5 * 100 / (2 * 1))
+    assert p_priv[0] == pytest.approx(0.7 * 0.5 * 100 / (2 * 2))
+    assert p_priv[2] == pytest.approx(0.7 * 0.5 * 100 / (2 * 1))
 
 
 def test_power_conservation_randomized(rng):
@@ -47,24 +50,31 @@ def test_power_conservation_randomized(rng):
         alpha = float(rng.uniform(1e-6, 1.0))
         beta = float(rng.uniform(1e-6, 1.0))
         power = float(rng.uniform(0.1, 500.0))
-        alloc = PowerAllocation.for_partition(alpha, beta, power, p)
-        assert alloc.total() == pytest.approx(power, rel=1e-9)
+        p_oc, p_ic, p_priv = _one_split(alpha, beta, power, p)
+        assert p_oc + p_ic.sum() + p_priv.sum() == pytest.approx(power, rel=1e-9)
 
 
-def test_power_allocation_domain():
-    p = Partition.singletons(2)
+def test_config_rejects_out_of_domain_power():
+    # the config grids are the only guard on the power fractions
     for alpha, beta in ((0.0, 0.5), (0.5, 0.0), (1.2, 0.5), (0.5, -0.1)):
         with pytest.raises(FeasibilityError):
-            PowerAllocation.for_partition(alpha, beta, 1.0, p)
+            HrsConfig(alpha_grid=(alpha,), beta_grid=(beta,))
+    for name in ("alpha", "beta"):
+        for grid in ((0.5, 0.0), (0.5, 1.2), (-0.1,), ()):
+            with pytest.raises(FeasibilityError, match=f"{name} grid"):
+                HrsConfig(**{f"{name}_grid": grid})
+    for power in (0.0, -1.0):
+        with pytest.raises(FeasibilityError, match="total power"):
+            HrsConfig(total_power=power)
+    HrsConfig(total_power=1e-9, alpha_grid=(1.0,), beta_grid=(1.0,))  # the domain is (0, 1]
 
 
 # ------------------------------------------------------------ outer precoders
 
 
 def test_single_group_uses_identity_columns():
-    cfg = HrsConfig(total_power=10.0)
     h = complex_gaussian(np.random.default_rng(0), (4, 3))
-    (b1,) = compute_outer_precoders([h], cfg)
+    (b1,) = compute_outer_precoders([h])
     assert np.allclose(b1, np.eye(4))
 
 
@@ -72,8 +82,7 @@ def test_fully_orthogonal_groups_are_nulled_exactly():
     # group channels live on disjoint identity columns
     h1 = np.eye(4, dtype=complex)[:, :2]
     h2 = np.eye(4, dtype=complex)[:, 2:]
-    cfg = HrsConfig(total_power=10.0)
-    b = compute_outer_precoders([h1, h2], cfg)
+    b = compute_outer_precoders([h1, h2])
     assert np.abs(b[0].conj().T @ h2).max() < 1e-8
     assert np.abs(b[1].conj().T @ h1).max() < 1e-8
     # own group passes through untouched by the projection
@@ -84,11 +93,10 @@ def test_outer_precoder_nulls_dominant_directions_of_other_group(rng):
     # oracle: null space of the stacked dominant directions, computed with
     # scipy, must contain every column of B_g
     m = 8
-    cfg = HrsConfig(total_power=100.0)
     for trial in range(10):
         h1 = complex_gaussian(rng, (m, 3))
         h2 = complex_gaussian(rng, (m, 4))
-        b = compute_outer_precoders([h1, h2], cfg)  # b_g = r_g = 4
+        b = compute_outer_precoders([h1, h2])  # d = 8 // 2 = 4
         for g, other in ((0, h2), (1, h1)):
             u, _, _ = np.linalg.svd(other, full_matrices=False)
             dominant = u[:, :4]
@@ -100,25 +108,21 @@ def test_outer_precoder_nulls_dominant_directions_of_other_group(rng):
 
 
 def test_outer_precoders_are_semi_unitary(rng):
-    cfg = HrsConfig(total_power=100.0)
     h = [complex_gaussian(rng, (8, 2)) for _ in range(3)]
-    for b in compute_outer_precoders(h, cfg):
+    for b in compute_outer_precoders(h):
         gram = b.conj().T @ b
         assert np.abs(gram - np.eye(b.shape[1])).max() < 1e-8
 
 
 def test_feasibility_rules():
-    cfg = HrsConfig()
     # more groups than antennas: floor(M/G) = 0
-    with pytest.raises(FeasibilityError):
-        check_feasibility(4, *cfg.group_dims(4, 8))
-    # explicit oversize request
-    bad = HrsConfig(b=(3, 3), r=(3, 3))
-    with pytest.raises(FeasibilityError):
-        check_feasibility(4, *bad.group_dims(4, 2))
+    with pytest.raises(FeasibilityError, match="exceed"):
+        compute_outer_precoders([np.ones((4, 1))] * 8)
     # a group without users
     with pytest.raises(FeasibilityError, match="at least one user"):
-        compute_outer_precoders([np.ones((4, 1)), np.zeros((4, 0))], cfg)
+        compute_outer_precoders([np.ones((4, 1)), np.zeros((4, 0))])
+    with pytest.raises(FeasibilityError, match="antenna count"):
+        compute_outer_precoders([np.ones((4, 1)), np.ones((3, 1))])
 
 
 # ------------------------------------------------------------ inner precoders
@@ -138,7 +142,7 @@ def test_all_precoders_unit_norm(rng):
     cfg = HrsConfig(total_power=50.0)
     for _ in range(20):
         groups = [complex_gaussian(rng, (8, k)) for k in (2, 3)]
-        b = compute_outer_precoders(groups, cfg)
+        b = compute_outer_precoders(groups)
         pre = compute_inner_precoders(b, groups, cfg)
         for w in pre.W:
             assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-9
@@ -148,10 +152,10 @@ def test_all_precoders_unit_norm(rng):
 
 
 def test_large_regularization_approaches_matched_filter(rng):
-    cfg = HrsConfig(total_power=10.0)
+    cfg = HrsConfig(total_power=3e-6)  # eps = N_g / P = 3 / 3e-6 = 1e6
     h = [complex_gaussian(rng, (4, 3))]
     b = [np.eye(4, dtype=complex)]
-    pre = compute_inner_precoders(b, h, cfg, epsilon=1e6)
+    pre = compute_inner_precoders(b, h, cfg)
     mf = h[0] / np.linalg.norm(h[0], axis=0)
     assert np.abs(pre.W[0] - mf).max() < 1e-4
 
@@ -161,7 +165,7 @@ def test_large_regularization_approaches_matched_filter(rng):
 
 def _precoders_for(H_hat, partition, cfg):
     groups = [H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
-    b = compute_outer_precoders(groups, cfg)
+    b = compute_outer_precoders(groups)
     return compute_inner_precoders(b, groups, cfg)
 
 
@@ -176,8 +180,7 @@ def test_scalar_awgn_channel_rate():
         np.ones(1, dtype=complex),
     )
     tiny = 1e-12
-    alloc = PowerAllocation.for_partition(tiny, tiny, 1.0, partition)
-    out = compute_sinr_and_rate(h, partition, pre, alloc)
+    out = rate(h, partition, pre, [tiny], [tiny], 1.0)
     assert out.R_p == pytest.approx(1.0, abs=1e-9)
     assert out.R_total == pytest.approx(1.0, abs=1e-9)
 
@@ -187,8 +190,7 @@ def test_rate_total_is_sum_of_layers(rng):
     partition = Partition.from_blocks([[1, 2], [3, 4]])
     cfg = HrsConfig(total_power=20.0)
     pre = _precoders_for(channels.H_hat, partition, cfg)
-    alloc = PowerAllocation.for_partition(0.4, 0.6, 20.0, partition)
-    out = compute_sinr_and_rate(channels.H_true, partition, pre, alloc)
+    out = rate(channels.H_true, partition, pre, [0.4], [0.6], 20.0)
     assert out.R_total == pytest.approx(out.R_oc + out.R_ic + out.R_p, abs=1e-9)
     assert min(out.R_oc, out.R_ic, out.R_p) >= 0.0
 
@@ -201,8 +203,7 @@ def test_two_orthogonal_users_hand_computed_private_rate():
     cfg = HrsConfig(total_power=10.0)
     pre = _precoders_for(h, partition, cfg)
     tiny = 1e-12
-    alloc = PowerAllocation.for_partition(tiny, tiny, 10.0, partition)
-    out = compute_sinr_and_rate(h, partition, pre, alloc)
+    out = rate(h, partition, pre, [tiny], [tiny], 10.0)
     assert out.R_p == pytest.approx(2 * np.log2(1 + 5.0), abs=1e-9)
 
 
@@ -215,11 +216,11 @@ def test_sic_denominators_ordered(rng):
     cfg = HrsConfig(total_power=30.0)
     pre = _precoders_for(channels.H_hat, partition, cfg)
     gains = _LinkGains(channels.H_true, partition, pre)
-    alloc = PowerAllocation.for_partition(0.25, 0.5, 30.0, partition)
+    _, p_ic, p_priv = _one_split(0.25, 0.5, 30.0, partition)
     users = np.arange(5)
-    interference = alloc.p_ic @ gains.common.T + alloc.p_priv @ gains.private.T
-    self_ic = alloc.p_ic[gains.group_of_user] * gains.common[users, gains.group_of_user]
-    self_p = alloc.p_priv * gains.private[users, users]
+    interference = p_ic @ gains.common.T + p_priv @ gains.private.T
+    self_ic = p_ic[gains.group_of_user] * gains.common[users, gains.group_of_user]
+    self_p = p_priv * gains.private[users, users]
     assert np.all(self_ic >= -1e-12)
     assert np.all(self_p >= -1e-12)
     assert np.all(interference - self_ic - self_p >= -1e-12)
@@ -231,16 +232,32 @@ def test_rate_monotone_in_power_for_fixed_precoders():
     cfg = HrsConfig(total_power=10.0)
     pre = _precoders_for(channels.H_hat, partition, cfg)
     for alpha, beta in ((0.2, 0.3), (0.7, 0.9), (1e-3, 0.1)):
-        lo = compute_sinr_and_rate(
-            channels.H_true, partition, pre, PowerAllocation.for_partition(alpha, beta, 10.0, partition)
-        )
-        hi = compute_sinr_and_rate(
-            channels.H_true, partition, pre, PowerAllocation.for_partition(alpha, beta, 20.0, partition)
-        )
+        lo = rate(channels.H_true, partition, pre, [alpha], [beta], 10.0)
+        hi = rate(channels.H_true, partition, pre, [alpha], [beta], 20.0)
         assert hi.R_total >= lo.R_total - 1e-12
 
 
 # ----------------------------------------------------------- grid evaluation
+
+
+def test_feasibility_table():
+    # with d = floor(M/G) per group, a partition is servable exactly when
+    # G <= M, and each group's outer precoder is (M, d) (the identity alone)
+    cfg = HrsConfig()
+    for m in (1, 2, 3, 4, 5, 6, 8):
+        for n in range(1, 7):
+            channels = random_channelset(m, n, seed=100 * m + n, tau=0.3)
+            for partition in enumerate_partitions(n):
+                g_count = partition.num_groups
+                out = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
+                assert out.feasible == (g_count <= m)
+                groups = [channels.H_hat[:, partition.block_columns(g)] for g in range(g_count)]
+                if out.feasible:
+                    outer = compute_outer_precoders(groups)
+                    assert [b.shape for b in outer] == [(m, m // g_count)] * g_count
+                else:
+                    with pytest.raises(FeasibilityError, match="exceed"):
+                        compute_outer_precoders(groups)
 
 
 def test_singleton_partition_infeasible_when_users_exceed_antennas():
@@ -258,20 +275,10 @@ def test_grid_search_dominates_every_grid_point():
     pre = _precoders_for(channels.H_hat, partition, cfg)
     for alpha in cfg.alpha_grid:
         for beta in cfg.beta_grid:
-            point = compute_sinr_and_rate(
-                channels.H_true,
-                partition,
-                pre,
-                PowerAllocation.for_partition(alpha, beta, 25.0, partition),
-            )
+            point = rate(channels.H_true, partition, pre, [alpha], [beta], 25.0)
             assert best.R_total >= point.R_total - 1e-9
     # and the reported maximizer reproduces its own rate
-    again = compute_sinr_and_rate(
-        channels.H_true,
-        partition,
-        pre,
-        PowerAllocation.for_partition(best.best_alpha, best.best_beta, 25.0, partition),
-    )
+    again = rate(channels.H_true, partition, pre, [best.best_alpha], [best.best_beta], 25.0)
     assert again.R_total == pytest.approx(best.R_total, abs=1e-9)
 
 
@@ -286,9 +293,9 @@ def test_power_grid_rows_are_one_row_splits(blocks):
     p_oc, p_ic, p_priv = split_power(alpha, beta, 25.0, partition)
     for k in range(len(alpha)):
         a, b = float(alpha[k]), float(beta[k])
-        alloc = PowerAllocation.for_partition(a, b, 25.0, partition)
-        assert alloc.p_oc == p_oc[k]
-        assert np.array_equal(alloc.p_ic, p_ic[k]) and np.array_equal(alloc.p_priv, p_priv[k])
+        one_oc, one_ic, one_priv = _one_split(a, b, 25.0, partition)
+        assert one_oc == p_oc[k]
+        assert np.array_equal(one_ic, p_ic[k]) and np.array_equal(one_priv, p_priv[k])
         # the scalar expressions of the former per-grid-point loop
         assert p_oc[k] == a * 25.0
         assert np.all(p_ic[k] == (1.0 - a) * b * 25.0 / g_count)
@@ -299,12 +306,8 @@ def test_power_grid_rows_are_one_row_splits(blocks):
     channels = random_channelset(8, 6, seed=26, tau=0.3)
     best = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
     assert best.best_alpha in alphas and best.best_beta in cfg.beta_grid
-    again = compute_sinr_and_rate(
-        channels.H_true,
-        partition,
-        _precoders_for(channels.H_hat, partition, cfg),
-        PowerAllocation.for_partition(best.best_alpha, best.best_beta, 25.0, partition),
-    )
+    pre = _precoders_for(channels.H_hat, partition, cfg)
+    again = rate(channels.H_true, partition, pre, [best.best_alpha], [best.best_beta], 25.0)
     # not bit-equal: numpy hands a one-row matmul to BLAS gemv and the grid's
     # to gemm, which sum the interference terms in different orders
     assert again.R_total == pytest.approx(best.R_total, rel=64 * np.finfo(float).eps, abs=0)
@@ -319,10 +322,7 @@ def test_orthogonal_groups_prefer_minimal_outer_common():
     pre = _precoders_for(h, partition, cfg)
     rates = []
     for alpha in cfg.alpha_grid:
-        out = compute_sinr_and_rate(
-            h, partition, pre, PowerAllocation.for_partition(alpha, 0.5, 40.0, partition)
-        )
-        rates.append(out.R_total)
+        rates.append(rate(h, partition, pre, [alpha], [0.5], 40.0).R_total)
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
     best = evaluate_partition(h, h, partition, cfg)
     assert best.best_alpha == min(cfg.alpha_grid)
