@@ -17,6 +17,8 @@ A bottom-up agglomeration of the estimate H_hat merges the most similar pair
 of clusters one step at a time, yielding N nested partitions from
 all-singletons to a single universal cluster; it decomposes each cluster's
 basis once and scores each pair of clusters once, 2N - 2 SVDs per draw.
+The dendrogram keeps those bases, and the level sweep designs its precoders
+on them instead of decomposing the blocks again (see ``hrs``).
 ``best_partition(H_true, H_hat, dendrogram, config)`` picks the level with
 the best achievable rate as the clustering decision; for small N
 ``exhaustive_best(H_true, H_hat, config)`` sweeps all set partitions as the
@@ -25,7 +27,7 @@ optimality reference. Both keep the highest rate, then the fewest groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
@@ -159,10 +161,16 @@ class MergeStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Nested partitions from all-singletons (level 0) to universal."""
+    """Nested partitions from all-singletons (level 0) to universal.
+
+    ``bases`` maps every block of every level but the universal one to the
+    thin-SVD left singular vectors of its H_hat columns, the bases the
+    merges were scored on; the level sweep designs its precoders from them.
+    """
 
     levels: tuple[Partition, ...]
     merge_trace: tuple[MergeStep, ...]
+    bases: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
 
 
 def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendrogram:
@@ -173,7 +181,7 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
     lexicographically smallest pair of block minima, which makes the merge
     order reproducible. Scores and bases are cached per block, and a basis is
     decomposed the first time its cluster is scored: 2N - 2 SVDs, as the
-    universal cluster is never scored.
+    universal cluster is never scored. The dendrogram keeps those bases.
     """
     m, n = H_hat.shape
     if n < 1:
@@ -201,14 +209,16 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
         merged = tuple(sorted(best_pair[0] + best_pair[1]))
         blocks = sorted([b for b in blocks if b not in best_pair] + [merged])  # by block minimum
         levels.append(Partition(tuple(blocks)))
-    return Dendrogram(tuple(levels), tuple(trace))
+    bases = {block: basis(block) for level in levels[:-1] for block in level.blocks}
+    return Dendrogram(tuple(levels), tuple(trace), bases)
 
 
 def best_partition(
     H_true: np.ndarray, H_hat: np.ndarray, dendrogram: Dendrogram, config: HrsConfig
 ) -> tuple[Partition, RateBreakdown]:
     """Best-rate dendrogram level; ties prefer fewer groups."""
-    return _best_feasible(H_true, H_hat, reversed(dendrogram.levels), config)  # universal first
+    levels = reversed(dendrogram.levels)  # universal first
+    return _best_feasible(H_true, H_hat, levels, config, dict(dendrogram.bases))
 
 
 def exhaustive_best(
@@ -220,14 +230,18 @@ def exhaustive_best(
         raise ResourceLimitError(
             f"exhaustive search is guarded at {EXHAUSTIVE_USER_LIMIT} users, got {n}"
         )
-    return _best_feasible(H_true, H_hat, enumerate_partitions(n), config)
+    return _best_feasible(H_true, H_hat, enumerate_partitions(n), config, {})
 
 
-def _best_feasible(H_true, H_hat, partitions, config: HrsConfig) -> tuple[Partition, RateBreakdown]:
-    """Highest R_total; on a tie fewer groups, then the earlier partition."""
+def _best_feasible(H_true, H_hat, partitions, config: HrsConfig, bases) -> tuple[Partition, RateBreakdown]:
+    """Highest R_total; on a tie fewer groups, then the earlier partition.
+
+    ``bases`` (block -> basis) is shared by every candidate, so each block
+    of H_hat is decomposed at most once per search.
+    """
     best: tuple[Partition, RateBreakdown] | None = None
     for partition in partitions:
-        result = evaluate_partition(H_true, H_hat, partition, config)
+        result = evaluate_partition(H_true, H_hat, partition, config, bases)
         if not result.feasible:
             continue
         if (

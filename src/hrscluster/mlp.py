@@ -266,6 +266,14 @@ class TrainingHyper:
     batch_size: int = 128
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch size must be at least 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError(f"learning rate must be positive, got {self.learning_rate}")
+
 
 @dataclass
 class TrainReport:

@@ -105,6 +105,18 @@ def test_missing_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--epochs", "0", "epochs"), ("--batch-size", "0", "batch size"), ("--learning-rate", "0", "learning rate")],
+)
+def test_bad_training_hyperparameters_exit_2(workdir, tmp_path, capsys, flag, value, message):
+    model = tmp_path / "m.hrsmlp"
+    rc = cli.run(["train", "--data", str(workdir / "data.hrsdat"), "--out", str(model), flag, value])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_corrupt_dataset_exits_3(workdir, tmp_path):
     corrupted = tmp_path / "corrupt.hrsdat"
     raw = bytearray((workdir / "data.hrsdat").read_bytes())

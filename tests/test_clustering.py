@@ -16,7 +16,7 @@ from hrscluster.clustering import (
 )
 from hrscluster.errors import CalibrationError, DegenerateInputError, ResourceLimitError
 from hrscluster.hrs import HrsConfig, evaluate_partition
-from hrscluster.partitions import Partition
+from hrscluster.partitions import Partition, enumerate_partitions
 
 
 def complex_gaussian(rng, shape):
@@ -275,6 +275,17 @@ def test_agglomerate_never_decomposes_the_universal_cluster():
     assert [p.key() for p in d.levels] == ["1|2", "1,2"]
 
 
+def test_dendrogram_keeps_the_bases_of_every_non_universal_block():
+    for m, n, seed in ((8, 6, 52), (12, 12, 53), (6, 12, 54)):
+        h = random_channelset(m, n, seed=seed, tau=0.4).H_hat
+        d = agglomerate(h, SimilarityCalibration.for_scenario(m, n))
+        blocks = {block for level in d.levels for block in level.blocks}
+        assert set(d.bases) == blocks - {tuple(range(1, n + 1))}
+        for block, basis in d.bases.items():
+            cols = np.asarray(block) - 1
+            assert np.array_equal(basis, np.linalg.svd(h[:, cols], full_matrices=False)[0])
+
+
 # ------------------------------------------------------------ rate selection
 
 
@@ -306,6 +317,29 @@ def test_exhaustive_dominates_dendrogram_selection():
         _, hc = best_partition(channels.H_true, channels.H_hat, d, cfg)
         _, oracle = exhaustive_best(channels.H_true, channels.H_hat, cfg)
         assert oracle.R_total >= hc.R_total - 1e-12
+
+
+def _enumerated_best(h_true, h_hat, cfg):
+    """Every partition evaluated on its own, with no shared bases."""
+    best = None
+    for partition in enumerate_partitions(h_hat.shape[1]):
+        result = evaluate_partition(h_true, h_hat, partition, cfg)
+        if result.feasible and (
+            best is None
+            or result.R_total > best[1].R_total
+            or (result.R_total == best[1].R_total and partition.num_groups < best[0].num_groups)
+        ):
+            best = (partition, result)
+    return best
+
+
+def test_exhaustive_with_shared_bases_matches_independent_evaluations():
+    cfg = HrsConfig(total_power=20.0)
+    for seed in range(41, 51):
+        channels = random_channelset(8, 4, seed=seed, tau=0.6)
+        assert exhaustive_best(channels.H_true, channels.H_hat, cfg) == _enumerated_best(
+            channels.H_true, channels.H_hat, cfg
+        )
 
 
 def test_aligned_channels_prefer_universal():

@@ -146,7 +146,77 @@ N12M12 = (
 )
 
 
-@pytest.mark.parametrize("users, antennas, recorded", [(8, 8, N8M8), (12, 12, N12M12)])
+# Same draws at (12, 16) and (6, 12), recorded before the precoders were
+# designed on the dendrogram's bases with stacked LAPACK calls.
+N12M16 = (
+    ('1,2,3,7,9,11|4|5|6|8,12|10', 11.569012684241143),
+    ('1,2,3,4,5,6,7,8,9,10,11|12', 14.587788672632994),
+    ('1,5,8,9,12|2,4|3,10|6|7|11', 11.136792890089934),
+    ('1,2,3,4,5,6,7,8,9,10,12|11', 10.273055609997312),
+    ('1|2,7|3|4,12|5|6|8,10|9|11', 16.28042313869853),
+    ('1,2,9,11|3,6,7|4,12|5|8|10', 16.696640047975436),
+    ('1,5,6,7,8,10|2|3|4|9|11|12', 13.796848280638423),
+    ('1,12|2,3,4,5,6,7,8,9,10,11', 15.179899420773388),
+    ('1,3,4,5,6,7,11,12|2,9,10|8', 8.859538208940148),
+    ('1|2,3,5,9,10,12|4,6,8,11|7', 13.720773913332225),
+    ('1,2,3,4,5,6,8,11,12|7,10|9', 14.031942854641208),
+    ('1,6,7|2,3,5,8,9,10,11|4,12', 11.575881202621403),
+    ('1,3|2,4,9,10,12|5,7,11|6,8', 12.765310480676252),
+    ('1,6,11|2|3|4|5|7,12|8|9|10', 15.83703266589684),
+    ('1|2|3|4,8|5|6|7|9|10,11|12', 14.83575109082651),
+    ('1|2,3,4,6,12|5,7,8,9,10|11', 14.46252799866924),
+    ('1,2,3,4,5,6,7,8,9,10,12|11', 9.654059682937854),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 13.638048851769215),
+    ('1,6,9,12|2,3|4|5|7,8,10|11', 11.919993955037777),
+    ('1,3,4,5,12|2,7,8,9,11|6|10', 12.555521860831476),
+    ('1,2,3,4,5,6,7,8,9,10,11,12', 12.903159843035017),
+    ('1,3,4,5,6,8,10,11,12|2|7,9', 14.844374805265922),
+    ('1|2,7|3,8|4|5|6,12|9|10|11', 11.779269309477918),
+    ('1,6|2|3,5,8,9,10,11,12|4|7', 8.62565967287501),
+    ('1,6|2,3,7,10,11|4|5|8|9|12', 11.838961443609493),
+    ('1,2,3,4,5,7,8,9,10,11,12|6', 14.691872047904726),
+    ('1|2,3|4,8|5,9|6|7|10|11|12', 12.357768352143628),
+    ('1,2,3,4,5,6,7,8,9,11,12|10', 13.57891814611904),
+    ('1|2,3,6,8,9,10|4|5|7|11|12', 14.24414324103064),
+    ('1,3,6,7,10,12|2|4|5|8|9|11', 12.969371542126503),
+)
+N6M12 = (
+    ('1,2,3|4|5|6', 10.749170154617431),
+    ('1,2,3,4,5,6', 11.000881283256117),
+    ('1,2,4,5,6|3', 11.514461761144545),
+    ('1,2,4|3,5,6', 6.342367483303379),
+    ('1,2,5|3,6|4', 14.921696965719828),
+    ('1,2|3,4,5,6', 11.486518816806143),
+    ('1,6|2|3|4|5', 17.115936228173585),
+    ('1|2,4,5,6|3', 14.582104739905846),
+    ('1|2|3|4|5,6', 15.901818729097798),
+    ('1|2,3,5|4,6', 12.758950903814554),
+    ('1,3,4,5|2|6', 5.941096529858257),
+    ('1,6|2|3,4|5', 15.368459918590341),
+    ('1,2,3,4,5,6', 20.36870987116375),
+    ('1,5,6|2|3|4', 15.850943757767803),
+    ('1,3,6|2,5|4', 15.852810180667902),
+    ('1|2,3|4|5|6', 11.013882286732244),
+    ('1,3|2,4,5,6', 6.025647645159696),
+    ('1,6|2|3|4|5', 10.980702409051249),
+    ('1|2|3|4,5|6', 10.73723983293214),
+    ('1|2|3|4|5|6', 7.565687193466823),
+    ('1|2,5|3|4|6', 10.988210525857369),
+    ('1,3,4,6|2|5', 9.679221409828319),
+    ('1,2,3,4,5,6', 8.802113313384645),
+    ('1,6|2|3,5|4', 11.472535564796065),
+    ('1,2,3,4,6|5', 11.825574586573833),
+    ('1,2|3|4|5|6', 12.28341122006965),
+    ('1|2,3|4|5,6', 14.535665161588582),
+    ('1,2,4,5,6|3', 11.057930986479471),
+    ('1,4|2,3,6|5', 14.661746284016003),
+    ('1,2,3,4,6|5', 7.759902241628694),
+)
+
+
+@pytest.mark.parametrize(
+    "users, antennas, recorded", [(8, 8, N8M8), (12, 12, N12M12), (12, 16, N12M16), (6, 12, N6M12)]
+)
 def test_labels_match_recorded_values(users, antennas, recorded):
     # a fast path must leave the labels as they were; rates may move by rounding only
     cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=len(recorded), seed=20240801)

@@ -3,8 +3,11 @@ import pytest
 from scipy.linalg import null_space
 
 from conftest import random_channelset
+from hrscluster import data
+from hrscluster.clustering import agglomerate
 from hrscluster.errors import FeasibilityError
 from hrscluster.hrs import (
+    RANK_TOL_REL,
     HrsConfig,
     PrecoderSet,
     compute_inner_precoders,
@@ -158,6 +161,94 @@ def test_large_regularization_approaches_matched_filter(rng):
     pre = compute_inner_precoders(b, h, cfg)
     mf = h[0] / np.linalg.norm(h[0], axis=0)
     assert np.abs(pre.W[0] - mf).max() < 1e-4
+
+
+# ------------------------------------------- stacked design, bit for bit
+
+
+def _looped_outer(groups):
+    """The one-group-at-a-time outer design, plus the rank of each group's stack."""
+    m, g_count = groups[0].shape[0], len(groups)
+    if g_count == 1:
+        return [np.eye(m, dtype=complex)], []
+    d = m // g_count
+    dominant = [np.linalg.svd(h, full_matrices=False)[0][:, :d] for h in groups]
+    outer, ranks = [], []
+    for g in range(g_count):
+        stack = np.concatenate([dominant[l] for l in range(g_count) if l != g], axis=1)
+        u_full, s_full, _ = np.linalg.svd(stack, full_matrices=True)
+        rank = int(np.sum(s_full > s_full[0] * RANK_TOL_REL))
+        basis = u_full[:, rank:]
+        u_r, _, _ = np.linalg.svd(basis.conj().T @ groups[g], full_matrices=True)
+        outer.append(basis @ u_r[:, :d])
+        ranks.append(rank)
+    return outer, ranks
+
+
+def _looped_inner(B, groups, config):
+    """The one-group-at-a-time inner design: (W, w_ic, w_oc)."""
+    w_priv, w_ic = [], []
+    w_oc = np.zeros(B[0].shape[0], dtype=complex)
+    for b_g, h_g in zip(B, groups):
+        h_eff = b_g.conj().T @ h_g
+        eps = h_eff.shape[1] / config.total_power
+        gram = h_eff @ h_eff.conj().T + eps * np.eye(h_eff.shape[0])
+        w = np.linalg.solve(gram, h_eff)
+        w = w / np.linalg.norm(w, axis=0)
+        combined = w.sum(axis=1)
+        w_priv.append(w)
+        w_ic.append(combined / np.linalg.norm(combined))
+        w_oc += (b_g @ h_eff).sum(axis=1)
+    return w_priv, w_ic, w_oc / np.linalg.norm(w_oc)
+
+
+def _assert_stacked_design_matches_loops(groups, dominant=None):
+    cfg = HrsConfig()
+    want_b, ranks = _looped_outer(groups)
+    got_b = compute_outer_precoders(groups, dominant)
+    assert len(got_b) == len(want_b)
+    assert all(np.array_equal(x, y) for x, y in zip(got_b, want_b))
+    want_w, want_ic, want_oc = _looped_inner(want_b, groups, cfg)
+    got = compute_inner_precoders(got_b, groups, cfg)
+    assert len(got.W) == len(want_w) and len(got.w_ic) == len(want_ic)
+    assert all(np.array_equal(x, y) for x, y in zip(got.W, want_w))
+    assert all(np.array_equal(x, y) for x, y in zip(got.w_ic, want_ic))
+    assert np.array_equal(got.w_oc, want_oc)
+    return ranks
+
+
+def test_stacked_design_matches_group_loops_on_every_small_partition():
+    for m in (1, 2, 3, 4, 5, 6, 8):
+        for n in range(1, 7):
+            h = random_channelset(m, n, seed=100 * m + n, tau=0.3).H_hat
+            for partition in enumerate_partitions(n):
+                if partition.num_groups <= m:
+                    groups = [h[:, partition.block_columns(g)] for g in range(partition.num_groups)]
+                    _assert_stacked_design_matches_loops(groups)
+
+
+@pytest.mark.parametrize("users, antennas", [(12, 12), (12, 16)])
+def test_stacked_design_matches_group_loops_on_dendrogram_levels(users, antennas):
+    # the level sweep's path: dominant bases read from the dendrogram
+    cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=10, seed=3)
+    calib = cfg.calibration()
+    for s in data.generate_samples(cfg):
+        dendrogram = agglomerate(s.H_hat, calib)
+        for level in dendrogram.levels:
+            groups = [s.H_hat[:, level.block_columns(g)] for g in range(level.num_groups)]
+            dominant = [dendrogram.bases[b] for b in level.blocks] if level.num_groups > 1 else None
+            _assert_stacked_design_matches_loops(groups, dominant)
+
+
+def test_stacked_design_matches_group_loops_with_unequal_complement_ranks():
+    # groups 1 and 2 hold parallel users, so their dominant directions
+    # coincide and group 3's (4, 2) stack has rank 1 where the other two
+    # stacks of that shape have rank 2; all three groups have two users
+    rng = np.random.default_rng(7)
+    a = complex_gaussian(rng, (4, 2))
+    c = complex_gaussian(rng, (4, 2))
+    groups = [a, (1.5 - 0.5j) * a[:, ::-1], c]
+    assert _assert_stacked_design_matches_loops(groups) == [2, 2, 1]
 
 
 # ------------------------------------------------------------------ SINR/rate
