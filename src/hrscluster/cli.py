@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import data, evaluation, mlp
 from .errors import ConfigurationError, HrsError
+from .partitions import Partition
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,11 +156,17 @@ def _evaluate(dataset: data.DatasetSplit, model: mlp.MlpModel, out_dir) -> dict:
 
 
 def _check_compatible(dataset: data.DatasetSplit, model: mlp.MlpModel) -> None:
-    expected = mlp.feature_count(dataset.config.users, dataset.config.antennas)
+    users = dataset.config.users
+    expected = mlp.feature_count(users, dataset.config.antennas)
     if model.layer_dims[0] != expected:
         raise ConfigurationError(
             f"model expects {model.layer_dims[0]} features but the dataset "
             f"provides {expected}; scenario/model mismatch"
+        )
+    # two scenarios can share an input width (n4m8 and n5m6 both give 70)
+    if any(Partition.from_key(label).num_users != users for label in model.class_labels):
+        raise ConfigurationError(
+            f"model classes do not partition the dataset's {users} users; scenario/model mismatch"
         )
 
 

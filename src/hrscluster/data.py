@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -73,6 +75,10 @@ class ScenarioConfig:
             raise ConfigurationError("users and antennas must be positive")
         if self.samples < 1:
             raise ConfigurationError("samples must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        if self.num_covs < 1:
+            raise ConfigurationError(f"num_covs must be at least 1, got {self.num_covs}")
         if not 0.0 <= self.tau_sq <= 1.0:
             raise ConfigurationError("tau_sq must lie in [0, 1]")
         if self.total_power <= 0:
@@ -84,6 +90,8 @@ class ScenarioConfig:
             object.__setattr__(self, "azimuths", default_azimuths(self.num_covs))
         if len(self.azimuths) != self.num_covs:
             raise ConfigurationError("need one azimuth per covariance")
+        if not all(isinstance(az, numbers.Real) and math.isfinite(az) for az in self.azimuths):
+            raise ConfigurationError(f"azimuths must be finite real numbers, got {list(self.azimuths)}")
         if not self.name:
             object.__setattr__(self, "name", f"n{self.users}m{self.antennas}")
 
@@ -109,25 +117,7 @@ class ScenarioConfig:
         return SimilarityCalibration.for_scenario(self.antennas, self.users)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "users": self.users,
-            "antennas": self.antennas,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tau_sq": self.tau_sq,
-            "total_power": self.total_power,
-            "num_covs": self.num_covs,
-            "azimuths": list(self.azimuths),
-            "spread": self.spread,
-            "integration_points": self.integration_points,
-            "num_alpha": self.num_alpha,
-            "num_beta": self.num_beta,
-            "rate_floor_frac": self.rate_floor_frac,
-            "min_class_samples": self.min_class_samples,
-            "max_class_samples": self.max_class_samples,
-            "num_shuffles": self.num_shuffles,
-        }
+        return {**asdict(self), "azimuths": list(self.azimuths)}
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -138,9 +128,9 @@ class ScenarioConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        if "azimuths" in kwargs:
-            kwargs["azimuths"] = tuple(kwargs["azimuths"])
         try:
+            if "azimuths" in kwargs:
+                kwargs["azimuths"] = tuple(kwargs["azimuths"])
             return ScenarioConfig(**kwargs)
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc

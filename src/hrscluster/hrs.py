@@ -7,6 +7,9 @@ message. Group transmissions pass through a tall semi-unitary outer precoder
 B_g that steers away from the other groups' dominant channel directions;
 private messages use regularized zero forcing inside the reduced space, and
 the common messages use matched-beamforming combinations of those columns.
+The rates depend on the precoders only through the full-array beams: user k
+sees |h_k^H B_g W_g|^2, |h_k^H B_g w_ic,g|^2 and |h_k^H w_oc|^2, so the
+design hands ``rate`` those beams and no reduced-space piece.
 
 Power is controlled by two fractions alpha, beta in (0, 1]:
 
@@ -76,12 +79,12 @@ class HrsConfig:
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """All precoders for one partition: outer B_g, private columns W_g,
-    inner-common w_ic per group, and the global outer-common vector."""
+    """The full-array beams of one partition, each column of unit norm: per
+    group the (M, N_g) private beams B_g W_g (columns in block order) and the
+    (M,) inner-common beam B_g w_ic,g, and the (M,) outer-common vector."""
 
-    B: tuple[np.ndarray, ...]
-    W: tuple[np.ndarray, ...]
-    w_ic: tuple[np.ndarray, ...]
+    private: tuple[np.ndarray, ...]
+    inner: tuple[np.ndarray, ...]
     w_oc: np.ndarray
 
 
@@ -193,7 +196,8 @@ def compute_outer_precoders(H_hat_grouped, dominant=None) -> list[np.ndarray]:
 
 
 def compute_inner_precoders(B, H_hat_grouped, config: HrsConfig) -> PrecoderSet:
-    """Private RZF columns plus the two matched-beamforming common precoders.
+    """Private RZF columns plus the two matched-beamforming common precoders,
+    lifted to the full array.
 
     Inside each reduced space the private precoder is
     (H_eff H_eff^H + eps I)^-1 H_eff with eps = N_g / P, each column
@@ -201,12 +205,12 @@ def compute_inner_precoders(B, H_hat_grouped, config: HrsConfig) -> PrecoderSet:
     inner common vector is the normalized sum of a group's private columns;
     the outer common vector is the normalized sum of every user's effective
     channel lifted back to the full array. Groups of one size share each
-    product, solve and norm as one stacked call.
+    product, solve, norm and lift as one stacked call.
     """
     B = tuple(np.asarray(x) for x in B)
     groups = [np.asarray(h) for h in H_hat_grouped]
     g_count = len(groups)
-    w_priv, w_ic, lifted = [None] * g_count, [None] * g_count, [None] * g_count
+    private, inner, lifted = [None] * g_count, [None] * g_count, [None] * g_count
     for members in _classes((b.shape, h.shape) for b, h in zip(B, groups)).values():
         b = _stacked(B, members)
         h_eff = b.conj().transpose(0, 2, 1) @ _stacked(groups, members)  # (K, d, N_g)
@@ -217,45 +221,23 @@ def compute_inner_precoders(B, H_hat_grouped, config: HrsConfig) -> PrecoderSet:
         if np.any(norms == 0.0):
             raise NumericalConsistencyError("RZF produced a zero private column")
         w = w / norms
-        ic_sums, lifts = w.sum(axis=2), (b @ h_eff).sum(axis=2)
+        w_ic = w.sum(axis=2)
+        for combined in w_ic:
+            # the 1-D norm, not the axis= form: they round differently
+            combined_norm = np.linalg.norm(combined)
+            if combined_norm == 0.0:
+                raise NumericalConsistencyError("inner-common combination vanished")
+            combined /= combined_norm
+        beams, ic_beams, lifts = b @ w, b @ w_ic[..., None], (b @ h_eff).sum(axis=2)
         for k, g in enumerate(members):
-            w_priv[g], w_ic[g], lifted[g] = w[k], ic_sums[k], lifts[k]
-    for g, combined in enumerate(w_ic):
-        # the 1-D norm, not the axis= form: they round differently
-        combined_norm = np.linalg.norm(combined)
-        if combined_norm == 0.0:
-            raise NumericalConsistencyError("inner-common combination vanished")
-        w_ic[g] = combined / combined_norm
+            private[g], inner[g], lifted[g] = beams[k], ic_beams[k, :, 0], lifts[k]
     w_oc = np.zeros(B[0].shape[0], dtype=complex)
     for v in lifted:  # in group order
         w_oc += v
     oc_norm = np.linalg.norm(w_oc)
     if oc_norm == 0.0:
         raise NumericalConsistencyError("outer-common combination vanished")
-    return PrecoderSet(B, tuple(w_priv), tuple(w_ic), w_oc / oc_norm)
-
-
-class _LinkGains:
-    """|h^H v|^2 tables against the true channel, shared by every grid point."""
-
-    def __init__(self, H_true: np.ndarray, partition: Partition, precoders: PrecoderSet):
-        n = H_true.shape[1]
-        g_count = partition.num_groups
-        m = H_true.shape[0]
-        v_ic = np.stack(
-            [precoders.B[g] @ precoders.w_ic[g] for g in range(g_count)], axis=1
-        )
-        v_priv = np.empty((m, n), dtype=complex)
-        for g in range(g_count):
-            cols = partition.block_columns(g)
-            v_priv[:, cols] = precoders.B[g] @ precoders.W[g]
-        ht = H_true.conj().T
-        self.common = np.abs(ht @ v_ic) ** 2  # (N, G)
-        self.private = np.abs(ht @ v_priv) ** 2  # (N, N)
-        self.outer = np.abs(ht @ precoders.w_oc) ** 2  # (N,)
-        self.group_of_user = partition.group_of_user()
-        self.blocks = [partition.block_columns(g) for g in range(g_count)]
-        self.n = n
+    return PrecoderSet(tuple(private), tuple(inner), w_oc / oc_norm)
 
 
 def rate(
@@ -269,12 +251,19 @@ def rate(
     the lower SIC layers.
     """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    gains = _LinkGains(H_true, partition, precoders)
+    blocks = [partition.block_columns(g) for g in range(partition.num_groups)]
+    group_of_user = partition.group_of_user()
+    v_priv = np.empty(H_true.shape, dtype=complex)
+    v_priv[:, np.concatenate(blocks)] = np.concatenate(precoders.private, axis=1)
+    ht = H_true.conj().T  # |h^H v|^2 tables against the true channel, shared by every grid point
+    common = np.abs(ht @ np.stack(precoders.inner, axis=1)) ** 2  # (N, G)
+    private = np.abs(ht @ v_priv) ** 2  # (N, N)
+    outer = np.abs(ht @ precoders.w_oc) ** 2  # (N,)
     p_oc, p_ic, p_priv = split_power(alpha, beta, total_power, partition)
-    users = np.arange(gains.n)
-    interference = p_ic @ gains.common.T + p_priv @ gains.private.T  # (K, N)
-    self_ic = p_ic[:, gains.group_of_user] * gains.common[users, gains.group_of_user]
-    self_priv = p_priv * gains.private[users, users]
+    users = np.arange(H_true.shape[1])
+    interference = p_ic @ common.T + p_priv @ private.T  # (K, N)
+    self_ic = p_ic[:, group_of_user] * common[users, group_of_user]
+    self_priv = p_priv * private[users, users]
 
     den_oc = 1.0 + interference
     den_ic = den_oc - self_ic
@@ -285,13 +274,13 @@ def rate(
             f"SIC denominator fell to {worst:.3e}; self-terms exceed total interference"
         )
 
-    gamma_oc = p_oc[:, None] * gains.outer[None, :] / den_oc
+    gamma_oc = p_oc[:, None] * outer[None, :] / den_oc
     gamma_ic = self_ic / np.maximum(den_ic, np.finfo(float).tiny)
     gamma_p = self_priv / np.maximum(den_p, np.finfo(float).tiny)
 
     r_oc = np.log2(1.0 + gamma_oc).min(axis=1)
     r_ic_users = np.log2(1.0 + gamma_ic)
-    r_ic = sum(r_ic_users[:, cols].min(axis=1) for cols in gains.blocks)
+    r_ic = sum(r_ic_users[:, cols].min(axis=1) for cols in blocks)
     r_p = np.log2(1.0 + gamma_p).sum(axis=1)
     totals = r_oc + r_ic + r_p
     best = int(np.argmax(totals))

@@ -273,6 +273,8 @@ class TrainingHyper:
             raise ConfigurationError(f"batch size must be at least 1, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ConfigurationError(f"learning rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -98,11 +98,11 @@ def test_criterion_1_numerical_invariants():
         groups = [_complex(rng, (m, s)) for s in sizes]
         b = compute_outer_precoders(groups)
         pre = compute_inner_precoders(b, groups, cfg)
-        for w in pre.W:
+        for w in pre.private:
             for norm in np.linalg.norm(w, axis=0):
                 assert abs(norm - 1.0) <= 1e-9
                 count += 1
-        for w in pre.w_ic:
+        for w in pre.inner:
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
             count += 1
         assert abs(np.linalg.norm(pre.w_oc) - 1.0) <= 1e-9

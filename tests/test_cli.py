@@ -92,12 +92,32 @@ def test_csv_export_flag(workdir, tmp_path):
     assert (tmp_path / "labels.csv").read_text().startswith("label,rate,scenario,split")
 
 
-def test_bad_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad_keys",
+    [
+        pytest.param({"tau_sq": 7.0}, id="tau_sq"),
+        pytest.param({"seed": -3}, id="negative-seed"),
+        pytest.param({"num_covs": 0}, id="no-covariances"),
+        pytest.param({"azimuths": [0.0, "north", 1.0, 2.0]}, id="non-numeric-azimuth"),
+    ],
+)
+def test_bad_config_exits_2(tmp_path, capsys, bad_keys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"users": 4, "antennas": 8, "tau_sq": 7.0}))
+    bad.write_text(json.dumps({"users": 4, "antennas": 8, **bad_keys}))
     rc = cli.run(["gen-dataset", "--config", str(bad), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-dataset", "train"])
+def test_negative_seed_flag_exits_2(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    source = ("--config", "cfg.json") if command == "gen-dataset" else ("--data", "data.hrsdat")
+    rc = cli.run(["--seed", "-1", command, source[0], str(workdir / source[1]), "--out", str(out)])
+    assert rc == 2
+    assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -126,9 +146,11 @@ def test_corrupt_dataset_exits_3(workdir, tmp_path):
     assert rc == 3
 
 
-def test_scenario_model_mismatch_exits_2(workdir, tmp_path):
+# the workdir model is n4m8; n5m6 has the same input width, 2 * 5 * 6 + 5 * 4 // 2 = 70
+@pytest.mark.parametrize("users, antennas", [(3, 6), (5, 6)])
+def test_scenario_model_mismatch_exits_2(workdir, tmp_path, capsys, users, antennas):
     other_cfg = tmp_path / "other.json"
-    other_cfg.write_text(json.dumps({"users": 3, "antennas": 6, "samples": 12, "seed": 5}))
+    other_cfg.write_text(json.dumps({"users": users, "antennas": antennas, "samples": 12, "seed": 5}))
     other_data = tmp_path / "other.hrsdat"
     assert cli.run(["gen-dataset", "--config", str(other_cfg), "--out", str(other_data)]) == 0
     rc = cli.run(
@@ -143,6 +165,7 @@ def test_scenario_model_mismatch_exits_2(workdir, tmp_path):
         ]
     )
     assert rc == 2
+    assert "scenario/model mismatch" in capsys.readouterr().err
 
 
 def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):

@@ -136,8 +136,8 @@ def test_single_user_rzf_is_matched_filter():
     b = [np.eye(2, dtype=complex)]
     h = [np.array([[1.0], [0.0]], dtype=complex)]
     pre = compute_inner_precoders(b, h, cfg)
-    assert np.allclose(pre.W[0][:, 0], [1.0, 0.0])
-    assert np.allclose(pre.w_ic[0], [1.0, 0.0])
+    assert np.allclose(pre.private[0][:, 0], [1.0, 0.0])
+    assert np.allclose(pre.inner[0], [1.0, 0.0])
     assert np.allclose(pre.w_oc, [1.0, 0.0])
 
 
@@ -147,9 +147,9 @@ def test_all_precoders_unit_norm(rng):
         groups = [complex_gaussian(rng, (8, k)) for k in (2, 3)]
         b = compute_outer_precoders(groups)
         pre = compute_inner_precoders(b, groups, cfg)
-        for w in pre.W:
+        for w in pre.private:
             assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-9
-        for w in pre.w_ic:
+        for w in pre.inner:
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-9
         assert abs(np.linalg.norm(pre.w_oc) - 1.0) <= 1e-9
 
@@ -160,7 +160,7 @@ def test_large_regularization_approaches_matched_filter(rng):
     b = [np.eye(4, dtype=complex)]
     pre = compute_inner_precoders(b, h, cfg)
     mf = h[0] / np.linalg.norm(h[0], axis=0)
-    assert np.abs(pre.W[0] - mf).max() < 1e-4
+    assert np.abs(pre.private[0] - mf).max() < 1e-4
 
 
 # ------------------------------------------- stacked design, bit for bit
@@ -186,7 +186,8 @@ def _looped_outer(groups):
 
 
 def _looped_inner(B, groups, config):
-    """The one-group-at-a-time inner design: (W, w_ic, w_oc)."""
+    """The one-group-at-a-time inner design: (W, w_ic, w_oc), W and w_ic in
+    the reduced space."""
     w_priv, w_ic = [], []
     w_oc = np.zeros(B[0].shape[0], dtype=complex)
     for b_g, h_g in zip(B, groups):
@@ -210,9 +211,10 @@ def _assert_stacked_design_matches_loops(groups, dominant=None):
     assert all(np.array_equal(x, y) for x, y in zip(got_b, want_b))
     want_w, want_ic, want_oc = _looped_inner(want_b, groups, cfg)
     got = compute_inner_precoders(got_b, groups, cfg)
-    assert len(got.W) == len(want_w) and len(got.w_ic) == len(want_ic)
-    assert all(np.array_equal(x, y) for x, y in zip(got.W, want_w))
-    assert all(np.array_equal(x, y) for x, y in zip(got.w_ic, want_ic))
+    assert len(got.private) == len(want_w) and len(got.inner) == len(want_ic)
+    # the lift to the full array, one group at a time
+    assert all(np.array_equal(x, b @ w) for x, b, w in zip(got.private, want_b, want_w))
+    assert all(np.array_equal(x, b @ w) for x, b, w in zip(got.inner, want_b, want_ic))
     assert np.array_equal(got.w_oc, want_oc)
     return ranks
 
@@ -264,12 +266,7 @@ def test_scalar_awgn_channel_rate():
     # single antenna, single user, unit channel, all power private
     h = np.ones((1, 1), dtype=complex)
     partition = Partition.universal(1)
-    pre = PrecoderSet(
-        (np.eye(1, dtype=complex),),
-        (np.ones((1, 1), dtype=complex),),
-        (np.ones(1, dtype=complex),),
-        np.ones(1, dtype=complex),
-    )
+    pre = PrecoderSet((np.ones((1, 1), dtype=complex),), (np.ones(1, dtype=complex),), np.ones(1, dtype=complex))
     tiny = 1e-12
     out = rate(h, partition, pre, [tiny], [tiny], 1.0)
     assert out.R_p == pytest.approx(1.0, abs=1e-9)
@@ -300,18 +297,19 @@ def test_two_orthogonal_users_hand_computed_private_rate():
 
 def test_sic_denominators_ordered(rng):
     # inner-common and private denominators never exceed the outer one
-    from hrscluster.hrs import _LinkGains
-
     channels = random_channelset(6, 5, seed=22)
     partition = Partition.from_blocks([[1, 2], [3, 4, 5]])
     cfg = HrsConfig(total_power=30.0)
     pre = _precoders_for(channels.H_hat, partition, cfg)
-    gains = _LinkGains(channels.H_true, partition, pre)
+    ht = channels.H_true.conj().T
+    common = np.abs(ht @ np.stack(pre.inner, axis=1)) ** 2  # (N, G)
+    private = np.abs(ht @ np.concatenate(pre.private, axis=1)) ** 2  # blocks are in user order here
     _, p_ic, p_priv = _one_split(0.25, 0.5, 30.0, partition)
     users = np.arange(5)
-    interference = p_ic @ gains.common.T + p_priv @ gains.private.T
-    self_ic = p_ic[gains.group_of_user] * gains.common[users, gains.group_of_user]
-    self_p = p_priv * gains.private[users, users]
+    group_of_user = partition.group_of_user()
+    interference = p_ic @ common.T + p_priv @ private.T
+    self_ic = p_ic[group_of_user] * common[users, group_of_user]
+    self_p = p_priv * private[users, users]
     assert np.all(self_ic >= -1e-12)
     assert np.all(self_p >= -1e-12)
     assert np.all(interference - self_ic - self_p >= -1e-12)
