@@ -51,6 +51,7 @@ from .hrs import (
     compute_inner_precoders,
     compute_outer_precoders,
     evaluate_partition,
+    evaluate_partitions,
     rate,
 )
 from .mlp import (

@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -71,6 +71,14 @@ class ScenarioConfig:
     num_shuffles: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            ):
+                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
         if self.users < 1 or self.antennas < 1:
             raise ConfigurationError("users and antennas must be positive")
         if self.samples < 1:

@@ -17,24 +17,27 @@ Power is controlled by two fractions alpha, beta in (0, 1]:
     p_ic,g = (1 - alpha) * beta * P / G      (inner common, per group)
     p_gk   = (1 - alpha) * (1 - beta) * P / (G * N_g)   (private, per user)
 
-so the three layers always sum to P. ``evaluate_partition(H_true, H_hat,
-partition, config)`` takes rates against the true channel H_true while every
+so the three layers always sum to P. ``evaluate_partitions(H_true, H_hat,
+partitions, config)`` takes rates against the true channel H_true while every
 precoder is designed from the (possibly imperfect) estimate H_hat; a
 brute-force sweep over an (alpha, beta) grid picks the best split per
-channel realization.
+candidate. ``evaluate_partition`` is its one-candidate call.
 
-Precoder design is batched: groups whose matrices share a shape go through
-one stacked LAPACK call (SVD, solve) and one stacked matmul per step, which
-give the one-group calls' results bit for bit. A search over many
-partitions of one draw passes a block -> basis dict, so no block's dominant
-SVD runs twice; the level sweep reads it from the dendrogram. At N = M = 12
-a draw then takes about 66 SVD calls (22 in the agglomeration, about 44 in
-the 12-level sweep) where one call per group took 253.
+Precoder design is batched over every group of every candidate partition of
+a draw: groups whose matrices share a shape go through one stacked LAPACK
+call (SVD, solve) and one stacked matmul per step, which give the one-group
+calls' results bit for bit. A search passes a block -> basis dict, so no
+block's dominant SVD runs twice; the level sweep reads it from the
+dendrogram. At N = M = 12 a draw then takes about 57 SVD calls (22 in the
+agglomeration, about 35 in the 12-level sweep), where one design pass per
+level took about 66 and one call per group 253.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -70,8 +73,8 @@ class HrsConfig:
     beta_grid: tuple[float, ...] = uniform_beta_grid()
 
     def __post_init__(self):
-        if self.total_power <= 0:
-            raise FeasibilityError("total power must be positive")
+        if not math.isfinite(self.total_power) or self.total_power <= 0:
+            raise FeasibilityError(f"total power must be finite and positive, got {self.total_power!r}")
         for name, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if not grid or any(not 0.0 < v <= 1.0 for v in grid):
                 raise FeasibilityError(f"{name} grid values must lie in (0, 1]")
@@ -141,9 +144,10 @@ def _dominant_bases(H_hat_grouped) -> list[np.ndarray]:
     return out
 
 
-def compute_outer_precoders(H_hat_grouped, dominant=None) -> list[np.ndarray]:
+def compute_outer_precoders(grouped, dominant=None) -> list[list[np.ndarray]]:
     """Per-group semi-unitary (M, d) precoders, d = floor(M / G), that null
-    the other groups' dominant channel directions.
+    the other groups' dominant channel directions, for every candidate
+    partition in ``grouped`` (one list of group channels per candidate).
 
     For group g the d dominant left singular vectors of every other group's
     estimated channel are stacked; B_g holds the d dominant directions of
@@ -153,67 +157,83 @@ def compute_outer_precoders(H_hat_grouped, dominant=None) -> list[np.ndarray]:
     needs no nulling and uses the (M, M) identity. More groups than antennas
     raise FeasibilityError.
 
-    ``dominant`` may give each group's left singular vectors (as from
-    ``_dominant_bases``, or the bases an agglomeration cached); otherwise
-    they are computed here. The complement SVDs run as one stacked call per
-    stack shape and the reduced SVDs as one per (complement width, N_g),
-    since a rank-deficient stack widens its complement.
+    ``dominant`` may give each candidate's per-group left singular vectors
+    (as from ``_dominant_bases``, or the bases an agglomeration cached; None
+    for a one-group candidate); otherwise they are computed here. Across all
+    candidates the complement SVDs run as one stacked call per stack shape
+    and the reduced SVDs as one per (complement width, N_g, d), since a
+    rank-deficient stack widens its complement.
     """
-    groups = [np.asarray(h) for h in H_hat_grouped]
-    m = groups[0].shape[0]
-    if any(h.shape[0] != m for h in groups):
-        raise FeasibilityError("grouped channels disagree on antenna count")
-    if any(h.shape[1] < 1 for h in groups):
-        raise FeasibilityError("every group must contain at least one user")
-    g_count = len(groups)
-    if g_count > m:
-        raise FeasibilityError(f"G={g_count} groups exceed what M={m} antennas can separate")
-    if g_count == 1:
-        return [np.eye(m, dtype=complex)]
-
-    d = m // g_count
+    grouped = [[np.asarray(h) for h in groups] for groups in grouped]
+    for groups in grouped:
+        m = groups[0].shape[0]
+        if any(h.shape[0] != m for h in groups):
+            raise FeasibilityError("grouped channels disagree on antenna count")
+        if any(h.shape[1] < 1 for h in groups):
+            raise FeasibilityError("every group must contain at least one user")
+        if len(groups) > m:
+            raise FeasibilityError(f"G={len(groups)} groups exceed what M={m} antennas can separate")
     if dominant is None:
-        dominant = _dominant_bases(groups)
-    dominant = [u[:, :d] for u in dominant]
-    widths = [u.shape[1] for u in dominant]
-    every = np.concatenate(dominant, axis=1)
-    owner = np.repeat(np.arange(g_count), widths)
-    u_full: list = [None] * g_count
-    # group g's stack is every other group's dominant columns, in group order
-    for members in _classes(widths).values():
-        cols = np.nonzero(owner != np.array(members)[:, None])[1].reshape(len(members), -1)
-        u, s, _ = np.linalg.svd(every[:, cols].transpose(1, 0, 2), full_matrices=True)
+        flat = iter(_dominant_bases([h for groups in grouped if len(groups) > 1 for h in groups]))
+        dominant = [[next(flat) for _ in groups] if len(groups) > 1 else None for groups in grouped]
+
+    outer = [[None] * len(groups) for groups in grouped]
+    stacks: dict = {}  # stack width -> ((candidate, group, d) triples, (K, M, width) stacks)
+    for c, groups in enumerate(grouped):
+        m, g_count = groups[0].shape[0], len(groups)
+        if g_count == 1:
+            outer[c][0] = np.eye(m, dtype=complex)
+            continue
+        d = m // g_count
+        bases = [u[:, :d] for u in dominant[c]]
+        widths = [u.shape[1] for u in bases]
+        every = np.concatenate(bases, axis=1)
+        owner = np.repeat(np.arange(g_count), widths)
+        # group g's stack is every other group's dominant columns, in group order
+        for members in _classes(widths).values():
+            cols = np.nonzero(owner != np.array(members)[:, None])[1].reshape(len(members), -1)
+            owners, arrays = stacks.setdefault(cols.shape[1], ([], []))
+            owners += [(c, g, d) for g in members]
+            arrays.append(every[:, cols].transpose(1, 0, 2))
+    triples, complements = [], []
+    for owners, arrays in stacks.values():
+        u, s, _ = np.linalg.svd(arrays[0] if len(arrays) == 1 else np.concatenate(arrays), full_matrices=True)
         ranks = np.sum(s > s[:, :1] * RANK_TOL_REL, axis=1)
-        for g, u_g, rank in zip(members, u, ranks):
-            u_full[g] = u_g[:, rank:]  # orthonormal complement of the stack
-    outer: list = [None] * g_count
-    for members in _classes((u.shape[1], h.shape[1]) for u, h in zip(u_full, groups)).values():
-        basis = _stacked(u_full, members)
-        u_r = np.linalg.svd(basis.conj().transpose(0, 2, 1) @ _stacked(groups, members), full_matrices=True)[0]
-        for g, b_g in zip(members, basis @ u_r[:, :, :d]):
-            outer[g] = b_g
+        triples += owners
+        complements += [u_g[:, rank:] for u_g, rank in zip(u, ranks)]  # orthonormal complement of the stack
+    channels = [grouped[c][g] for c, g, _ in triples]
+    shapes = [(u.shape[1], h.shape[1], t[2]) for u, h, t in zip(complements, channels, triples)]
+    for (_, _, d), members in _classes(shapes).items():
+        basis = _stacked(complements, members)
+        u_r = np.linalg.svd(basis.conj().transpose(0, 2, 1) @ _stacked(channels, members), full_matrices=True)[0]
+        for k, b_g in zip(members, basis @ u_r[:, :, :d]):
+            c, g, _ = triples[k]
+            outer[c][g] = b_g
     return outer
 
 
-def compute_inner_precoders(B, H_hat_grouped, config: HrsConfig) -> PrecoderSet:
+def compute_inner_precoders(B, grouped, config: HrsConfig) -> list[PrecoderSet]:
     """Private RZF columns plus the two matched-beamforming common precoders,
-    lifted to the full array.
+    lifted to the full array, for every candidate partition: ``B`` and
+    ``grouped`` hold one list of outer precoders and one of group channels
+    per candidate.
 
     Inside each reduced space the private precoder is
     (H_eff H_eff^H + eps I)^-1 H_eff with eps = N_g / P, each column
     renormalized to unit norm so the per-user power split is exact. The
     inner common vector is the normalized sum of a group's private columns;
     the outer common vector is the normalized sum of every user's effective
-    channel lifted back to the full array. Groups of one size share each
-    product, solve, norm and lift as one stacked call.
+    channel lifted back to the full array, summed in group order. Groups of
+    one (B_g, H_g) shape, across all candidates, share each product, solve,
+    norm and lift as one stacked call.
     """
-    B = tuple(np.asarray(x) for x in B)
-    groups = [np.asarray(h) for h in H_hat_grouped]
-    g_count = len(groups)
-    private, inner, lifted = [None] * g_count, [None] * g_count, [None] * g_count
-    for members in _classes((b.shape, h.shape) for b, h in zip(B, groups)).values():
-        b = _stacked(B, members)
-        h_eff = b.conj().transpose(0, 2, 1) @ _stacked(groups, members)  # (K, d, N_g)
+    sizes = [len(groups) for groups in grouped]
+    flat_b = [np.asarray(b) for bs in B for b in bs]
+    flat_h = [np.asarray(h) for groups in grouped for h in groups]
+    private, inner, lifted = [None] * len(flat_h), [None] * len(flat_h), [None] * len(flat_h)
+    for members in _classes((b.shape, h.shape) for b, h in zip(flat_b, flat_h)).values():
+        b = _stacked(flat_b, members)
+        h_eff = b.conj().transpose(0, 2, 1) @ _stacked(flat_h, members)  # (K, d, N_g)
         eps = h_eff.shape[2] / config.total_power
         gram = h_eff @ h_eff.conj().transpose(0, 2, 1) + eps * np.eye(h_eff.shape[1])
         w = np.linalg.solve(gram, h_eff)
@@ -229,15 +249,20 @@ def compute_inner_precoders(B, H_hat_grouped, config: HrsConfig) -> PrecoderSet:
                 raise NumericalConsistencyError("inner-common combination vanished")
             combined /= combined_norm
         beams, ic_beams, lifts = b @ w, b @ w_ic[..., None], (b @ h_eff).sum(axis=2)
-        for k, g in enumerate(members):
-            private[g], inner[g], lifted[g] = beams[k], ic_beams[k, :, 0], lifts[k]
-    w_oc = np.zeros(B[0].shape[0], dtype=complex)
-    for v in lifted:  # in group order
-        w_oc += v
-    oc_norm = np.linalg.norm(w_oc)
-    if oc_norm == 0.0:
-        raise NumericalConsistencyError("outer-common combination vanished")
-    return PrecoderSet(tuple(private), tuple(inner), w_oc / oc_norm)
+        for k, i in enumerate(members):
+            private[i], inner[i], lifted[i] = beams[k], ic_beams[k, :, 0], lifts[k]
+    out, start = [], 0
+    for size in sizes:
+        stop = start + size
+        w_oc = np.zeros(flat_b[start].shape[0], dtype=complex)
+        for v in lifted[start:stop]:  # in group order
+            w_oc += v
+        oc_norm = np.linalg.norm(w_oc)
+        if oc_norm == 0.0:
+            raise NumericalConsistencyError("outer-common combination vanished")
+        out.append(PrecoderSet(tuple(private[start:stop]), tuple(inner[start:stop]), w_oc / oc_norm))
+        start = stop
+    return out
 
 
 def rate(
@@ -290,38 +315,58 @@ def rate(
     )
 
 
-def evaluate_partition(
-    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig, bases=None
-) -> RateBreakdown:
-    """Best achievable rate for one partition over the (alpha, beta) grid.
+@cache
+def _power_grid(alphas: tuple, betas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every (alpha, beta) pair as two read-only (K,) arrays, alpha-major, so
+    the first maximizer is the smallest alpha, then beta."""
+    alpha, beta = np.repeat(alphas, len(betas)), np.tile(betas, len(alphas))
+    alpha.flags.writeable = beta.flags.writeable = False
+    return alpha, beta
 
-    Both matrices are (M, N). Precoders are designed once from the estimate
-    H_hat with d = floor(M / G) dimensions per group and rates are taken
-    against H_true; the grid sweep only rescales powers. A partition with
-    more groups than antennas (G > M) cannot be served and returns a zero,
+
+def evaluate_partitions(
+    H_true: np.ndarray, H_hat: np.ndarray, partitions, config: HrsConfig, bases=None
+) -> list[RateBreakdown]:
+    """Best achievable rate of each candidate partition of one draw over the
+    (alpha, beta) grid.
+
+    Both matrices are (M, N). Precoders are designed from the estimate H_hat
+    with d = floor(M / G) dimensions per group and rates are taken against
+    H_true; the grid sweep only rescales powers. A partition with more
+    groups than antennas (G > M) cannot be served and gets a zero,
     infeasible breakdown. A single group never benefits from the outer
     common layer, so alpha is pinned at the grid minimum there.
 
-    ``bases`` is an optional block -> thin-SVD basis dict of H_hat's column
-    blocks, shared by the partitions of one search: blocks found there are
-    not decomposed again, and missing ones are added.
+    Every candidate is designed in one pass: the blocks' dominant SVDs, the
+    outer and the inner design each run as stacked calls over all the
+    candidates' groups, and only ``rate`` runs once per candidate. ``bases``
+    is an optional block -> thin-SVD basis dict of H_hat's column blocks
+    (the dendrogram's); blocks found there are not decomposed again.
     """
-    g_count = partition.num_groups
-    if g_count > H_hat.shape[0]:
-        return RateBreakdown.infeasible()
+    partitions = list(partitions)
+    feasible = [p for p in partitions if p.num_groups <= H_hat.shape[0]]
+    columns = {block: H_hat[:, np.asarray(block, dtype=int) - 1] for p in feasible for block in p.blocks}
+    grouped = [[columns[block] for block in p.blocks] for p in feasible]
+    bases = dict(bases or {})
+    missing = list(dict.fromkeys(b for p in feasible if p.num_groups > 1 for b in p.blocks if b not in bases))
+    bases.update(zip(missing, _dominant_bases([columns[block] for block in missing])))
+    dominant = [[bases[b] for b in p.blocks] if p.num_groups > 1 else None for p in feasible]
+    precoders = iter(compute_inner_precoders(compute_outer_precoders(grouped, dominant), grouped, config))
+    single = (min(config.alpha_grid),)
+    return [
+        rate(
+            H_true, p, next(precoders),
+            *_power_grid(tuple(config.alpha_grid) if p.num_groups > 1 else single, tuple(config.beta_grid)),
+            config.total_power,
+        )
+        if p.num_groups <= H_hat.shape[0]
+        else RateBreakdown.infeasible()
+        for p in partitions
+    ]
 
-    grouped = [H_hat[:, partition.block_columns(g)] for g in range(g_count)]
-    dominant = None
-    if bases is not None and g_count > 1:
-        missing = [g for g, block in enumerate(partition.blocks) if block not in bases]
-        for g, u in zip(missing, _dominant_bases([grouped[g] for g in missing])):
-            bases[partition.blocks[g]] = u
-        dominant = [bases[block] for block in partition.blocks]
-    outer = compute_outer_precoders(grouped, dominant)
-    precoders = compute_inner_precoders(outer, grouped, config)
 
-    alphas = (min(config.alpha_grid),) if g_count == 1 else config.alpha_grid
-    betas = config.beta_grid
-    # alpha-major, so the first maximizer is the smallest alpha, then beta
-    alpha, beta = np.repeat(alphas, len(betas)), np.tile(betas, len(alphas))
-    return rate(H_true, partition, precoders, alpha, beta, config.total_power)
+def evaluate_partition(
+    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig, bases=None
+) -> RateBreakdown:
+    """``evaluate_partitions`` of a single candidate."""
+    return evaluate_partitions(H_true, H_hat, [partition], config, bases)[0]

@@ -72,10 +72,11 @@ class Partition:
 
     def group_of_user(self) -> np.ndarray:
         """Array mapping 0-based user column to its block index."""
-        out = np.empty(self.num_users, dtype=int)
+        out = [0] * self.num_users
         for g, block in enumerate(self.blocks):
-            out[np.asarray(block) - 1] = g
-        return out
+            for u in block:  # a Python loop: one numpy call per block costs more
+                out[u - 1] = g
+        return np.array(out)
 
     def relabeled(self, perm: np.ndarray) -> "Partition":
         """Partition after renaming user ``u`` to ``perm[u-1] + 1``."""

@@ -96,8 +96,8 @@ def test_criterion_1_numerical_invariants():
         sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         m = 8
         groups = [_complex(rng, (m, s)) for s in sizes]
-        b = compute_outer_precoders(groups)
-        pre = compute_inner_precoders(b, groups, cfg)
+        (b,) = compute_outer_precoders([groups])
+        (pre,) = compute_inner_precoders([b], [groups], cfg)
         for w in pre.private:
             for norm in np.linalg.norm(w, axis=0):
                 assert abs(norm - 1.0) <= 1e-9

@@ -99,6 +99,12 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"seed": -3}, id="negative-seed"),
         pytest.param({"num_covs": 0}, id="no-covariances"),
         pytest.param({"azimuths": [0.0, "north", 1.0, 2.0]}, id="non-numeric-azimuth"),
+        pytest.param({"seed": 1.5}, id="fractional-seed"),
+        pytest.param({"num_beta": 2.5}, id="fractional-num-beta"),
+        pytest.param({"integration_points": 100.5}, id="fractional-integration-points"),
+        pytest.param({"samples": True}, id="boolean-samples"),
+        pytest.param({"spread": "x"}, id="non-numeric-spread"),
+        pytest.param({"total_power": None}, id="null-power"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, bad_keys):
@@ -117,6 +123,15 @@ def test_negative_seed_flag_exits_2(workdir, tmp_path, capsys, command):
     rc = cli.run(["--seed", "-1", command, source[0], str(workdir / source[1]), "--out", str(out)])
     assert rc == 2
     assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("power", ["nan", "inf"])
+def test_non_finite_power_flag_exits_2(workdir, tmp_path, capsys, power):
+    out = tmp_path / "out"
+    rc = cli.run(["--power", power, "gen-dataset", "--config", str(workdir / "cfg.json"), "--out", str(out)])
+    assert rc == 2
+    assert "error: total_power must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

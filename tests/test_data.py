@@ -55,6 +55,33 @@ def test_alpha_beta_grids():
     assert len(hrs.beta_grid) == 10
 
 
+INT_FIELDS = (
+    "users", "antennas", "samples", "seed", "num_covs", "integration_points",
+    "num_alpha", "num_beta", "min_class_samples", "max_class_samples", "num_shuffles",
+)
+FLOAT_FIELDS = ("tau_sq", "total_power", "spread", "rate_floor_frac")
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True, None])
+def test_config_rejects_non_integer_fields(name, value):
+    raw = {"users": 4, "antennas": 8, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        data.ScenarioConfig(**raw)
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5", False, None])
+def test_config_rejects_non_finite_float_fields(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be a finite number"):
+        data.ScenarioConfig(users=4, antennas=8, **{name: value})
+
+
+def test_config_accepts_integers_in_float_fields():
+    cfg = data.ScenarioConfig(users=4, antennas=8, total_power=50, spread=1, tau_sq=0, rate_floor_frac=1)
+    assert cfg.hrs_config().total_power == 50
+
+
 # ----------------------------------------------------------------- generation
 
 
@@ -214,8 +241,45 @@ N6M12 = (
 )
 
 
+# Same draws at (8, 4), recorded before the level sweep designed every level
+# in one set of stacked calls; the dendrogram's finest levels have G > M and
+# are infeasible.
+N8M4 = (
+    ('1,2,3,4,7,8|5,6', 6.0961731202583325),
+    ('1,2,4,6,8|3,5,7', 5.61150800257421),
+    ('1,2,3,4,5,6,7,8', 4.214666249859253),
+    ('1,2,3,4,5,6,7|8', 5.804941209243212),
+    ('1,2,3,4,5,6,7,8', 5.1538356835001),
+    ('1,2,3,4,5,6,7,8', 3.519485748773967),
+    ('1,4,6,7|2|3,5,8', 6.955278887046975),
+    ('1|2,3,4,5,6,7,8', 6.251444497646356),
+    ('1,4,5,6,7|2,3,8', 4.259657538276727),
+    ('1,2,3,4,5,6,7,8', 6.445681217224091),
+    ('1,2,3,4,5,8|6,7', 6.263993659906266),
+    ('1,2,4,5,6,7|3,8', 5.5288423540469935),
+    ('1,2,3,4,5,6,7,8', 5.544620320193194),
+    ('1,3,4,5,6,7|2,8', 6.676370474073779),
+    ('1,2,3,4,5,6,7|8', 7.765991479225339),
+    ('1,4,5|2,3,7|6|8', 6.527812537839663),
+    ('1,3,7|2,4|5,6|8', 6.446216640154313),
+    ('1,3,7|2,5,8|4|6', 4.562516018689289),
+    ('1|2|3,4,6,7,8|5', 6.766758735417526),
+    ('1,2,3,4,5,6,7,8', 6.8115626868482835),
+    ('1,6,7,8|2,3,5|4', 7.940118697945851),
+    ('1,2,3,4,5,6,7,8', 5.271749484922566),
+    ('1,2,3,4,5,6,7,8', 4.610447260507683),
+    ('1,4,6|2,3,5,7,8', 6.797766214169346),
+    ('1,4,6|2,3,7|5|8', 6.201187477755425),
+    ('1,2,3,4,5,7,8|6', 6.655473906158362),
+    ('1,2,3,4,5,6,7,8', 6.127020262406439),
+    ('1,4,6|2,5|3,7|8', 7.404381954282578),
+    ('1,2,3,4,5,6,7,8', 5.6635545031949555),
+    ('1,3,4,5,6,7|2,8', 5.376657085167546),
+)
+
+
 @pytest.mark.parametrize(
-    "users, antennas, recorded", [(8, 8, N8M8), (12, 12, N12M12), (12, 16, N12M16), (6, 12, N6M12)]
+    "users, antennas, recorded", [(8, 8, N8M8), (12, 12, N12M12), (12, 16, N12M16), (6, 12, N6M12), (8, 4, N8M4)]
 )
 def test_labels_match_recorded_values(users, antennas, recorded):
     # a fast path must leave the labels as they were; rates may move by rounding only

@@ -3,16 +3,18 @@ import pytest
 from scipy.linalg import null_space
 
 from conftest import random_channelset
-from hrscluster import data
-from hrscluster.clustering import agglomerate
+from hrscluster import data, hrs
+from hrscluster.clustering import agglomerate, best_partition, exhaustive_best
 from hrscluster.errors import FeasibilityError
 from hrscluster.hrs import (
     RANK_TOL_REL,
     HrsConfig,
     PrecoderSet,
+    RateBreakdown,
     compute_inner_precoders,
     compute_outer_precoders,
     evaluate_partition,
+    evaluate_partitions,
     rate,
     split_power,
 )
@@ -66,7 +68,7 @@ def test_config_rejects_out_of_domain_power():
         for grid in ((0.5, 0.0), (0.5, 1.2), (-0.1,), ()):
             with pytest.raises(FeasibilityError, match=f"{name} grid"):
                 HrsConfig(**{f"{name}_grid": grid})
-    for power in (0.0, -1.0):
+    for power in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(FeasibilityError, match="total power"):
             HrsConfig(total_power=power)
     HrsConfig(total_power=1e-9, alpha_grid=(1.0,), beta_grid=(1.0,))  # the domain is (0, 1]
@@ -77,7 +79,7 @@ def test_config_rejects_out_of_domain_power():
 
 def test_single_group_uses_identity_columns():
     h = complex_gaussian(np.random.default_rng(0), (4, 3))
-    (b1,) = compute_outer_precoders([h])
+    ((b1,),) = compute_outer_precoders([[h]])
     assert np.allclose(b1, np.eye(4))
 
 
@@ -85,7 +87,7 @@ def test_fully_orthogonal_groups_are_nulled_exactly():
     # group channels live on disjoint identity columns
     h1 = np.eye(4, dtype=complex)[:, :2]
     h2 = np.eye(4, dtype=complex)[:, 2:]
-    b = compute_outer_precoders([h1, h2])
+    (b,) = compute_outer_precoders([[h1, h2]])
     assert np.abs(b[0].conj().T @ h2).max() < 1e-8
     assert np.abs(b[1].conj().T @ h1).max() < 1e-8
     # own group passes through untouched by the projection
@@ -99,7 +101,7 @@ def test_outer_precoder_nulls_dominant_directions_of_other_group(rng):
     for trial in range(10):
         h1 = complex_gaussian(rng, (m, 3))
         h2 = complex_gaussian(rng, (m, 4))
-        b = compute_outer_precoders([h1, h2])  # d = 8 // 2 = 4
+        (b,) = compute_outer_precoders([[h1, h2]])  # d = 8 // 2 = 4
         for g, other in ((0, h2), (1, h1)):
             u, _, _ = np.linalg.svd(other, full_matrices=False)
             dominant = u[:, :4]
@@ -112,7 +114,7 @@ def test_outer_precoder_nulls_dominant_directions_of_other_group(rng):
 
 def test_outer_precoders_are_semi_unitary(rng):
     h = [complex_gaussian(rng, (8, 2)) for _ in range(3)]
-    for b in compute_outer_precoders(h):
+    for b in compute_outer_precoders([h])[0]:
         gram = b.conj().T @ b
         assert np.abs(gram - np.eye(b.shape[1])).max() < 1e-8
 
@@ -120,12 +122,12 @@ def test_outer_precoders_are_semi_unitary(rng):
 def test_feasibility_rules():
     # more groups than antennas: floor(M/G) = 0
     with pytest.raises(FeasibilityError, match="exceed"):
-        compute_outer_precoders([np.ones((4, 1))] * 8)
+        compute_outer_precoders([[np.ones((4, 1))] * 8])
     # a group without users
     with pytest.raises(FeasibilityError, match="at least one user"):
-        compute_outer_precoders([np.ones((4, 1)), np.zeros((4, 0))])
+        compute_outer_precoders([[np.ones((4, 1)), np.zeros((4, 0))]])
     with pytest.raises(FeasibilityError, match="antenna count"):
-        compute_outer_precoders([np.ones((4, 1)), np.ones((3, 1))])
+        compute_outer_precoders([[np.ones((4, 1)), np.ones((3, 1))]])
 
 
 # ------------------------------------------------------------ inner precoders
@@ -135,7 +137,7 @@ def test_single_user_rzf_is_matched_filter():
     cfg = HrsConfig(total_power=2.0)
     b = [np.eye(2, dtype=complex)]
     h = [np.array([[1.0], [0.0]], dtype=complex)]
-    pre = compute_inner_precoders(b, h, cfg)
+    (pre,) = compute_inner_precoders([b], [h], cfg)
     assert np.allclose(pre.private[0][:, 0], [1.0, 0.0])
     assert np.allclose(pre.inner[0], [1.0, 0.0])
     assert np.allclose(pre.w_oc, [1.0, 0.0])
@@ -145,8 +147,8 @@ def test_all_precoders_unit_norm(rng):
     cfg = HrsConfig(total_power=50.0)
     for _ in range(20):
         groups = [complex_gaussian(rng, (8, k)) for k in (2, 3)]
-        b = compute_outer_precoders(groups)
-        pre = compute_inner_precoders(b, groups, cfg)
+        (b,) = compute_outer_precoders([groups])
+        (pre,) = compute_inner_precoders([b], [groups], cfg)
         for w in pre.private:
             assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-9
         for w in pre.inner:
@@ -158,7 +160,7 @@ def test_large_regularization_approaches_matched_filter(rng):
     cfg = HrsConfig(total_power=3e-6)  # eps = N_g / P = 3 / 3e-6 = 1e6
     h = [complex_gaussian(rng, (4, 3))]
     b = [np.eye(4, dtype=complex)]
-    pre = compute_inner_precoders(b, h, cfg)
+    (pre,) = compute_inner_precoders([b], [h], cfg)
     mf = h[0] / np.linalg.norm(h[0], axis=0)
     assert np.abs(pre.private[0] - mf).max() < 1e-4
 
@@ -206,11 +208,11 @@ def _looped_inner(B, groups, config):
 def _assert_stacked_design_matches_loops(groups, dominant=None):
     cfg = HrsConfig()
     want_b, ranks = _looped_outer(groups)
-    got_b = compute_outer_precoders(groups, dominant)
+    (got_b,) = compute_outer_precoders([groups], None if dominant is None else [dominant])
     assert len(got_b) == len(want_b)
     assert all(np.array_equal(x, y) for x, y in zip(got_b, want_b))
     want_w, want_ic, want_oc = _looped_inner(want_b, groups, cfg)
-    got = compute_inner_precoders(got_b, groups, cfg)
+    (got,) = compute_inner_precoders([got_b], [groups], cfg)
     assert len(got.private) == len(want_w) and len(got.inner) == len(want_ic)
     # the lift to the full array, one group at a time
     assert all(np.array_equal(x, b @ w) for x, b, w in zip(got.private, want_b, want_w))
@@ -253,13 +255,63 @@ def test_stacked_design_matches_group_loops_with_unequal_complement_ranks():
     assert _assert_stacked_design_matches_loops(groups) == [2, 2, 1]
 
 
+# ------------------------------------------- every candidate in one pass
+
+
+def _assert_same_breakdowns(got, want):
+    # field by field and bit for bit; an infeasible breakdown's NaN equals NaN
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        for name in RateBreakdown.__dataclass_fields__:
+            a, b = getattr(x, name), getattr(y, name)
+            assert a == b or (np.isnan(a) and np.isnan(b)), (name, a, b)
+
+
+def test_stacked_candidates_match_one_at_a_time_on_every_small_partition():
+    cfg = HrsConfig()
+    for m in (1, 2, 3, 4, 5, 6, 8):
+        for n in range(1, 7):
+            channels = random_channelset(m, n, seed=100 * m + n, tau=0.3)
+            partitions = enumerate_partitions(n)
+            got = evaluate_partitions(channels.H_true, channels.H_hat, partitions, cfg)
+            want = [evaluate_partition(channels.H_true, channels.H_hat, p, cfg) for p in partitions]
+            _assert_same_breakdowns(got, want)
+
+
+@pytest.mark.parametrize("users, antennas", [(12, 12), (12, 16), (8, 4)])
+def test_stacked_candidates_match_one_at_a_time_on_dendrogram_levels(users, antennas):
+    # the level sweep's path, on the dendrogram's bases, against fresh SVDs
+    cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=10, seed=3)
+    calib, hrs_cfg = cfg.calibration(), cfg.hrs_config()
+    infeasible = 0
+    for s in data.generate_samples(cfg):
+        dendrogram = agglomerate(s.H_hat, calib)
+        got = evaluate_partitions(s.H_true, s.H_hat, dendrogram.levels, hrs_cfg, dendrogram.bases)
+        want = [evaluate_partition(s.H_true, s.H_hat, p, hrs_cfg) for p in dendrogram.levels]
+        _assert_same_breakdowns(got, want)
+        infeasible += sum(not r.feasible for r in got)
+    assert (infeasible > 0) == (users > antennas)
+
+
+def test_searches_design_every_candidate_in_one_pass(monkeypatch):
+    cfg = data.ScenarioConfig(users=6, antennas=4, samples=1, seed=3)
+    (s,) = data.generate_samples(cfg)
+    calls = []
+    for name in ("compute_outer_precoders", "compute_inner_precoders"):
+        original = getattr(hrs, name)
+        monkeypatch.setattr(hrs, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    best_partition(s.H_true, s.H_hat, agglomerate(s.H_hat, cfg.calibration()), cfg.hrs_config())
+    exhaustive_best(s.H_true, s.H_hat, cfg.hrs_config())
+    assert calls == ["compute_outer_precoders", "compute_inner_precoders"] * 2
+
+
 # ------------------------------------------------------------------ SINR/rate
 
 
 def _precoders_for(H_hat, partition, cfg):
     groups = [H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
-    b = compute_outer_precoders(groups)
-    return compute_inner_precoders(b, groups, cfg)
+    (b,) = compute_outer_precoders([groups])
+    return compute_inner_precoders([b], [groups], cfg)[0]
 
 
 def test_scalar_awgn_channel_rate():
@@ -342,11 +394,11 @@ def test_feasibility_table():
                 assert out.feasible == (g_count <= m)
                 groups = [channels.H_hat[:, partition.block_columns(g)] for g in range(g_count)]
                 if out.feasible:
-                    outer = compute_outer_precoders(groups)
+                    (outer,) = compute_outer_precoders([groups])
                     assert [b.shape for b in outer] == [(m, m // g_count)] * g_count
                 else:
                     with pytest.raises(FeasibilityError, match="exceed"):
-                        compute_outer_precoders(groups)
+                        compute_outer_precoders([groups])
 
 
 def test_singleton_partition_infeasible_when_users_exceed_antennas():
