@@ -63,7 +63,7 @@ from .mlp import (
     adam_step,
     backward,
     evaluate_topk,
-    featurize,
+    featurize_all,
     forward,
     load_model,
     loss,

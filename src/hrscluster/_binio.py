@@ -32,7 +32,8 @@ def write_container(path, magic: bytes, header: dict, blob: bytes) -> None:
     Path(path).write_bytes(body + struct.pack(_CRC_FMT, crc))
 
 
-def read_container(path, magic: bytes) -> tuple[dict, bytes]:
+def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
+    """Header and blob of a container; the blob is a view of the file's bytes."""
     raw = Path(path).read_bytes()
     min_len = MAGIC_LEN + struct.calcsize(_LEN_FMT) + struct.calcsize(_CRC_FMT)
     if len(raw) < min_len:
@@ -42,7 +43,7 @@ def read_container(path, magic: bytes) -> tuple[dict, bytes]:
             f"{path}: bad magic {raw[:MAGIC_LEN]!r}, expected {magic!r}"
         )
     stored_crc = struct.unpack(_CRC_FMT, raw[-4:])[0]
-    body = raw[:-4]
+    body = memoryview(raw)[:-4]
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise DataFormatError(f"{path}: CRC mismatch, file is corrupted")
     (header_len,) = struct.unpack(
@@ -52,7 +53,7 @@ def read_container(path, magic: bytes) -> tuple[dict, bytes]:
     if header_start + header_len > len(body):
         raise DataFormatError(f"{path}: header length exceeds file size")
     try:
-        header = json.loads(body[header_start : header_start + header_len].decode("utf-8"))
+        header = json.loads(bytes(body[header_start : header_start + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable header ({exc})") from exc
     return header, body[header_start + header_len :]

@@ -13,12 +13,13 @@ inside the same subspace:
     h_hat = U diag(sqrt(lambda)) (sqrt(1 - tau^2) g + tau z)
 
 tau = 0 reproduces the true channel bit for bit; tau = 1 keeps only the
-second-order statistics.
+second-order statistics. A covariance keeps only R and its eigenpairs, not
+the sector it was integrated over; a channel set does not record its tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ HERMITIAN_TOL = 1e-10
 class ArrayGeometry:
     """Antenna element positions, in wavelengths, on a circle at the origin."""
 
-    num_elements: int
     element_positions: np.ndarray  # (M, 2)
 
     @staticmethod
@@ -53,7 +53,7 @@ class ArrayGeometry:
             angles = 2.0 * np.pi * np.arange(m) / m
             pos = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         pos.setflags(write=False)
-        return ArrayGeometry(m, pos)
+        return ArrayGeometry(pos)
 
     def steering(self, phi) -> np.ndarray:
         """Steering vector(s) exp(j 2 pi <p_m, u(phi)>) for azimuth(s) phi."""
@@ -74,11 +74,9 @@ class CovarianceMatrix:
     R: np.ndarray
     U: np.ndarray
     Lambda: np.ndarray
-    azimuth: float
-    spread: float
 
     @staticmethod
-    def from_matrix(R: np.ndarray, azimuth: float = 0.0, spread: float = 0.0) -> "CovarianceMatrix":
+    def from_matrix(R: np.ndarray) -> "CovarianceMatrix":
         R = np.asarray(R, dtype=complex)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ConfigurationError(f"covariance must be square, got {R.shape}")
@@ -101,7 +99,7 @@ class CovarianceMatrix:
         np.clip(eigvals, 0.0, None, out=eigvals)
         for a in (R, eigvecs, eigvals):
             a.setflags(write=False)
-        return CovarianceMatrix(R, eigvecs, eigvals, float(azimuth), float(spread))
+        return CovarianceMatrix(R, eigvecs, eigvals)
 
     @property
     def num_antennas(self) -> int:
@@ -123,7 +121,6 @@ class ChannelSet:
     H_true: np.ndarray
     H_hat: np.ndarray
     cov_assignment: tuple[int, ...]
-    tau: float
     innovations: np.ndarray = field(repr=False)
     covariances: tuple[CovarianceMatrix, ...] = field(repr=False)
 
@@ -148,7 +145,7 @@ def build_covariance(
     phis = azimuth - spread + (np.arange(n) + 0.5) * step
     A = geometry.steering(phis)  # (M, n)
     R = (A @ A.conj().T) / n
-    return CovarianceMatrix.from_matrix(R, azimuth, spread)
+    return CovarianceMatrix.from_matrix(R)
 
 
 def sample_channels(
@@ -172,7 +169,7 @@ def sample_channels(
     rng = np.random.default_rng(rng_seed)
     g = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
     h = _color(covs, assignment, g)
-    return ChannelSet(h, h, assignment, 0.0, g, covs)
+    return ChannelSet(h, h, assignment, g, covs)
 
 
 def corrupt_csi(channels: ChannelSet, tau: float, rng_seed: int) -> ChannelSet:
@@ -189,14 +186,7 @@ def corrupt_csi(channels: ChannelSet, tau: float, rng_seed: int) -> ChannelSet:
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     g_hat = np.sqrt(1.0 - tau**2) * channels.innovations + tau * z
     h_hat = _color(channels.covariances, channels.cov_assignment, g_hat)
-    return ChannelSet(
-        channels.H_true,
-        h_hat,
-        channels.cov_assignment,
-        tau,
-        channels.innovations,
-        channels.covariances,
-    )
+    return replace(channels, H_hat=h_hat)
 
 
 def _color(covs, assignment, g: np.ndarray) -> np.ndarray:

@@ -59,11 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> data.ScenarioConfig:
-    cfg = data.ScenarioConfig.from_file(args.config)
-    return _apply_overrides(cfg, args)
-
-
 def _apply_overrides(cfg: data.ScenarioConfig, args) -> data.ScenarioConfig:
     updates = {}
     if args.seed is not None:
@@ -74,8 +69,8 @@ def _apply_overrides(cfg: data.ScenarioConfig, args) -> data.ScenarioConfig:
 
 
 def _cmd_gen_dataset(args) -> int:
-    cfg = _load_config(args)
-    dataset = data.build_dataset(cfg, threads=max(args.threads, 1))
+    cfg = _apply_overrides(data.ScenarioConfig.from_file(args.config), args)
+    dataset = data.build_dataset(cfg, threads=args.threads)
     data.serialize(dataset, args.out)
     if args.csv:
         data.export_labels_csv(dataset, args.csv)
@@ -125,7 +120,7 @@ def _cmd_sweep(args) -> int:
         cfg = _apply_overrides(data.ScenarioConfig.from_file(cfg_path), args)
         scdir = out_root / cfg.name
         scdir.mkdir(parents=True, exist_ok=True)
-        dataset = data.build_dataset(cfg, threads=max(args.threads, 1))
+        dataset = data.build_dataset(cfg, threads=args.threads)
         data.serialize(dataset, scdir / "dataset.hrsdat")
         hyper = mlp.TrainingHyper(seed=args.seed if args.seed is not None else cfg.seed)
         model, rep = mlp.train(dataset, hyper)

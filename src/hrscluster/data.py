@@ -43,6 +43,9 @@ _SALT_CSI = 2
 _SALT_AUGMENT = 3
 _SALT_SPLIT = 4
 
+# DatasetSplit's sample lists, in storage order.
+SPLITS = ("train", "validation", "test")
+
 
 def default_azimuths(num_covs: int) -> tuple[float, ...]:
     return tuple(-np.pi / 2 + np.pi / 3 * g for g in range(num_covs))
@@ -79,14 +82,11 @@ class ScenarioConfig:
                 isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
             ):
                 raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
-        if self.users < 1 or self.antennas < 1:
-            raise ConfigurationError("users and antennas must be positive")
-        if self.samples < 1:
-            raise ConfigurationError("samples must be positive")
+        for key in ("users", "antennas", "samples", "num_covs", "num_alpha", "num_beta"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.num_covs < 1:
-            raise ConfigurationError(f"num_covs must be at least 1, got {self.num_covs}")
         if not 0.0 <= self.tau_sq <= 1.0:
             raise ConfigurationError("tau_sq must lie in [0, 1]")
         if self.total_power <= 0:
@@ -173,20 +173,16 @@ class DatasetSplit:
     class_index: dict[str, int]
     config: ScenarioConfig
 
+    def parts(self) -> list[tuple[str, list[Sample]]]:
+        """(split name, samples) pairs in storage order."""
+        return [(name, getattr(self, name)) for name in SPLITS]
+
     def all_samples(self) -> list[Sample]:
-        return self.train + self.validation + self.test
+        return [s for _, part in self.parts() for s in part]
 
     @property
     def num_classes(self) -> int:
         return len(self.class_index)
-
-
-@dataclass(frozen=True)
-class _GenContext:
-    config: ScenarioConfig
-    covariances: tuple[CovarianceMatrix, ...]
-    calibration: SimilarityCalibration
-    hrs: HrsConfig
 
 
 def draw_assignment(cfg: ScenarioConfig, index: int) -> tuple[int, ...]:
@@ -195,13 +191,18 @@ def draw_assignment(cfg: ScenarioConfig, index: int) -> tuple[int, ...]:
     return tuple(int(a) for a in rng.integers(0, cfg.num_covs, cfg.users))
 
 
-def _generate_one(ctx: _GenContext, index: int) -> Sample:
-    cfg = ctx.config
+def _generate_one(
+    cfg: ScenarioConfig,
+    covariances: tuple[CovarianceMatrix, ...],
+    calibration: SimilarityCalibration,
+    hrs: HrsConfig,
+    index: int,
+) -> Sample:
     assignment = draw_assignment(cfg, index)
-    channels = sample_channels(ctx.covariances, assignment, (cfg.seed, index, _SALT_SAMPLE, 1))
+    channels = sample_channels(covariances, assignment, (cfg.seed, index, _SALT_SAMPLE, 1))
     channels = corrupt_csi(channels, cfg.tau, (cfg.seed, index, _SALT_CSI))
-    dendrogram = agglomerate(channels.H_hat, ctx.calibration)
-    partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, ctx.hrs)
+    dendrogram = agglomerate(channels.H_hat, calibration)
+    partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, hrs)
     return Sample(
         channels.H_true, channels.H_hat, partition.key(), rate.R_total, assignment
     )
@@ -213,7 +214,7 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> list[Sample]:
     Every sample owns a child seed derived from (master seed, index), so the
     result is identical whether generated serially or across workers.
     """
-    one = partial(_generate_one, _GenContext(cfg, cfg.covariances(), cfg.calibration(), cfg.hrs_config()))
+    one = partial(_generate_one, cfg, cfg.covariances(), cfg.calibration(), cfg.hrs_config())
     indices = range(cfg.samples)
     if threads <= 1:
         return [one(i) for i in indices]
@@ -324,11 +325,7 @@ def serialize(dataset: DatasetSplit, path) -> None:
     offset = 0
     m = dataset.config.antennas
     n = dataset.config.users
-    for part_name, part in (
-        ("train", dataset.train),
-        ("validation", dataset.validation),
-        ("test", dataset.test),
-    ):
+    for part_name, part in dataset.parts():
         for s in part:
             if s.H_true.shape != (m, n) or s.H_hat.shape != (m, n):
                 raise DataFormatError(
@@ -369,7 +366,7 @@ def load(path) -> DatasetSplit:
     cfg = ScenarioConfig.from_dict(header["config"])
     m, n = cfg.antennas, cfg.users
     matrix_bytes = m * n * 16
-    parts: dict[str, list[Sample]] = {"train": [], "validation": [], "test": []}
+    parts: dict[str, list[Sample]] = {name: [] for name in SPLITS}
     for rec in header["records"]:
         start, nbytes = rec["offset"], rec["nbytes"]
         if nbytes != 2 * matrix_bytes or start + nbytes > len(blob):
@@ -388,13 +385,7 @@ def load(path) -> DatasetSplit:
                 tuple(int(a) for a in rec["cov_assignment"]),
             )
         )
-    return DatasetSplit(
-        parts["train"],
-        parts["validation"],
-        parts["test"],
-        {k: int(v) for k, v in header["class_index"].items()},
-        cfg,
-    )
+    return DatasetSplit(*parts.values(), {k: int(v) for k, v in header["class_index"].items()}, cfg)
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:
@@ -402,10 +393,6 @@ def export_labels_csv(dataset: DatasetSplit, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "rate", "scenario", "split"])
-        for split_name, part in (
-            ("train", dataset.train),
-            ("validation", dataset.validation),
-            ("test", dataset.test),
-        ):
+        for split_name, part in dataset.parts():
             for s in part:
                 writer.writerow([s.label, repr(s.label_rate), dataset.config.name, split_name])

@@ -6,7 +6,8 @@ pair; all standardized per feature) -> 256 ReLU -> 128 ReLU -> softmax over
 the partition classes. The pair similarities are the quantities
 agglomeration starts from; they are phase-invariant fourth-order functions
 of the estimate that the network would otherwise have to learn from the
-draws. Trained with mini-batch Adam on the mean categorical cross entropy.
+draws. Standardization is fitted on the training split, which is featurized
+once. Trained with mini-batch Adam on the mean categorical cross entropy.
 Everything is plain numpy so training is bit-reproducible for a fixed seed
 and platform.
 """
@@ -41,6 +42,12 @@ class FeatureStats:
         mean = features.mean(axis=0)
         std = features.std(axis=0)
         return FeatureStats(mean, np.maximum(std, STD_FLOOR))
+
+    def standardize(self, features: np.ndarray) -> np.ndarray:
+        """Standardize unstandardized features in place; returns them."""
+        features -= self.mean
+        features /= self.std
+        return features
 
 
 def feature_count(users: int, antennas: int) -> int:
@@ -103,10 +110,6 @@ def _features(samples) -> np.ndarray:
     return out
 
 
-def featurize(sample: Sample, stats: FeatureStats) -> np.ndarray:
-    return featurize_all([sample], stats)[0]
-
-
 def featurize_all(samples, stats: FeatureStats) -> np.ndarray:
     if not samples:
         return np.zeros((0, stats.mean.size))
@@ -115,7 +118,7 @@ def featurize_all(samples, stats: FeatureStats) -> np.ndarray:
         raise ConfigurationError(
             f"sample has {x.shape[1]} features, model expects {stats.mean.size}"
         )
-    return (x - stats.mean) / stats.std
+    return stats.standardize(x)
 
 
 @dataclass
@@ -291,8 +294,9 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
     if not dataset.train:
         raise ConfigurationError("training split is empty")
     labels_sorted = sorted(dataset.class_index, key=dataset.class_index.get)
-    stats = FeatureStats.fit(_features(dataset.train))
-    x_train = featurize_all(dataset.train, stats)
+    x_train = _features(dataset.train)
+    stats = FeatureStats.fit(x_train)
+    stats.standardize(x_train)
     y_train = np.array([dataset.class_index[s.label] for s in dataset.train])
     x_val = featurize_all(dataset.validation, stats)
     y_val = np.array([dataset.class_index[s.label] for s in dataset.validation])
@@ -318,15 +322,7 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
         else:
             epoch_val.append(float("nan"))
 
-    if dataset.test:
-        # saturate k at the class count; top-k is 1.0 beyond it anyway
-        ks = tuple(min(k, model.num_classes) for k in (1, 3, 5))
-        topk = evaluate_topk(model, dataset.test, ks)
-        accs = [topk[k] for k in ks]
-    else:
-        accs = [0.0, 0.0, 0.0]
-    report = TrainReport(epoch_losses, epoch_val, *accs)
-    return model, report
+    return model, TrainReport(epoch_losses, epoch_val, *top1_3_5(model, dataset.test))
 
 
 def _top1(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -364,6 +360,19 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
         hits = (ranking[:, :k] == truth[:, None]).any(axis=1)
         out[k] = float(hits.mean())
     return out
+
+
+def top1_3_5(model: MlpModel, samples) -> tuple[float, float, float]:
+    """Top-1, top-3 and top-5 accuracy; NaN for an empty sample list.
+
+    k saturates at the class count: with C classes top-k for k >= C is
+    top-C, which is 1.0 up to samples labeled outside the model's classes.
+    """
+    if not samples:
+        return (float("nan"),) * 3
+    ks = tuple(min(k, model.num_classes) for k in (1, 3, 5))
+    topk = evaluate_topk(model, samples, ks)
+    return tuple(topk[k] for k in ks)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -182,4 +182,3 @@ def test_corrupt_leaves_true_channel_untouched():
     corrupted = corrupt_csi(channels, 0.7, rng_seed=20)
     assert channels.H_true.tobytes() == before
     assert corrupted.H_true.tobytes() == before
-    assert corrupted.tau == 0.7

@@ -105,6 +105,9 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"samples": True}, id="boolean-samples"),
         pytest.param({"spread": "x"}, id="non-numeric-spread"),
         pytest.param({"total_power": None}, id="null-power"),
+        pytest.param({"num_alpha": -2}, id="negative-num-alpha"),
+        pytest.param({"num_alpha": 0}, id="zero-num-alpha"),
+        pytest.param({"num_beta": 0}, id="zero-num-beta"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, bad_keys):
@@ -112,7 +115,9 @@ def test_bad_config_exits_2(tmp_path, capsys, bad_keys):
     bad.write_text(json.dumps({"users": 4, "antennas": 8, **bad_keys}))
     rc = cli.run(["gen-dataset", "--config", str(bad), "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert all(key in err for key in bad_keys)
     assert not (tmp_path / "x").exists()
 
 

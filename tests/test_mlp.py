@@ -36,7 +36,7 @@ def test_featurize_standardizes_training_set(tiny_dataset, tiny_model):
 def test_zero_matrix_featurizes_to_centered_values():
     stats = mlp.FeatureStats(np.full(9, 2.0), np.full(9, 4.0))
     s = data.Sample(np.zeros((2, 2), complex), np.zeros((2, 2), complex), "1,2", 1.0, (0, 0))
-    assert np.allclose(mlp.featurize(s, stats), -0.5)
+    assert np.allclose(mlp.featurize_all([s], stats)[0], -0.5)
 
 
 def test_true_channel_never_read():
@@ -46,7 +46,7 @@ def test_true_channel_never_read():
     b = data.Sample(np.full((2, 2), 9 + 9j), h_hat, "1,2", 1.0, (0, 0))
     assert np.array_equal(mlp.raw_features(a), mlp.raw_features(b))
     stats = mlp.FeatureStats(np.zeros(9), np.ones(9))
-    assert np.array_equal(mlp.featurize(a, stats), mlp.featurize(b, stats))
+    assert np.array_equal(mlp.featurize_all([a], stats)[0], mlp.featurize_all([b], stats)[0])
 
 
 def _estimates(rng, num, m, n):
@@ -114,20 +114,11 @@ def test_features_start_with_raw_entries(rng):
         assert np.array_equal(row[: 2 * 3 * 5], mlp.raw_features(s))
 
 
-def test_featurize_matches_featurize_all_row(rng):
-    samples = _estimates(rng, 5, 4, 4)
-    width = mlp.feature_count(4, 4)
-    stats = mlp.FeatureStats(rng.standard_normal(width), rng.uniform(0.5, 2.0, width))
-    x = mlp.featurize_all(samples, stats)
-    for s, row in zip(samples, x):
-        assert np.array_equal(mlp.featurize(s, stats), row)
-
-
 def test_featurize_rejects_width_mismatch():
     stats = mlp.FeatureStats(np.zeros(4), np.ones(4))
     s = data.Sample(np.zeros((2, 2), complex), np.zeros((2, 2), complex), "1,2", 1.0, (0, 0))
     with pytest.raises(ConfigurationError):
-        mlp.featurize(s, stats)
+        mlp.featurize_all([s], stats)
 
 
 # -------------------------------------------------------------------- forward
@@ -316,6 +307,19 @@ def test_training_beats_chance_on_validation(tiny_dataset, tiny_model):
         tiny_dataset, mlp.TrainingHyper(hidden=(32, 16), epochs=10, seed=3)
     )
     assert report.val_top1[-1] >= chance - 3 * sigma
+
+
+def test_training_featurizes_each_split_once(tiny_dataset, monkeypatch):
+    featurized = []
+    real = mlp._features
+
+    def counting(samples):
+        featurized.append(len(samples))
+        return real(samples)
+
+    monkeypatch.setattr(mlp, "_features", counting)
+    mlp.train(tiny_dataset, mlp.TrainingHyper(hidden=(8,), epochs=1, seed=2))
+    assert featurized == [len(part) for _, part in tiny_dataset.parts()]
 
 
 def test_training_deterministic(tiny_dataset):
