@@ -82,7 +82,12 @@ class ScenarioConfig:
                 isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
             ):
                 raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
-        for key in ("users", "antennas", "samples", "num_covs", "num_alpha", "num_beta"):
+            if f.type == "str" and not isinstance(value, str):
+                raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
+        if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
+            raise ConfigurationError(f"name must be a plain file name, got {self.name!r}")
+        for key in ("users", "antennas", "samples", "num_covs", "num_alpha", "num_beta",
+                    "min_class_samples", "max_class_samples", "num_shuffles"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.seed < 0:
@@ -91,9 +96,8 @@ class ScenarioConfig:
             raise ConfigurationError("tau_sq must lie in [0, 1]")
         if self.total_power <= 0:
             raise ConfigurationError("total power must be positive")
-        for thr in (self.rate_floor_frac, self.min_class_samples, self.max_class_samples, self.num_shuffles):
-            if thr <= 0:
-                raise ConfigurationError("balance and augmentation thresholds must be positive")
+        if self.rate_floor_frac <= 0:
+            raise ConfigurationError(f"rate_floor_frac must be positive, got {self.rate_floor_frac}")
         if not self.azimuths:
             object.__setattr__(self, "azimuths", default_azimuths(self.num_covs))
         if len(self.azimuths) != self.num_covs:

@@ -10,8 +10,8 @@ Four clustering policies are scored on the same test channels:
 Summaries use boxplot statistics (median, quartiles, 1st/99th percentiles by
 linear interpolation, points outside the 1-99 band as outliers). Reports are
 JSON-lines raw records, a CSV summary row per scenario, and an SVG boxplot.
-Accuracies are the validation top-1 and ``mlp.top1_3_5`` on the test split;
-an empty split reads NaN.
+Accuracies are the validation top-1 and the test top-1/3/5 of
+``mlp.evaluate_topk``, k capped at the class count; an empty split reads NaN.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .data import DatasetSplit
 from .errors import ConfigurationError
 from .hrs import evaluate_partition
-from .mlp import MlpModel, evaluate_topk, predict_labels, top1_3_5
+from .mlp import MlpModel, evaluate_topk, predict_labels
 from .partitions import Partition
 
 METHODS = ("HC", "NN", "UNI", "SING")
@@ -94,11 +94,11 @@ def relative_rate(results: list[MethodResult]) -> RelativeRateMetric:
 
 
 def accuracy_metrics(dataset: DatasetSplit, model: MlpModel) -> dict:
-    """Validation top-1 plus the test top-1/3/5 of ``mlp.top1_3_5``, as in
-    the ``mlp.train`` report; NaN for an empty split."""
-    val = evaluate_topk(model, dataset.validation, (1,))[1] if dataset.validation else float("nan")
-    top1, top3, top5 = top1_3_5(model, dataset.test)
-    return {"val_top1": val, "test_top1": top1, "test_top3": top3, "test_top5": top5}
+    """Validation top-1 plus the test top-1/3/5, as in the ``mlp.train``
+    report; NaN for an empty split."""
+    val = evaluate_topk(model, dataset.validation, (1,))[1]
+    test = evaluate_topk(model, dataset.test, (1, 3, 5))
+    return {"val_top1": val, "test_top1": test[1], "test_top3": test[3], "test_top5": test[5]}
 
 
 def write_records_jsonl(results: list[MethodResult], scenario: str, path) -> None:

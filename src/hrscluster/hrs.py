@@ -26,9 +26,10 @@ candidate. ``evaluate_partition`` is its one-candidate call.
 Precoder design is batched over every group of every candidate partition of
 a draw: groups whose matrices share a shape go through one stacked LAPACK
 call (SVD, solve) and one stacked matmul per step, which give the one-group
-calls' results bit for bit. A search passes a block -> basis dict, so no
-block's dominant SVD runs twice; the level sweep reads it from the
-dendrogram. At N = M = 12 a draw then takes about 57 SVD calls (22 in the
+calls' results bit for bit. A search may pass a block -> basis dict (the
+level sweep passes the dendrogram's); ``evaluate_partitions`` decomposes
+each missing block once and hands ``compute_outer_precoders`` every basis.
+At N = M = 12 a draw then takes about 57 SVD calls (22 in the
 agglomeration, about 35 in the 12-level sweep), where one design pass per
 level took about 66 and one call per group 253.
 """
@@ -144,7 +145,7 @@ def _dominant_bases(H_hat_grouped) -> list[np.ndarray]:
     return out
 
 
-def compute_outer_precoders(grouped, dominant=None) -> list[list[np.ndarray]]:
+def compute_outer_precoders(grouped, dominant) -> list[list[np.ndarray]]:
     """Per-group semi-unitary (M, d) precoders, d = floor(M / G), that null
     the other groups' dominant channel directions, for every candidate
     partition in ``grouped`` (one list of group channels per candidate).
@@ -157,12 +158,12 @@ def compute_outer_precoders(grouped, dominant=None) -> list[list[np.ndarray]]:
     needs no nulling and uses the (M, M) identity. More groups than antennas
     raise FeasibilityError.
 
-    ``dominant`` may give each candidate's per-group left singular vectors
-    (as from ``_dominant_bases``, or the bases an agglomeration cached; None
-    for a one-group candidate); otherwise they are computed here. Across all
-    candidates the complement SVDs run as one stacked call per stack shape
-    and the reduced SVDs as one per (complement width, N_g, d), since a
-    rank-deficient stack widens its complement.
+    ``dominant`` gives each candidate's per-group left singular vectors (as
+    from ``_dominant_bases``, or the bases an agglomeration cached; None for
+    a one-group candidate). Across all candidates the complement SVDs run as
+    one stacked call per stack shape and the reduced SVDs as one per
+    (complement width, N_g, d), since a rank-deficient stack widens its
+    complement.
     """
     grouped = [[np.asarray(h) for h in groups] for groups in grouped]
     for groups in grouped:
@@ -173,9 +174,6 @@ def compute_outer_precoders(grouped, dominant=None) -> list[list[np.ndarray]]:
             raise FeasibilityError("every group must contain at least one user")
         if len(groups) > m:
             raise FeasibilityError(f"G={len(groups)} groups exceed what M={m} antennas can separate")
-    if dominant is None:
-        flat = iter(_dominant_bases([h for groups in grouped if len(groups) > 1 for h in groups]))
-        dominant = [[next(flat) for _ in groups] if len(groups) > 1 else None for groups in grouped]
 
     outer = [[None] * len(groups) for groups in grouped]
     stacks: dict = {}  # stack width -> ((candidate, group, d) triples, (K, M, width) stacks)
@@ -366,7 +364,7 @@ def evaluate_partitions(
 
 
 def evaluate_partition(
-    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig, bases=None
+    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig
 ) -> RateBreakdown:
     """``evaluate_partitions`` of a single candidate."""
-    return evaluate_partitions(H_true, H_hat, [partition], config, bases)[0]
+    return evaluate_partitions(H_true, H_hat, [partition], config)[0]

@@ -7,9 +7,11 @@ the partition classes. The pair similarities are the quantities
 agglomeration starts from; they are phase-invariant fourth-order functions
 of the estimate that the network would otherwise have to learn from the
 draws. Standardization is fitted on the training split, which is featurized
-once. Trained with mini-batch Adam on the mean categorical cross entropy.
-Everything is plain numpy so training is bit-reproducible for a fixed seed
-and platform.
+once. Trained with mini-batch Adam (fixed beta1, beta2 and eps; only the
+learning rate is a knob) on the mean categorical cross entropy. Everything
+is plain numpy so training is bit-reproducible for a fixed seed and
+platform. ``evaluate_topk`` is the one top-k rule: k is capped at the class
+count and an empty sample list reads NaN.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ MODEL_VERSION = 2  # 2: inputs gained the user-pair similarities
 
 STD_FLOOR = 1e-8
 PROB_FLOOR = 1e-12
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -220,44 +226,31 @@ def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class AdamState:
+    """Learning rate, step count, and the moments m[i], v[i] of (weights + biases)[i]."""
+
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
     def for_model(model: MlpModel, lr: float = 1e-3) -> "AdamState":
-        return AdamState(
-            lr=lr,
-            m_w=[np.zeros_like(w) for w in model.weights],
-            v_w=[np.zeros_like(w) for w in model.weights],
-            m_b=[np.zeros_like(b) for b in model.biases],
-            v_b=[np.zeros_like(b) for b in model.biases],
-        )
+        params = model.weights + model.biases
+        return AdamState(lr=lr, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
     """One bias-corrected Adam update, in place."""
     grads_w, grads_b = grads
     state.step += 1
-    t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
-    for params, gs, ms, vs in (
-        (model.weights, grads_w, state.m_w, state.v_w),
-        (model.biases, grads_b, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, gs, ms, vs):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+    correct1 = 1.0 - ADAM_BETA1**state.step
+    correct2 = 1.0 - ADAM_BETA2**state.step
+    for p, g, m, v in zip(model.weights + model.biases, [*grads_w, *grads_b], state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return model
 
 
@@ -317,12 +310,10 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
             total += batch_loss * len(idx)
             adam_step(model, state, grads)
         epoch_losses.append(total / n)
-        if len(x_val):
-            epoch_val.append(_top1(model, x_val, y_val))
-        else:
-            epoch_val.append(float("nan"))
+        epoch_val.append(_top1(model, x_val, y_val) if len(x_val) else float("nan"))
 
-    return model, TrainReport(epoch_losses, epoch_val, *top1_3_5(model, dataset.test))
+    topk = evaluate_topk(model, dataset.test, (1, 3, 5))
+    return model, TrainReport(epoch_losses, epoch_val, topk[1], topk[3], topk[5])
 
 
 def _top1(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -337,19 +328,20 @@ def predict_labels(model: MlpModel, samples) -> list[str]:
 
 
 def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
-    """Fraction of samples whose class is among the k most probable ones.
+    """Fraction of samples whose class is among the k most probable ones;
+    NaN for an empty sample list.
 
+    k saturates at the class count: with C classes top-k for k >= C is
+    top-C, which is 1.0 up to samples labeled outside the model's classes.
     Probability ties resolve toward the smaller class index. Classes a model
     never saw cannot be credited; a sample labeled outside the model's
     classes counts as a miss.
     """
     k_list = tuple(int(k) for k in k_list)
-    if any(k < 1 or k > model.num_classes for k in k_list):
-        raise ConfigurationError(
-            f"k must lie in [1, {model.num_classes}], got {k_list}"
-        )
+    if any(k < 1 for k in k_list):
+        raise ConfigurationError(f"k must be at least 1, got {k_list}")
     if not samples:
-        return {k: 0.0 for k in k_list}
+        return {k: float("nan") for k in k_list}
     index = {label: i for i, label in enumerate(model.class_labels)}
     x = featurize_all(samples, model.feature_stats)
     probs = forward(model, x)
@@ -360,19 +352,6 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
         hits = (ranking[:, :k] == truth[:, None]).any(axis=1)
         out[k] = float(hits.mean())
     return out
-
-
-def top1_3_5(model: MlpModel, samples) -> tuple[float, float, float]:
-    """Top-1, top-3 and top-5 accuracy; NaN for an empty sample list.
-
-    k saturates at the class count: with C classes top-k for k >= C is
-    top-C, which is 1.0 up to samples labeled outside the model's classes.
-    """
-    if not samples:
-        return (float("nan"),) * 3
-    ks = tuple(min(k, model.num_classes) for k in (1, 3, 5))
-    topk = evaluate_topk(model, samples, ks)
-    return tuple(topk[k] for k in ks)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hrscluster import data, mlp
+from hrscluster import data, hrs, mlp
 
 
 @pytest.fixture
@@ -78,3 +78,11 @@ def tiny_model(tiny_dataset):
         tiny_dataset, mlp.TrainingHyper(hidden=(32, 16), epochs=10, seed=3)
     )
     return model
+
+
+def outer_precoders(groups):
+    """``hrs.compute_outer_precoders`` of one candidate, handed each group's
+    dominant basis as ``hrs.evaluate_partitions`` decomposes it (None for a
+    one-group candidate)."""
+    dominant = hrs._dominant_bases(groups) if len(groups) > 1 else None
+    return hrs.compute_outer_precoders([groups], [dominant])[0]

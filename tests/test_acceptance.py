@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grads, kink_free_batch
+from conftest import finite_difference_grads, kink_free_batch, outer_precoders
 from hrscluster import cli, data, evaluation, mlp
 from hrscluster.channel import corrupt_csi, sample_channels
 from hrscluster.clustering import (
@@ -29,7 +29,6 @@ from hrscluster.errors import DataFormatError
 from hrscluster.hrs import (
     HrsConfig,
     compute_inner_precoders,
-    compute_outer_precoders,
     split_power,
 )
 from hrscluster.partitions import Partition
@@ -96,7 +95,7 @@ def test_criterion_1_numerical_invariants():
         sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         m = 8
         groups = [_complex(rng, (m, s)) for s in sizes]
-        (b,) = compute_outer_precoders([groups])
+        b = outer_precoders(groups)
         (pre,) = compute_inner_precoders([b], [groups], cfg)
         for w in pre.private:
             for norm in np.linalg.norm(w, axis=0):

@@ -108,6 +108,15 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"num_alpha": -2}, id="negative-num-alpha"),
         pytest.param({"num_alpha": 0}, id="zero-num-alpha"),
         pytest.param({"num_beta": 0}, id="zero-num-beta"),
+        pytest.param({"name": 5}, id="non-string-name"),
+        pytest.param({"name": "a/b"}, id="name-with-slash"),
+        pytest.param({"name": ".."}, id="parent-dir-name"),
+        pytest.param({"name": "."}, id="current-dir-name"),
+        pytest.param({"name": "a\0b"}, id="name-with-nul"),
+        pytest.param({"num_shuffles": 0}, id="zero-num-shuffles"),
+        pytest.param({"min_class_samples": 0}, id="zero-min-class-samples"),
+        pytest.param({"max_class_samples": -1}, id="negative-max-class-samples"),
+        pytest.param({"rate_floor_frac": 0}, id="zero-rate-floor-frac"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, bad_keys):

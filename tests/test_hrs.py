@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from conftest import random_channelset
+from conftest import outer_precoders, random_channelset
 from hrscluster import data, hrs
 from hrscluster.clustering import agglomerate, best_partition, exhaustive_best
 from hrscluster.errors import FeasibilityError
@@ -79,7 +79,7 @@ def test_config_rejects_out_of_domain_power():
 
 def test_single_group_uses_identity_columns():
     h = complex_gaussian(np.random.default_rng(0), (4, 3))
-    ((b1,),) = compute_outer_precoders([[h]])
+    (b1,) = outer_precoders([h])
     assert np.allclose(b1, np.eye(4))
 
 
@@ -87,7 +87,7 @@ def test_fully_orthogonal_groups_are_nulled_exactly():
     # group channels live on disjoint identity columns
     h1 = np.eye(4, dtype=complex)[:, :2]
     h2 = np.eye(4, dtype=complex)[:, 2:]
-    (b,) = compute_outer_precoders([[h1, h2]])
+    b = outer_precoders([h1, h2])
     assert np.abs(b[0].conj().T @ h2).max() < 1e-8
     assert np.abs(b[1].conj().T @ h1).max() < 1e-8
     # own group passes through untouched by the projection
@@ -101,7 +101,7 @@ def test_outer_precoder_nulls_dominant_directions_of_other_group(rng):
     for trial in range(10):
         h1 = complex_gaussian(rng, (m, 3))
         h2 = complex_gaussian(rng, (m, 4))
-        (b,) = compute_outer_precoders([[h1, h2]])  # d = 8 // 2 = 4
+        b = outer_precoders([h1, h2])  # d = 8 // 2 = 4
         for g, other in ((0, h2), (1, h1)):
             u, _, _ = np.linalg.svd(other, full_matrices=False)
             dominant = u[:, :4]
@@ -114,7 +114,7 @@ def test_outer_precoder_nulls_dominant_directions_of_other_group(rng):
 
 def test_outer_precoders_are_semi_unitary(rng):
     h = [complex_gaussian(rng, (8, 2)) for _ in range(3)]
-    for b in compute_outer_precoders([h])[0]:
+    for b in outer_precoders(h):
         gram = b.conj().T @ b
         assert np.abs(gram - np.eye(b.shape[1])).max() < 1e-8
 
@@ -122,12 +122,12 @@ def test_outer_precoders_are_semi_unitary(rng):
 def test_feasibility_rules():
     # more groups than antennas: floor(M/G) = 0
     with pytest.raises(FeasibilityError, match="exceed"):
-        compute_outer_precoders([[np.ones((4, 1))] * 8])
+        outer_precoders([np.ones((4, 1))] * 8)
     # a group without users
     with pytest.raises(FeasibilityError, match="at least one user"):
-        compute_outer_precoders([[np.ones((4, 1)), np.zeros((4, 0))]])
+        outer_precoders([np.ones((4, 1)), np.zeros((4, 0))])
     with pytest.raises(FeasibilityError, match="antenna count"):
-        compute_outer_precoders([[np.ones((4, 1)), np.ones((3, 1))]])
+        outer_precoders([np.ones((4, 1)), np.ones((3, 1))])
 
 
 # ------------------------------------------------------------ inner precoders
@@ -147,7 +147,7 @@ def test_all_precoders_unit_norm(rng):
     cfg = HrsConfig(total_power=50.0)
     for _ in range(20):
         groups = [complex_gaussian(rng, (8, k)) for k in (2, 3)]
-        (b,) = compute_outer_precoders([groups])
+        b = outer_precoders(groups)
         (pre,) = compute_inner_precoders([b], [groups], cfg)
         for w in pre.private:
             assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-9
@@ -208,7 +208,7 @@ def _looped_inner(B, groups, config):
 def _assert_stacked_design_matches_loops(groups, dominant=None):
     cfg = HrsConfig()
     want_b, ranks = _looped_outer(groups)
-    (got_b,) = compute_outer_precoders([groups], None if dominant is None else [dominant])
+    got_b = outer_precoders(groups) if dominant is None else compute_outer_precoders([groups], [dominant])[0]
     assert len(got_b) == len(want_b)
     assert all(np.array_equal(x, y) for x, y in zip(got_b, want_b))
     want_w, want_ic, want_oc = _looped_inner(want_b, groups, cfg)
@@ -310,7 +310,7 @@ def test_searches_design_every_candidate_in_one_pass(monkeypatch):
 
 def _precoders_for(H_hat, partition, cfg):
     groups = [H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
-    (b,) = compute_outer_precoders([groups])
+    b = outer_precoders(groups)
     return compute_inner_precoders([b], [groups], cfg)[0]
 
 
@@ -394,11 +394,11 @@ def test_feasibility_table():
                 assert out.feasible == (g_count <= m)
                 groups = [channels.H_hat[:, partition.block_columns(g)] for g in range(g_count)]
                 if out.feasible:
-                    (outer,) = compute_outer_precoders([groups])
+                    outer = outer_precoders(groups)
                     assert [b.shape for b in outer] == [(m, m // g_count)] * g_count
                 else:
                     with pytest.raises(FeasibilityError, match="exceed"):
-                        compute_outer_precoders([groups])
+                        outer_precoders(groups)
 
 
 def test_singleton_partition_infeasible_when_users_exceed_antennas():

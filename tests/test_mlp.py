@@ -348,8 +348,20 @@ def test_topk_monotone(tiny_dataset, tiny_model):
 
 
 def test_topk_rejects_bad_k(tiny_dataset, tiny_model):
-    with pytest.raises(ConfigurationError):
-        mlp.evaluate_topk(tiny_model, tiny_dataset.test, (tiny_model.num_classes + 1,))
+    for k in (0, -1):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            mlp.evaluate_topk(tiny_model, tiny_dataset.test, (1, k))
+
+
+def test_topk_saturates_at_class_count(tiny_dataset, tiny_model):
+    c = tiny_model.num_classes
+    out = mlp.evaluate_topk(tiny_model, tiny_dataset.test, (c, c + 1, c + 5))
+    assert out[c + 1] == out[c] and out[c + 5] == out[c]
+
+
+def test_topk_of_no_samples_is_nan(tiny_model):
+    out = mlp.evaluate_topk(tiny_model, [], (1, 3))
+    assert list(out) == [1, 3] and all(np.isnan(v) for v in out.values())
 
 
 def test_topk_tie_breaks_toward_lower_class_index():
