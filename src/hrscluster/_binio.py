@@ -7,6 +7,11 @@ Layout (little-endian):
     ...       UTF-8 JSON header
     ...       payload blob (layout described by the header)
     4 bytes   uint32 CRC32 of every preceding byte
+
+Writes are streamed: ``write_container`` takes the blob as an iterable of
+bytes-like parts and writes each as it comes, carrying the CRC along, so the
+whole blob is never joined in memory. Callers check their inputs before the
+file is opened, so a rejected input writes no file.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from itertools import chain
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -23,13 +29,17 @@ _LEN_FMT = "<Q"
 _CRC_FMT = "<I"
 
 
-def write_container(path, magic: bytes, header: dict, blob: bytes) -> None:
+def write_container(path, magic: bytes, header: dict, parts) -> None:
+    """Write the container whose blob is the concatenation of ``parts``."""
     if len(magic) != MAGIC_LEN:
         raise ValueError("magic must be exactly 8 bytes")
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = magic + struct.pack(_LEN_FMT, len(header_bytes)) + header_bytes + blob
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + struct.pack(_CRC_FMT, crc))
+    crc = 0
+    with open(path, "wb") as fh:
+        for part in chain((magic + struct.pack(_LEN_FMT, len(header_bytes)) + header_bytes,), parts):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack(_CRC_FMT, crc & 0xFFFFFFFF))
 
 
 def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
@@ -57,3 +67,13 @@ def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable header ({exc})") from exc
     return header, body[header_start + header_len :]
+
+
+
+def require(mapping, keys, path, where: str = "header") -> None:
+    """Raise a DataFormatError naming the first of ``keys`` that ``mapping`` lacks."""
+    if not isinstance(mapping, dict):
+        raise DataFormatError(f"{path}: {where} is not a JSON object")
+    for key in keys:
+        if key not in mapping:
+            raise DataFormatError(f"{path}: {where} lacks the field {key!r}")

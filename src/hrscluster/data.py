@@ -46,6 +46,9 @@ _SALT_SPLIT = 4
 # DatasetSplit's sample lists, in storage order.
 SPLITS = ("train", "validation", "test")
 
+# Keys of every record in a dataset header.
+_RECORD_FIELDS = ("split", "label", "label_rate", "cov_assignment", "offset", "nbytes")
+
 
 def default_azimuths(num_covs: int) -> tuple[float, ...]:
     return tuple(-np.pi / 2 + np.pi / 3 * g for g in range(num_covs))
@@ -323,34 +326,31 @@ def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
 
 
 def serialize(dataset: DatasetSplit, path) -> None:
-    """Write the dataset container; byte-exact and reloadable."""
-    records = []
-    blob_parts = []
-    offset = 0
+    """Write the dataset container; byte-exact and reloadable.
+
+    Every sample's shape is checked before the file is opened, then the
+    matrices are streamed to it one record at a time.
+    """
     m = dataset.config.antennas
     n = dataset.config.users
+    nbytes = 2 * m * n * 16
+    records = []
     for part_name, part in dataset.parts():
         for s in part:
             if s.H_true.shape != (m, n) or s.H_hat.shape != (m, n):
                 raise DataFormatError(
                     f"sample matrices have shape {s.H_true.shape}, expected {(m, n)}"
                 )
-            payload = (
-                np.asfortranarray(s.H_true, dtype="<c16").tobytes(order="F")
-                + np.asfortranarray(s.H_hat, dtype="<c16").tobytes(order="F")
-            )
             records.append(
                 {
                     "split": part_name,
                     "label": s.label,
                     "label_rate": s.label_rate,
                     "cov_assignment": list(s.cov_assignment),
-                    "offset": offset,
-                    "nbytes": len(payload),
+                    "offset": len(records) * nbytes,
+                    "nbytes": nbytes,
                 }
             )
-            blob_parts.append(payload)
-            offset += len(payload)
     header = {
         "format_version": DATASET_VERSION,
         "config": dataset.config.to_dict(),
@@ -358,7 +358,12 @@ def serialize(dataset: DatasetSplit, path) -> None:
         "num_records": len(records),
         "records": records,
     }
-    _binio.write_container(path, DATASET_MAGIC, header, b"".join(blob_parts))
+    payloads = (
+        np.asfortranarray(h, dtype="<c16").tobytes(order="F")
+        for s in dataset.all_samples()
+        for h in (s.H_true, s.H_hat)
+    )
+    _binio.write_container(path, DATASET_MAGIC, header, payloads)
 
 
 def load(path) -> DatasetSplit:
@@ -367,19 +372,26 @@ def load(path) -> DatasetSplit:
         raise DataFormatError(
             f"{path}: unsupported dataset version {header.get('format_version')}"
         )
+    _binio.require(header, ("config", "class_index", "records"), path)
     cfg = ScenarioConfig.from_dict(header["config"])
+    class_index = header["class_index"]
     m, n = cfg.antennas, cfg.users
     matrix_bytes = m * n * 16
     parts: dict[str, list[Sample]] = {name: [] for name in SPLITS}
-    for rec in header["records"]:
+    for i, rec in enumerate(header["records"]):
+        _binio.require(rec, _RECORD_FIELDS, path, f"record {i}")
         start, nbytes = rec["offset"], rec["nbytes"]
+        if isinstance(start, bool) or not isinstance(start, int) or start < 0:
+            raise DataFormatError(f"{path}: record {i} has offset {start!r}, need a non-negative integer")
         if nbytes != 2 * matrix_bytes or start + nbytes > len(blob):
             raise DataFormatError(f"{path}: record at offset {start} is malformed")
+        if rec["label"] not in class_index:
+            raise DataFormatError(f"{path}: record {i} has label {rec['label']!r}, which class_index lacks")
+        if rec["split"] not in parts:
+            raise DataFormatError(f"{path}: unknown split {rec['split']!r}")
         raw = blob[start : start + nbytes]
         h_true = np.frombuffer(raw[:matrix_bytes], dtype="<c16").reshape((m, n), order="F")
         h_hat = np.frombuffer(raw[matrix_bytes:], dtype="<c16").reshape((m, n), order="F")
-        if rec["split"] not in parts:
-            raise DataFormatError(f"{path}: unknown split {rec['split']!r}")
         parts[rec["split"]].append(
             Sample(
                 h_true,
@@ -389,7 +401,7 @@ def load(path) -> DatasetSplit:
                 tuple(int(a) for a in rec["cov_assignment"]),
             )
         )
-    return DatasetSplit(*parts.values(), {k: int(v) for k, v in header["class_index"].items()}, cfg)
+    return DatasetSplit(*parts.values(), {k: int(v) for k, v in class_index.items()}, cfg)
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:

@@ -12,6 +12,14 @@ learning rate is a knob) on the mean categorical cross entropy. Everything
 is plain numpy so training is bit-reproducible for a fixed seed and
 platform. ``evaluate_topk`` is the one top-k rule: k is capped at the class
 count and an empty sample list reads NaN.
+
+Working memory does not scale with whole-split temporaries. ``_features``
+fills its output ``ROW_BLOCK`` rows at a time and ``evaluate_topk`` ranks the
+probability matrix ``ROW_BLOCK`` rows at a time; every row goes through the
+same operations as in one stacked call, so the numbers are bit-identical.
+The forward pass works in place on each layer's pre-activation (bias, ReLU,
+exp and normalization), and ``backward`` turns the probabilities into the
+output delta in place.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Rows per block of featurization and of top-k ranking.
+ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -104,15 +115,18 @@ def _features(samples) -> np.ndarray:
     """Unstandardized classifier inputs, one row per sample.
 
     Each row holds ``raw_features`` of the sample, then its pair
-    similarities; the whole list is computed in stacked array operations.
+    similarities; ``ROW_BLOCK`` samples at a time are computed in stacked
+    array operations.
     """
-    h_hat = np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples])
-    num, m, n = h_hat.shape
-    flat = np.swapaxes(h_hat, 1, 2).reshape(num, m * n)  # column-major per sample
-    out = np.empty((num, feature_count(n, m)))
-    out[:, 0 : 2 * m * n : 2] = flat.real
-    out[:, 1 : 2 * m * n : 2] = flat.imag
-    out[:, 2 * m * n :] = pair_similarities(h_hat)
+    m, n = np.shape(samples[0].H_hat)
+    out = np.empty((len(samples), feature_count(n, m)))
+    for start in range(0, len(samples), ROW_BLOCK):
+        h_hat = np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples[start : start + ROW_BLOCK]])
+        rows = out[start : start + len(h_hat)]
+        flat = np.swapaxes(h_hat, 1, 2).reshape(len(h_hat), m * n)  # column-major per sample
+        rows[:, 0 : 2 * m * n : 2] = flat.real
+        rows[:, 1 : 2 * m * n : 2] = flat.imag
+        rows[:, 2 * m * n :] = pair_similarities(h_hat)
     return out
 
 
@@ -176,16 +190,17 @@ def _forward_cached(model: MlpModel, batch: np.ndarray):
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if not np.all(np.isfinite(z)):
             raise NumericalConsistencyError(f"non-finite activations at layer {i}")
         if i < last:
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, 0.0, out=z)
             activations.append(h)
         else:
             z -= z.max(axis=1, keepdims=True)  # shift-invariant, avoids overflow
-            e = np.exp(z)
-            probs = e / e.sum(axis=1, keepdims=True)
+            probs = np.exp(z, out=z)
+            probs /= probs.sum(axis=1, keepdims=True)
     return probs, activations
 
 
@@ -204,14 +219,15 @@ def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
 
     Returns ((weight grads, bias grads), mean loss); the loss comes from the
     same forward pass as the gradients. Softmax and cross entropy fuse to
-    (probs - onehot) / batch_size at the output; ReLU passes gradient only
-    where its input was positive.
+    (probs - onehot) / batch_size at the output, computed in the
+    probabilities' own array; ReLU passes gradient only where its input was
+    positive.
     """
     probs, activations = _forward_cached(model, batch)
     batch_loss = loss(probs, labels)
     labels = np.asarray(labels, dtype=int)
     n = probs.shape[0]
-    delta = probs.copy()
+    delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     grads_w = [None] * len(model.weights)
@@ -220,7 +236,8 @@ def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0)
+            delta = delta @ model.weights[i].T
+            delta *= activations[i] > 0
     return (grads_w, grads_b), batch_loss
 
 
@@ -335,7 +352,8 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     top-C, which is 1.0 up to samples labeled outside the model's classes.
     Probability ties resolve toward the smaller class index. Classes a model
     never saw cannot be credited; a sample labeled outside the model's
-    classes counts as a miss.
+    classes counts as a miss. Rows are ranked ``ROW_BLOCK`` at a time and
+    only the leading max(k) classes of each ranking are kept.
     """
     k_list = tuple(int(k) for k in k_list)
     if any(k < 1 for k in k_list):
@@ -345,7 +363,10 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     index = {label: i for i, label in enumerate(model.class_labels)}
     x = featurize_all(samples, model.feature_stats)
     probs = forward(model, x)
-    ranking = np.argsort(-probs, axis=1, kind="stable")
+    ranking = np.empty((len(probs), min(max(k_list), probs.shape[1])), dtype=np.intp)
+    for start in range(0, len(probs), ROW_BLOCK):
+        block = probs[start : start + ROW_BLOCK]
+        ranking[start : start + len(block)] = np.argsort(-block, axis=1, kind="stable")[:, : ranking.shape[1]]
     out = {}
     truth = np.array([index.get(s.label, -1) for s in samples])
     for k in k_list:
@@ -362,12 +383,12 @@ def save_model(model: MlpModel, path) -> None:
         "feature_std": model.feature_stats.std.tolist(),
         "class_labels": list(model.class_labels),
     }
-    blob = b"".join(
+    tensors = (
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
         for pair in zip(model.weights, model.biases)
         for arr in pair
     )
-    _binio.write_container(path, MODEL_MAGIC, header, blob)
+    _binio.write_container(path, MODEL_MAGIC, header, tensors)
 
 
 def load_model(path) -> MlpModel:
@@ -378,7 +399,24 @@ def load_model(path) -> MlpModel:
             f"{path}: model format version {version} is not supported "
             f"(expected {MODEL_VERSION}); retrain the model"
         )
+    _binio.require(header, ("layer_dims", "feature_mean", "feature_std", "class_labels"), path)
     dims = header["layer_dims"]
+    if (
+        not isinstance(dims, list)
+        or len(dims) < 2
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+    ):
+        raise DataFormatError(f"{path}: layer_dims {dims!r} is not a list of at least two positive integers")
+    expected = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if len(blob) != expected:
+        raise DataFormatError(f"{path}: parameter blob has {len(blob)} bytes, layer_dims {dims} need {expected}")
+    stats = FeatureStats(np.array(header["feature_mean"], dtype=float), np.array(header["feature_std"], dtype=float))
+    for key, values in (("feature_mean", stats.mean), ("feature_std", stats.std)):
+        if values.shape != (dims[0],):
+            raise DataFormatError(f"{path}: {key} has shape {values.shape}, layer_dims need ({dims[0]},)")
+    labels = tuple(header["class_labels"])
+    if len(labels) != dims[-1]:
+        raise DataFormatError(f"{path}: class_labels has {len(labels)} entries, layer_dims need {dims[-1]}")
     weights, biases = [], []
     cursor = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -389,7 +427,4 @@ def load_model(path) -> MlpModel:
         cursor += w_bytes
         biases.append(np.frombuffer(blob[cursor : cursor + fan_out * 8], dtype="<f8").copy())
         cursor += fan_out * 8
-    if cursor != len(blob):
-        raise DataFormatError(f"{path}: parameter blob has {len(blob) - cursor} trailing bytes")
-    stats = FeatureStats(np.array(header["feature_mean"]), np.array(header["feature_std"]))
-    return MlpModel(weights, biases, stats, tuple(header["class_labels"]))
+    return MlpModel(weights, biases, stats, labels)

@@ -206,7 +206,7 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     mlp.save_model(old, path)
     header, blob = _binio.read_container(path, mlp.MODEL_MAGIC)
     header["format_version"] = 1
-    _binio.write_container(path, mlp.MODEL_MAGIC, header, blob)
+    _binio.write_container(path, mlp.MODEL_MAGIC, header, (blob,))
     rc = cli.run(
         ["compare", "--data", str(workdir / "data.hrsdat"), "--model", str(path), "--out", str(tmp_path / "r")]
     )
@@ -221,10 +221,69 @@ def test_version_one_dataset_exits_3(workdir, tmp_path, capsys):
     header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC)
     header["format_version"] = 1
     header["config"]["calibration_draws"] = 2000
-    _binio.write_container(path, data.DATASET_MAGIC, header, blob)
+    _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
     rc = cli.run(["train", "--data", str(path), "--out", str(tmp_path / "m")])
     assert rc == 3
     assert "version 1" in capsys.readouterr().err
+
+
+def _shorter_blob(header, blob):
+    return header, blob[: len(blob) // 2]
+
+
+def _one_class_label_fewer(header, blob):
+    header["class_labels"].pop()
+    return header, blob
+
+
+def _no_layer_dims(header, blob):
+    del header["layer_dims"]
+    return header, blob
+
+
+def _negative_offset(header, blob):
+    # Python slicing would read the second-to-last record's bytes
+    rec = header["records"][0]
+    rec["offset"] = -2 * rec["nbytes"]
+    return header, blob
+
+
+def _label_outside_class_index(header, blob):
+    header["records"][0]["label"] = "1,2,3,4,5,6,7,8,9"
+    return header, blob
+
+
+def _no_label_rate(header, blob):
+    del header["records"][0]["label_rate"]
+    return header, blob
+
+
+@pytest.mark.parametrize(
+    "kind, field, edit",
+    [
+        ("model", "layer_dims", _shorter_blob),
+        ("model", "class_labels", _one_class_label_fewer),
+        ("model", "layer_dims", _no_layer_dims),
+        ("dataset", "offset", _negative_offset),
+        ("dataset", "label", _label_outside_class_index),
+        ("dataset", "label_rate", _no_label_rate),
+    ],
+)
+def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edit):
+    # each container keeps a valid CRC; only its header disagrees with itself
+    source, magic = {
+        "model": (workdir / "model.hrsmlp", mlp.MODEL_MAGIC),
+        "dataset": (workdir / "data.hrsdat", data.DATASET_MAGIC),
+    }[kind]
+    header, blob = edit(*_binio.read_container(source, magic))
+    path = tmp_path / source.name
+    _binio.write_container(path, magic, header, (blob,))
+    if kind == "model":
+        argv = ["compare", "--data", str(workdir / "data.hrsdat"), "--model", str(path), "--out", str(tmp_path / "r")]
+    else:
+        argv = ["train", "--data", str(path), "--out", str(tmp_path / "m")]
+    assert cli.run(argv) == 3
+    assert field in capsys.readouterr().err
 
 
 def test_seed_override_changes_dataset(workdir, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -500,6 +502,33 @@ def test_truncated_file_rejected(tiny_dataset, tmp_path):
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(DataFormatError):
         data.load(path)
+
+
+def test_serialize_peak_memory_stays_below_twice_the_file(tmp_path):
+    # the blob is streamed to the file, never joined in memory
+    cfg = data.ScenarioConfig(users=4, antennas=8, samples=2200)
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((cfg.samples, 2, 8, 4)) + 1j * rng.standard_normal((cfg.samples, 2, 8, 4))
+    samples = [data.Sample(h[i, 0], h[i, 1], "1,2,3,4", float(i), (0, 1, 2, 3)) for i in range(cfg.samples)]
+    dataset = data.DatasetSplit(samples, [], [], {"1,2,3,4": 0}, cfg)
+    path = tmp_path / "big.hrsdat"
+    tracemalloc.start()
+    try:
+        data.serialize(dataset, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
+
+
+def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_path):
+    good = tiny_dataset.test[0]
+    bad = data.Sample(good.H_true[:, :-1], good.H_hat[:, :-1], good.label, good.label_rate, good.cov_assignment)
+    dataset = data.DatasetSplit(tiny_dataset.train, [], [bad], tiny_dataset.class_index, tiny_dataset.config)
+    path = tmp_path / "bad.hrsdat"
+    with pytest.raises(DataFormatError, match="shape"):
+        data.serialize(dataset, path)
+    assert not path.exists()
 
 
 def test_empty_dataset_round_trip(tmp_path):

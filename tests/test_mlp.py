@@ -114,6 +114,20 @@ def test_features_start_with_raw_entries(rng):
         assert np.array_equal(row[: 2 * 3 * 5], mlp.raw_features(s))
 
 
+def test_features_are_blind_to_row_blocks(rng, monkeypatch):
+    m, n = 3, 4
+    samples = _estimates(rng, 2 * mlp.ROW_BLOCK + 3, m, n)
+    blocked = mlp._features(samples)
+    monkeypatch.setattr(mlp, "ROW_BLOCK", len(samples))
+    assert blocked.tobytes() == mlp._features(samples).tobytes()
+    rows, cols = np.triu_indices(n, 1)
+    for s, row in zip(samples, blocked):
+        assert row.tobytes() == mlp._features([s])[0].tobytes()
+        assert row[: 2 * m * n].tobytes() == mlp.raw_features(s).tobytes()
+        want = [pf_similarity(s.H_hat[:, [i]], s.H_hat[:, [j]]) for i, j in zip(rows, cols)]
+        assert np.abs(row[2 * m * n :] - want).max() <= 1e-12
+
+
 def test_featurize_rejects_width_mismatch():
     stats = mlp.FeatureStats(np.zeros(4), np.ones(4))
     s = data.Sample(np.zeros((2, 2), complex), np.zeros((2, 2), complex), "1,2", 1.0, (0, 0))
@@ -375,6 +389,22 @@ def test_topk_tie_breaks_toward_lower_class_index():
     assert out[2] == pytest.approx(2 / 3)
 
 
+def test_topk_ranks_row_blocks_like_one_full_ranking(rng):
+    model = toy_model([2, 4, 5], seed=16)
+    model.weights[-1][:, 2] = model.weights[-1][:, 0]  # classes 0 and 2 tie on every row
+    samples = [
+        data.Sample(np.zeros((1, 1), complex), h, f"c{i % 5}", 1.0, (0,))
+        for i, h in enumerate(rng.standard_normal((mlp.ROW_BLOCK + 1, 1, 1)) + 0j)
+    ]
+    probs = mlp.forward(model, mlp.featurize_all(samples, model.feature_stats))
+    assert np.all(probs[:, 0] == probs[:, 2])
+    ranking = np.argsort(-probs, axis=1, kind="stable")
+    truth = np.array([model.class_labels.index(s.label) for s in samples])
+    ks = (1, 2, 3, 7)
+    want = {k: float((ranking[:, :k] == truth[:, None]).any(axis=1).mean()) for k in ks}
+    assert mlp.evaluate_topk(model, samples, ks) == want
+
+
 def test_class_permutation_leaves_accuracy_unchanged(tiny_dataset, tiny_model):
     rng = np.random.default_rng(15)
     perm = rng.permutation(tiny_model.num_classes)
@@ -416,7 +446,7 @@ def test_version_one_checkpoint_rejected(tiny_model, tmp_path):
     mlp.save_model(tiny_model, path)
     header, blob = _binio.read_container(path, mlp.MODEL_MAGIC)
     header["format_version"] = 1
-    _binio.write_container(path, mlp.MODEL_MAGIC, header, blob)
+    _binio.write_container(path, mlp.MODEL_MAGIC, header, (blob,))
     with pytest.raises(DataFormatError, match="version 1"):
         mlp.load_model(path)
 
