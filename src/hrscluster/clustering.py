@@ -16,7 +16,9 @@ otherwise the raw score is used as is.
 A bottom-up agglomeration of the estimate H_hat merges the most similar pair
 of clusters one step at a time, yielding N nested partitions from
 all-singletons to a single universal cluster; it decomposes each cluster's
-basis once and scores each pair of clusters once, 2N - 2 SVDs per draw.
+basis once and scores each pair of clusters once. The N singletons share one
+stacked SVD and each merged cluster but the universal one takes its own, so
+a draw makes N - 1 SVD calls for its 2N - 2 bases.
 The dendrogram keeps those bases, and the level sweep designs its precoders
 on them instead of decomposing the blocks again (see ``hrs``).
 ``best_partition(H_true, H_hat, dendrogram, config)`` picks the level with
@@ -25,7 +27,7 @@ the best achievable rate as the clustering decision; for small N
 optimality reference. Both keep the highest rate, then the fewest groups,
 and each evaluates all its candidates in one ``hrs.evaluate_partitions``
 pass: at N = M = 12 the level sweep makes about 35 stacked SVD calls per
-draw, on top of the agglomeration's 22.
+draw, on top of the agglomeration's 11.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
 )
 # evaluate_partition stays bound here for the callers that look it up on this
 # module (perfbench wraps it on clustering as on evaluation)
-from .hrs import HrsConfig, RateBreakdown, evaluate_partition, evaluate_partitions  # noqa: F401
+from .hrs import HrsConfig, RateBreakdown, evaluate_partition, evaluate_partitions, norm  # noqa: F401
 from .partitions import Partition, enumerate_partitions
 
 CONDITION_LIMIT = 1e12
@@ -71,6 +73,12 @@ def _column_space_basis(H: np.ndarray) -> np.ndarray:
     if H.ndim != 2 or H.shape[1] < 1:
         raise DegenerateInputError(f"need a nonempty matrix, got shape {H.shape}")
     u, s, _ = np.linalg.svd(H, full_matrices=False)
+    return _well_conditioned(u, s)
+
+
+def _well_conditioned(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``u``, once the singular values ``s`` show the columns are not
+    numerically rank deficient."""
     if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise DegenerateInputError(
             f"matrix is numerically rank deficient (condition {s[0] / max(s[-1], np.finfo(float).tiny):.2e})"
@@ -91,7 +99,7 @@ def pf_similarity(H_k: np.ndarray, H_j: np.ndarray) -> float:
 
 def _overlap(u_k: np.ndarray, u_j: np.ndarray, n_k: int, n_j: int) -> float:
     """trace(P_k P_j) / min(N_k, N_j) from orthonormal bases."""
-    return float(np.linalg.norm(u_k.conj().T @ u_j) ** 2 / min(n_k, n_j))
+    return float(norm(u_k.conj().T @ u_j) ** 2 / min(n_k, n_j))
 
 
 def _standardize(s: float, m: int, n_k: int, n_j: int, calib: SimilarityCalibration | None) -> float:
@@ -184,17 +192,24 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
     At each step every pair of current clusters is scored on the stacked
     channel columns and the highest-scoring pair merges; ties go to the
     lexicographically smallest pair of block minima, which makes the merge
-    order reproducible. Scores and bases are cached per block, and a basis is
-    decomposed the first time its cluster is scored: 2N - 2 SVDs, as the
-    universal cluster is never scored. The dendrogram keeps those bases.
+    order reproducible. Scores and bases are cached per block. The N
+    singleton bases come from one stacked SVD, which runs LAPACK on each
+    column as N separate calls would, and a merged block is decomposed the
+    first time its cluster is scored; the universal cluster is never scored,
+    so a lone user is never decomposed. The dendrogram keeps those bases.
     """
     m, n = H_hat.shape
     if n < 1:
         raise DegenerateInputError("need at least one user")
+    bases: dict[tuple[int, ...], np.ndarray] = {}
+    if n > 1:  # a lone user is the universal cluster
+        u, sv, _ = np.linalg.svd(H_hat.T[:, :, None], full_matrices=False)  # every singleton in one call
+        bases = {(k + 1,): _well_conditioned(u_k, s_k) for k, (u_k, s_k) in enumerate(zip(u, sv))}
 
-    @cache
     def basis(block):
-        return _column_space_basis(H_hat[:, np.asarray(block, dtype=int) - 1])
+        if block not in bases:
+            bases[block] = _column_space_basis(H_hat[:, np.asarray(block, dtype=int) - 1])
+        return bases[block]
 
     @cache
     def score(a, b):  # not bit-symmetric; the scan passes the smaller minimum first
@@ -214,7 +229,6 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
         merged = tuple(sorted(best_pair[0] + best_pair[1]))
         blocks = sorted([b for b in blocks if b not in best_pair] + [merged])  # by block minimum
         levels.append(Partition(tuple(blocks)))
-    bases = {block: basis(block) for level in levels[:-1] for block in level.blocks}
     return Dendrogram(tuple(levels), tuple(trace), bases)
 
 

@@ -374,7 +374,10 @@ def load(path) -> DatasetSplit:
         )
     _binio.require(header, ("config", "class_index", "records"), path)
     cfg = ScenarioConfig.from_dict(header["config"])
-    class_index = header["class_index"]
+    try:
+        class_index = {k: int(v) for k, v in header["class_index"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: class_index must map labels to integers ({exc})") from exc
     m, n = cfg.antennas, cfg.users
     matrix_bytes = m * n * 16
     parts: dict[str, list[Sample]] = {name: [] for name in SPLITS}
@@ -385,23 +388,25 @@ def load(path) -> DatasetSplit:
             raise DataFormatError(f"{path}: record {i} has offset {start!r}, need a non-negative integer")
         if nbytes != 2 * matrix_bytes or start + nbytes > len(blob):
             raise DataFormatError(f"{path}: record at offset {start} is malformed")
-        if rec["label"] not in class_index:
-            raise DataFormatError(f"{path}: record {i} has label {rec['label']!r}, which class_index lacks")
-        if rec["split"] not in parts:
-            raise DataFormatError(f"{path}: unknown split {rec['split']!r}")
+        # `field` names the value being read, for the error a wrong type raises
+        field = "label"
+        try:
+            if rec["label"] not in class_index:
+                raise DataFormatError(f"{path}: record {i} has label {rec['label']!r}, which class_index lacks")
+            field = "split"
+            if rec["split"] not in parts:
+                raise DataFormatError(f"{path}: unknown split {rec['split']!r}")
+            field = "label_rate"
+            label_rate = float(rec["label_rate"])
+            field = "cov_assignment"
+            cov_assignment = tuple(int(a) for a in rec["cov_assignment"])
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: record {i} has an unreadable {field} ({exc})") from exc
         raw = blob[start : start + nbytes]
         h_true = np.frombuffer(raw[:matrix_bytes], dtype="<c16").reshape((m, n), order="F")
         h_hat = np.frombuffer(raw[matrix_bytes:], dtype="<c16").reshape((m, n), order="F")
-        parts[rec["split"]].append(
-            Sample(
-                h_true,
-                h_hat,
-                rec["label"],
-                float(rec["label_rate"]),
-                tuple(int(a) for a in rec["cov_assignment"]),
-            )
-        )
-    return DatasetSplit(*parts.values(), {k: int(v) for k, v in class_index.items()}, cfg)
+        parts[rec["split"]].append(Sample(h_true, h_hat, rec["label"], label_rate, cov_assignment))
+    return DatasetSplit(*parts.values(), class_index, cfg)
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:

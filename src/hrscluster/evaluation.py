@@ -76,12 +76,15 @@ def run_baselines(dataset: DatasetSplit, model: MlpModel) -> list[MethodResult]:
     cfg = dataset.config.hrs_config()
     n = dataset.config.users
     predicted = predict_labels(model, samples)
+    # one Partition per distinct key, so each builds its layout once
+    nn = {key: Partition.from_key(key) for key in dict.fromkeys(predicted)}
+    universal, singletons = Partition.universal(n), Partition.singletons(n)
     rates = {m: [] for m in METHODS}
     for s, pred in zip(samples, predicted):
         rates["HC"].append(s.label_rate)
-        rates["NN"].append(evaluate_partition(s.H_true, s.H_hat, Partition.from_key(pred), cfg).R_total)
-        rates["UNI"].append(evaluate_partition(s.H_true, s.H_hat, Partition.universal(n), cfg).R_total)
-        rates["SING"].append(evaluate_partition(s.H_true, s.H_hat, Partition.singletons(n), cfg).R_total)
+        rates["NN"].append(evaluate_partition(s.H_true, s.H_hat, nn[pred], cfg).R_total)
+        rates["UNI"].append(evaluate_partition(s.H_true, s.H_hat, universal, cfg).R_total)
+        rates["SING"].append(evaluate_partition(s.H_true, s.H_hat, singletons, cfg).R_total)
     return [MethodResult(m, rates[m], boxplot_stats(rates[m])) for m in METHODS]
 
 

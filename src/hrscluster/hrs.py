@@ -29,9 +29,15 @@ call (SVD, solve) and one stacked matmul per step, which give the one-group
 calls' results bit for bit. A search may pass a block -> basis dict (the
 level sweep passes the dendrogram's); ``evaluate_partitions`` decomposes
 each missing block once and hands ``compute_outer_precoders`` every basis.
-At N = M = 12 a draw then takes about 57 SVD calls (22 in the
+At N = M = 12 a draw then takes about 46 SVD calls (11 in the
 agglomeration, about 35 in the 12-level sweep), where one design pass per
 level took about 66 and one call per group 253.
+
+What a call costs beyond those LAPACK calls is kept small: the index arrays
+of a partition are built once per ``Partition`` (its ``layout``), the
+per-block minima of ``rate`` are one ``reduceat`` summed left to right, and
+the norms spell out the operations ``np.linalg.norm`` runs, which keeps
+every result the same to the bit.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .partitions import Partition
 
 RANK_TOL_REL = 1e-12
 DENOMINATOR_GUARD = -1e-12
+_TINY = np.finfo(float).tiny
 
 
 def uniform_alpha_grid(points: int = 10) -> tuple[float, ...]:
@@ -95,11 +102,11 @@ class PrecoderSet:
 def split_power(alpha: np.ndarray, beta: np.ndarray, total_power: float, partition: Partition):
     """p_oc (K,), p_ic (K, G) and p_priv (K, N) for K (alpha, beta) pairs given as two (K,) arrays."""
     g_count = partition.num_groups
-    sizes = np.array([len(blk) for blk in partition.blocks])
-    per_user_scale = 1.0 / (g_count * sizes[partition.group_of_user()])
-    p_ic = (1.0 - alpha) * beta * total_power / g_count
-    p_priv = (1.0 - alpha) * (1.0 - beta) * total_power
-    return alpha * total_power, np.repeat(p_ic[:, None], g_count, axis=1), p_priv[:, None] * per_user_scale
+    per_user_scale = 1.0 / (g_count * partition.layout.size)
+    below_oc = 1.0 - alpha  # the share the outer common layer leaves
+    p_ic = below_oc * beta * total_power / g_count
+    p_priv = below_oc * (1.0 - beta) * total_power
+    return alpha * total_power, p_ic[:, None].repeat(g_count, axis=1), p_priv[:, None] * per_user_scale
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,30 @@ class RateBreakdown:
         return RateBreakdown(0.0, 0.0, 0.0, 0.0, float("nan"), float("nan"), False)
 
 
+@cache
+def _identity(n: int, dtype=float) -> np.ndarray:
+    """Read-only (n, n) identity, built once per size and dtype."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
+def norm(x: np.ndarray):
+    """``np.linalg.norm(x)`` of a complex array, the same operations without
+    the wrapper's dispatch, so it gives the same bits."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``norm`` of each row of a (K, n) complex array whose rows are
+    contiguous. A (1, n) @ (n, 1) matmul runs the same BLAS dot as the 1-D
+    ``dot`` in ``norm``, so one stacked matmul per part gives the same bits."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
 def _classes(keys) -> dict:
     """Indices of equal keys, in first-seen order: the members of one stacked call."""
     out: dict = {}
@@ -128,15 +159,16 @@ def _classes(keys) -> dict:
 
 
 def _stacked(arrays, members) -> np.ndarray:
-    # np.stack keeps each item's memory layout (np.array would make it C
-    # order), so BLAS sees the same operands as it would one group at a time
-    return np.stack([arrays[i] for i in members])
+    # np.stack's own concatenate, without its checks: it keeps each item's
+    # memory layout (np.array would make it C order), so BLAS sees the same
+    # operands as it would one group at a time
+    return np.concatenate([arrays[i][None] for i in members])
 
 
 def _dominant_bases(H_hat_grouped) -> list[np.ndarray]:
     """Left singular vectors of each group's channel (thin SVD), one stacked
     SVD per group shape."""
-    groups = [np.asarray(h) for h in H_hat_grouped]
+    groups = list(H_hat_grouped)
     out: list = [None] * len(groups)
     for members in _classes(h.shape for h in groups).values():
         u = np.linalg.svd(_stacked(groups, members), full_matrices=False)[0]
@@ -165,7 +197,6 @@ def compute_outer_precoders(grouped, dominant) -> list[list[np.ndarray]]:
     (complement width, N_g, d), since a rank-deficient stack widens its
     complement.
     """
-    grouped = [[np.asarray(h) for h in groups] for groups in grouped]
     for groups in grouped:
         m = groups[0].shape[0]
         if any(h.shape[0] != m for h in groups):
@@ -180,7 +211,7 @@ def compute_outer_precoders(grouped, dominant) -> list[list[np.ndarray]]:
     for c, groups in enumerate(grouped):
         m, g_count = groups[0].shape[0], len(groups)
         if g_count == 1:
-            outer[c][0] = np.eye(m, dtype=complex)
+            outer[c][0] = _identity(m, complex)
             continue
         d = m // g_count
         bases = [u[:, :d] for u in dominant[c]]
@@ -196,9 +227,9 @@ def compute_outer_precoders(grouped, dominant) -> list[list[np.ndarray]]:
     triples, complements = [], []
     for owners, arrays in stacks.values():
         u, s, _ = np.linalg.svd(arrays[0] if len(arrays) == 1 else np.concatenate(arrays), full_matrices=True)
-        ranks = np.sum(s > s[:, :1] * RANK_TOL_REL, axis=1)
+        ranks = (s > s[:, :1] * RANK_TOL_REL).sum(axis=1)
         triples += owners
-        complements += [u_g[:, rank:] for u_g, rank in zip(u, ranks)]  # orthonormal complement of the stack
+        complements += [u_g[:, rank:] for u_g, rank in zip(u, ranks.tolist())]  # orthonormal complement of the stack
     channels = [grouped[c][g] for c, g, _ in triples]
     shapes = [(u.shape[1], h.shape[1], t[2]) for u, h, t in zip(complements, channels, triples)]
     for (_, _, d), members in _classes(shapes).items():
@@ -226,36 +257,36 @@ def compute_inner_precoders(B, grouped, config: HrsConfig) -> list[PrecoderSet]:
     norm and lift as one stacked call.
     """
     sizes = [len(groups) for groups in grouped]
-    flat_b = [np.asarray(b) for bs in B for b in bs]
-    flat_h = [np.asarray(h) for groups in grouped for h in groups]
+    flat_b = [b for bs in B for b in bs]
+    flat_h = [h for groups in grouped for h in groups]
     private, inner, lifted = [None] * len(flat_h), [None] * len(flat_h), [None] * len(flat_h)
     for members in _classes((b.shape, h.shape) for b, h in zip(flat_b, flat_h)).values():
         b = _stacked(flat_b, members)
         h_eff = b.conj().transpose(0, 2, 1) @ _stacked(flat_h, members)  # (K, d, N_g)
         eps = h_eff.shape[2] / config.total_power
-        gram = h_eff @ h_eff.conj().transpose(0, 2, 1) + eps * np.eye(h_eff.shape[1])
+        gram = h_eff @ h_eff.conj().transpose(0, 2, 1) + eps * _identity(h_eff.shape[1])
         w = np.linalg.solve(gram, h_eff)
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
+        # np.linalg.norm(w, axis=1, keepdims=True), spelled out
+        norms = np.sqrt(np.add.reduce((w.conj() * w).real, axis=1, keepdims=True))
+        if (norms == 0.0).any():
             raise NumericalConsistencyError("RZF produced a zero private column")
         w = w / norms
         w_ic = w.sum(axis=2)
-        for combined in w_ic:
-            # the 1-D norm, not the axis= form: they round differently
-            combined_norm = np.linalg.norm(combined)
-            if combined_norm == 0.0:
-                raise NumericalConsistencyError("inner-common combination vanished")
-            combined /= combined_norm
-        beams, ic_beams, lifts = b @ w, b @ w_ic[..., None], (b @ h_eff).sum(axis=2)
-        for k, i in enumerate(members):
-            private[i], inner[i], lifted[i] = beams[k], ic_beams[k, :, 0], lifts[k]
+        # the 1-D norm of each row, not the axis= form: they round differently
+        ic_norms = _row_norms(w_ic)
+        if (ic_norms == 0.0).any():
+            raise NumericalConsistencyError("inner-common combination vanished")
+        w_ic /= ic_norms[:, None]
+        beams, ic_beams, lifts = b @ w, (b @ w_ic[..., None])[:, :, 0], (b @ h_eff).sum(axis=2)
+        for i, beam, ic_beam, lift in zip(members, beams, ic_beams, lifts):
+            private[i], inner[i], lifted[i] = beam, ic_beam, lift
     out, start = [], 0
     for size in sizes:
         stop = start + size
         w_oc = np.zeros(flat_b[start].shape[0], dtype=complex)
         for v in lifted[start:stop]:  # in group order
             w_oc += v
-        oc_norm = np.linalg.norm(w_oc)
+        oc_norm = norm(w_oc)
         if oc_norm == 0.0:
             raise NumericalConsistencyError("outer-common combination vanished")
         out.append(PrecoderSet(tuple(private[start:stop]), tuple(inner[start:stop]), w_oc / oc_norm))
@@ -274,19 +305,19 @@ def rate(
     the lower SIC layers.
     """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    blocks = [partition.block_columns(g) for g in range(partition.num_groups)]
-    group_of_user = partition.group_of_user()
+    layout = partition.layout
     v_priv = np.empty(H_true.shape, dtype=complex)
-    v_priv[:, np.concatenate(blocks)] = np.concatenate(precoders.private, axis=1)
+    v_priv[:, layout.order] = np.concatenate(precoders.private, axis=1)
     ht = H_true.conj().T  # |h^H v|^2 tables against the true channel, shared by every grid point
-    common = np.abs(ht @ np.stack(precoders.inner, axis=1)) ** 2  # (N, G)
+    # np.stack(precoders.inner, axis=1) without its checks
+    common = np.abs(ht @ np.concatenate([v[:, None] for v in precoders.inner], axis=1)) ** 2  # (N, G)
     private = np.abs(ht @ v_priv) ** 2  # (N, N)
     outer = np.abs(ht @ precoders.w_oc) ** 2  # (N,)
     p_oc, p_ic, p_priv = split_power(alpha, beta, total_power, partition)
-    users = np.arange(H_true.shape[1])
     interference = p_ic @ common.T + p_priv @ private.T  # (K, N)
-    self_ic = p_ic[:, group_of_user] * common[users, group_of_user]
-    self_priv = p_priv * private[users, users]
+    # every group gets the same inner-common power, so column 0 serves every user
+    self_ic = p_ic[:, :1] * common[np.arange(H_true.shape[1]), layout.group]
+    self_priv = p_priv * private.diagonal()
 
     den_oc = 1.0 + interference
     den_ic = den_oc - self_ic
@@ -298,12 +329,16 @@ def rate(
         )
 
     gamma_oc = p_oc[:, None] * outer[None, :] / den_oc
-    gamma_ic = self_ic / np.maximum(den_ic, np.finfo(float).tiny)
-    gamma_p = self_priv / np.maximum(den_p, np.finfo(float).tiny)
+    gamma_ic = self_ic / np.maximum(den_ic, _TINY)
+    gamma_p = self_priv / np.maximum(den_p, _TINY)
 
-    r_oc = np.log2(1.0 + gamma_oc).min(axis=1)
+    # minima over users down the rows of a transposed copy, which numpy
+    # runs elementwise rather than one short row at a time
+    r_oc = np.log2(1.0 + gamma_oc).T.copy().min(axis=0)
     r_ic_users = np.log2(1.0 + gamma_ic)
-    r_ic = sum(r_ic_users[:, cols].min(axis=1) for cols in blocks)
+    # per-block minima, summed left to right in block order
+    block_min = np.minimum.reduceat(r_ic_users[:, layout.order], layout.starts, axis=1)
+    r_ic = np.add.accumulate(block_min, axis=1)[:, -1]
     r_p = np.log2(1.0 + gamma_p).sum(axis=1)
     totals = r_oc + r_ic + r_p
     best = int(np.argmax(totals))
@@ -343,7 +378,13 @@ def evaluate_partitions(
     """
     partitions = list(partitions)
     feasible = [p for p in partitions if p.num_groups <= H_hat.shape[0]]
-    columns = {block: H_hat[:, np.asarray(block, dtype=int) - 1] for p in feasible for block in p.blocks}
+    columns = {}
+    for p in feasible:
+        # one gather per candidate; a block's slice of it has the strides a
+        # gather of the block alone would have
+        gathered = H_hat[:, p.layout.order]
+        for block, start in zip(p.blocks, p.layout.starts.tolist()):
+            columns.setdefault(block, gathered[:, start : start + len(block)])
     grouped = [[columns[block] for block in p.blocks] for p in feasible]
     bases = dict(bases or {})
     missing = list(dict.fromkeys(b for p in feasible if p.num_groups > 1 for b in p.blocks if b not in bases))

@@ -8,6 +8,8 @@ doubles as the classification label, serialized as ``"1,3|2,4"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,11 +19,25 @@ from .errors import ConfigurationError, ResourceLimitError
 MAX_ENUMERATION_SIZE = 10
 
 
+class Layout(NamedTuple):
+    """Index arrays of one partition, each read-only and 0-based."""
+
+    columns: tuple[np.ndarray, ...]  # the users of each block, a view of ``order``
+    order: np.ndarray  # every block's columns, concatenated in block order
+    starts: np.ndarray  # where each block begins in ``order``
+    group: np.ndarray  # the block of each user
+    size: np.ndarray  # the block size of each user
+
+
 @dataclass(frozen=True)
 class Partition:
     """Canonical grouping of users 1..N into disjoint nonempty blocks."""
 
     blocks: tuple[tuple[int, ...], ...]
+
+    def __reduce__(self):
+        # pickle the blocks alone; the unpickled copy builds its own layout
+        return Partition, (self.blocks,)
 
     @staticmethod
     def from_blocks(blocks) -> "Partition":
@@ -66,17 +82,30 @@ class Partition:
     def key(self) -> str:
         return "|".join(",".join(str(u) for u in b) for b in self.blocks)
 
+    @cached_property
+    def layout(self) -> Layout:
+        """The partition's index arrays, built on first use and kept on the
+        instance, so every rate of one partition reuses them."""
+        n, g_count = self.num_users, self.num_groups
+        order, group, size, starts = [], [0] * n, [0] * n, []
+        for g, block in enumerate(self.blocks):
+            starts.append(len(order))
+            for u in block:
+                order.append(u - 1)
+                group[u - 1], size[u - 1] = g, len(block)
+        table = np.array([order, group, size, starts + [0] * (n - g_count)])  # one conversion
+        table.flags.writeable = False
+        order = table[0]
+        columns = tuple(order[a : a + len(b)] for a, b in zip(starts, self.blocks))
+        return Layout(columns, order, table[3, :g_count], table[1], table[2])
+
     def block_columns(self, g: int) -> np.ndarray:
-        """0-based column indices of the users in block ``g``."""
-        return np.asarray(self.blocks[g], dtype=int) - 1
+        """0-based column indices of the users in block ``g`` (read-only)."""
+        return self.layout.columns[g]
 
     def group_of_user(self) -> np.ndarray:
-        """Array mapping 0-based user column to its block index."""
-        out = [0] * self.num_users
-        for g, block in enumerate(self.blocks):
-            for u in block:  # a Python loop: one numpy call per block costs more
-                out[u - 1] = g
-        return np.array(out)
+        """Array mapping 0-based user column to its block index (read-only)."""
+        return self.layout.group
 
     def relabeled(self, perm: np.ndarray) -> "Partition":
         """Partition after renaming user ``u`` to ``perm[u-1] + 1``."""

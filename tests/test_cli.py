@@ -258,6 +258,31 @@ def _no_label_rate(header, blob):
     return header, blob
 
 
+def _class_index_as_list(header, blob):
+    header["class_index"] = list(header["class_index"])
+    return header, blob
+
+
+def _label_rate_as_word(header, blob):
+    header["records"][0]["label_rate"] = "fast"
+    return header, blob
+
+
+def _cov_assignment_as_int(header, blob):
+    header["records"][0]["cov_assignment"] = 3
+    return header, blob
+
+
+def _split_as_list(header, blob):
+    header["records"][0]["split"] = ["train"]
+    return header, blob
+
+
+def _label_as_list(header, blob):
+    header["records"][0]["label"] = ["1,2"]
+    return header, blob
+
+
 @pytest.mark.parametrize(
     "kind, field, edit",
     [
@@ -267,6 +292,12 @@ def _no_label_rate(header, blob):
         ("dataset", "offset", _negative_offset),
         ("dataset", "label", _label_outside_class_index),
         ("dataset", "label_rate", _no_label_rate),
+        # fields of the wrong type
+        ("dataset", "class_index", _class_index_as_list),
+        ("dataset", "label_rate", _label_rate_as_word),
+        ("dataset", "cov_assignment", _cov_assignment_as_int),
+        ("dataset", "split", _split_as_list),
+        ("dataset", "label", _label_as_list),
     ],
 )
 def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edit):

@@ -275,6 +275,19 @@ def test_agglomerate_never_decomposes_the_universal_cluster():
     assert [p.key() for p in d.levels] == ["1|2", "1,2"]
 
 
+def test_agglomerate_rejects_a_zero_user_column_as_one_decomposition_would():
+    h = random_channelset(8, 5, seed=55).H_hat.copy()
+    h[:, 2] = 0.0
+    h[:, 4] = 0.0
+    with pytest.raises(DegenerateInputError) as alone:
+        pf_similarity(h[:, [0]], h[:, [2]])
+    with pytest.raises(DegenerateInputError) as err:
+        agglomerate(h, SimilarityCalibration.for_scenario(8, 5))
+    assert str(err.value) == str(alone.value) == "matrix is numerically rank deficient (condition 0.00e+00)"
+    # a lone user is the universal cluster, which is never decomposed
+    assert [p.key() for p in agglomerate(np.zeros((8, 1), dtype=complex), None).levels] == ["1"]
+
+
 def test_dendrogram_keeps_the_bases_of_every_non_universal_block():
     for m, n, seed in ((8, 6, 52), (12, 12, 53), (6, 12, 54)):
         h = random_channelset(m, n, seed=seed, tau=0.4).H_hat

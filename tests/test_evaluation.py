@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from hrscluster import data, evaluation, mlp
+from hrscluster import data, evaluation, hrs, mlp
 from hrscluster.clustering import agglomerate
 from hrscluster.errors import ConfigurationError
+from hrscluster.partitions import Partition
 
 
 # ------------------------------------------------------------- boxplot stats
@@ -88,6 +89,28 @@ def test_singleton_baseline_zero_when_users_exceed_antennas(tiny_model):
     assert by["SING"].summary.median == 0.0
     assert all(r == 0.0 for r in by["SING"].rates)
     assert all(r > 0.0 for r in by["UNI"].rates)
+
+
+def test_baselines_match_fresh_partitions_in_three_calls_per_sample(tiny_dataset, tiny_model, monkeypatch):
+    cfg = tiny_dataset.config.hrs_config()
+    n = tiny_dataset.config.users
+    predicted = mlp.predict_labels(tiny_model, tiny_dataset.test)
+    want = {"NN": [], "UNI": [], "SING": []}
+    for s, pred in zip(tiny_dataset.test, predicted):
+        for method, partition in (
+            ("NN", Partition.from_key(pred)), ("UNI", Partition.universal(n)), ("SING", Partition.singletons(n))
+        ):
+            want[method].append(hrs.evaluate_partition(s.H_true, s.H_hat, partition, cfg).R_total)
+    # the benchmark times each test sample as these three calls, looked up on evaluation
+    calls = []
+    original = evaluation.evaluate_partition
+    monkeypatch.setattr(
+        evaluation, "evaluate_partition", lambda *a: calls.append(a[2].key()) or original(*a)
+    )
+    by = {r.method: r.rates for r in evaluation.run_baselines(tiny_dataset, tiny_model)}
+    assert all(by[method] == rates for method, rates in want.items())
+    fixed = (Partition.universal(n).key(), Partition.singletons(n).key())
+    assert calls == [key for pred in predicted for key in (pred, *fixed)]
 
 
 def test_relative_rate_consistent_with_raw_records(tiny_dataset, tiny_model, tmp_path):

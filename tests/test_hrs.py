@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -312,6 +314,98 @@ def _precoders_for(H_hat, partition, cfg):
     groups = [H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
     b = outer_precoders(groups)
     return compute_inner_precoders([b], [groups], cfg)[0]
+
+
+def _reference_split_power(alpha, beta, total_power, partition):
+    """``split_power`` with the block sizes and groups rebuilt from ``blocks``."""
+    g_count = partition.num_groups
+    sizes = np.array([len(blk) for blk in partition.blocks])
+    group_of_user = np.empty(partition.num_users, dtype=int)
+    for g, block in enumerate(partition.blocks):
+        group_of_user[np.asarray(block) - 1] = g
+    per_user_scale = 1.0 / (g_count * sizes[group_of_user])
+    p_ic = (1.0 - alpha) * beta * total_power / g_count
+    p_priv = (1.0 - alpha) * (1.0 - beta) * total_power
+    return alpha * total_power, np.repeat(p_ic[:, None], g_count, axis=1), p_priv[:, None] * per_user_scale
+
+
+def _reference_rate(H_true, partition, precoders, alpha, beta, total_power):
+    """``rate`` with every index rebuilt from ``blocks``, the per-block
+    minima summed by a Python ``sum`` and the minima taken along rows."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    blocks = [np.asarray(block, dtype=int) - 1 for block in partition.blocks]
+    group_of_user = np.empty(partition.num_users, dtype=int)
+    for g, cols in enumerate(blocks):
+        group_of_user[cols] = g
+    v_priv = np.empty(H_true.shape, dtype=complex)
+    v_priv[:, np.concatenate(blocks)] = np.concatenate(precoders.private, axis=1)
+    ht = H_true.conj().T
+    common = np.abs(ht @ np.stack(precoders.inner, axis=1)) ** 2
+    private = np.abs(ht @ v_priv) ** 2
+    outer = np.abs(ht @ precoders.w_oc) ** 2
+    p_oc, p_ic, p_priv = _reference_split_power(alpha, beta, total_power, partition)
+    users = np.arange(H_true.shape[1])
+    interference = p_ic @ common.T + p_priv @ private.T
+    self_ic = p_ic[:, group_of_user] * common[users, group_of_user]
+    self_priv = p_priv * private[users, users]
+    den_oc = 1.0 + interference
+    den_ic = den_oc - self_ic
+    den_p = den_ic - self_priv
+    gamma_oc = p_oc[:, None] * outer[None, :] / den_oc
+    gamma_ic = self_ic / np.maximum(den_ic, np.finfo(float).tiny)
+    gamma_p = self_priv / np.maximum(den_p, np.finfo(float).tiny)
+    r_oc = np.log2(1.0 + gamma_oc).min(axis=1)
+    r_ic_users = np.log2(1.0 + gamma_ic)
+    r_ic = sum(r_ic_users[:, cols].min(axis=1) for cols in blocks)
+    r_p = np.log2(1.0 + gamma_p).sum(axis=1)
+    totals = r_oc + r_ic + r_p
+    best = int(np.argmax(totals))
+    return RateBreakdown(
+        float(r_oc[best]), float(r_ic[best]), float(r_p[best]), float(totals[best]),
+        float(alpha[best]), float(beta[best]), True,
+    )
+
+
+def _random_partitions(rng, n, count):
+    """The universal and the singleton partition of n users, then ``count``
+    partitions with a random number of groups."""
+    out = [Partition.universal(n), Partition.singletons(n)]
+    for _ in range(count):
+        labels = rng.integers(0, rng.integers(1, n + 1), n)
+        out.append(Partition.from_blocks([np.nonzero(labels == g)[0] + 1 for g in np.unique(labels)]))
+    return out
+
+
+def test_rate_matches_the_per_block_reference_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cfg = HrsConfig(total_power=30.0)
+    grids = [
+        hrs._power_grid(tuple(cfg.alpha_grid), tuple(cfg.beta_grid)),
+        hrs._power_grid((min(cfg.alpha_grid),), tuple(cfg.beta_grid)),
+        (np.array([0.3]), np.array([0.7])),
+    ]
+    for n in range(1, 13):
+        channels = random_channelset(12, n, seed=400 + n, tau=0.4)
+        for partition in _random_partitions(rng, n, 4):
+            pre = _precoders_for(channels.H_hat, partition, cfg)
+            for alpha, beta in grids:
+                got = rate(channels.H_true, partition, pre, alpha, beta, cfg.total_power)
+                want = _reference_rate(channels.H_true, partition, pre, alpha, beta, cfg.total_power)
+                for field in dataclasses.fields(RateBreakdown):
+                    assert getattr(got, field.name) == getattr(want, field.name), (partition.key(), field.name)
+                ref = _reference_split_power(alpha, beta, cfg.total_power, partition)
+                for got_part, want_part in zip(split_power(alpha, beta, cfg.total_power, partition), ref):
+                    assert np.array_equal(got_part, want_part)
+
+
+def test_inline_norms_match_numpy_bit_for_bit(rng):
+    for _ in range(300):
+        k, n = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        x = complex_gaussian(rng, (k, n)) * 10.0 ** rng.uniform(-6, 6)
+        assert hrs.norm(x) == np.linalg.norm(x)
+        assert hrs.norm(x[0]) == np.linalg.norm(x[0])
+        # the inner-common and outer-common vectors are normalized this way
+        assert np.array_equal(hrs._row_norms(x), [np.linalg.norm(row) for row in x])
 
 
 def test_scalar_awgn_channel_rate():

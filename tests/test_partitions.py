@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,30 @@ def test_group_of_user_matches_blocks():
     p = Partition.from_blocks([[1, 4], [2], [3]])
     assert list(p.group_of_user()) == [0, 1, 2, 0]
     assert list(p.block_columns(0)) == [0, 3]
+
+
+def test_layout_agrees_with_blocks_is_read_only_and_survives_pickling():
+    for p in [Partition.universal(1), Partition.singletons(5), Partition.from_blocks([[1, 4], [2], [3, 6, 5]])]:
+        layout = p.layout
+        assert layout is p.layout  # built once per instance
+        for g, block in enumerate(p.blocks):
+            assert list(layout.columns[g]) == [u - 1 for u in block]
+            assert layout.columns[g] is p.block_columns(g)
+        assert list(layout.order) == [u - 1 for block in p.blocks for u in block]
+        assert list(layout.starts) == [sum(len(b) for b in p.blocks[:g]) for g in range(p.num_groups)]
+        assert layout.group is p.group_of_user()
+        users = range(1, p.num_users + 1)
+        assert list(layout.group) == [next(g for g, b in enumerate(p.blocks) if u in b) for u in users]
+        assert list(layout.size) == [len(p.blocks[g]) for g in layout.group]
+        for a in (*layout.columns, layout.order, layout.starts, layout.group, layout.size):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p)
+        for got, want in zip(copy.layout[1:], layout[1:]):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip(copy.layout.columns, layout.columns))
 
 
 def test_bell_numbers():

@@ -1,0 +1,80 @@
+"""Print the sha256 of every output a byte-identity check compares.
+
+    python3 tools/output_digests.py
+
+Runs the CLI of the ``src/`` tree beside this directory, in a temporary
+directory, at fixed sizes and seeds:
+
+    gen-dataset  n8m8, 300 draws, seed 7: serially, with --threads 2, and its --csv
+    gen-dataset  n12m12, 60 draws, seed 9
+    train        --seed 3 --epochs 3 on the n8m8 dataset, and its --report
+    compare      that model on that dataset: SVG, JSON lines, CSV and stdout
+
+and prints one JSON object mapping each output to its sha256. Two versions
+of the program write the same bytes when they print the same object.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(work: Path) -> dict:
+    from hrscluster import cli
+
+    def run(*argv) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.run([str(a) for a in argv])
+        if rc != 0:
+            raise SystemExit(f"hrscluster {' '.join(map(str, argv))} exited with {rc}")
+        return out.getvalue()
+
+    configs = {"n8m8": {"users": 8, "antennas": 8, "samples": 300, "seed": 7},
+               "n12m12": {"users": 12, "antennas": 12, "samples": 60, "seed": 9}}
+    for name, cfg in configs.items():
+        (work / f"{name}.json").write_text(json.dumps(cfg))
+    run("gen-dataset", "--config", work / "n8m8.json", "--out", work / "n8m8.hrsdat", "--csv", work / "n8m8.csv")
+    run("--threads", 2, "gen-dataset", "--config", work / "n8m8.json", "--out", work / "n8m8-threads2.hrsdat")
+    run("gen-dataset", "--config", work / "n12m12.json", "--out", work / "n12m12.hrsdat")
+    run("--seed", 3, "train", "--data", work / "n8m8.hrsdat", "--out", work / "model.hrsmlp",
+        "--report", work / "report.json", "--epochs", 3)
+    stdout = run("compare", "--data", work / "n8m8.hrsdat", "--model", work / "model.hrsmlp", "--out", work / "compare")
+    files = {
+        "gen-dataset n8m8": "n8m8.hrsdat",
+        "gen-dataset n8m8 --threads 2": "n8m8-threads2.hrsdat",
+        "gen-dataset n8m8 --csv": "n8m8.csv",
+        "gen-dataset n12m12": "n12m12.hrsdat",
+        "train": "model.hrsmlp",
+        "train --report": "report.json",
+        "compare svg": "compare/n8m8_boxplot.svg",
+        "compare jsonl": "compare/n8m8_rates.jsonl",
+        "compare csv": "compare/n8m8_summary.csv",
+    }
+    out = {name: _sha256((work / rel).read_bytes()) for name, rel in files.items()}
+    # the stdout names the temporary output directory, which differs per run
+    out["compare stdout"] = _sha256(stdout.replace(str(work), "<work>").encode())
+    return out
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(digests(Path(tmp)), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
