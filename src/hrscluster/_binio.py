@@ -8,6 +8,10 @@ Layout (little-endian):
     ...       payload blob (layout described by the header)
     4 bytes   uint32 CRC32 of every preceding byte
 
+``read_container`` refuses a header that is not a JSON object or holds
+another ``format_version`` than the reader's; ``require`` checks the fields a
+reader declares, so readers check only what a JSON type cannot express.
+
 Writes are streamed: ``write_container`` takes the blob as an iterable of
 bytes-like parts and writes each as it comes, carrying the CRC along, so the
 whole blob is never joined in memory. Callers check their inputs before the
@@ -27,6 +31,12 @@ from .errors import DataFormatError
 MAGIC_LEN = 8
 _LEN_FMT = "<Q"
 _CRC_FMT = "<I"
+_PREFIX_LEN = MAGIC_LEN + struct.calcsize(_LEN_FMT)
+
+# The Python types a JSON value of each type decodes to: a number written
+# without a fraction decodes to int, and a bool is never a number.
+_DECODED = {int: {int}, float: {float, int}, str: {str}, dict: {dict}, list: {list}}
+_NAMES = {int: "integer", float: "number", str: "string", dict: "object", list: "list"}
 
 
 def write_container(path, magic: bytes, header: dict, parts) -> None:
@@ -42,38 +52,50 @@ def write_container(path, magic: bytes, header: dict, parts) -> None:
         fh.write(struct.pack(_CRC_FMT, crc & 0xFFFFFFFF))
 
 
-def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
-    """Header and blob of a container; the blob is a view of the file's bytes."""
+def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
+    """Header and blob of a container of format ``version``; the blob views the file's bytes."""
     raw = Path(path).read_bytes()
-    min_len = MAGIC_LEN + struct.calcsize(_LEN_FMT) + struct.calcsize(_CRC_FMT)
-    if len(raw) < min_len:
+    if len(raw) < _PREFIX_LEN + struct.calcsize(_CRC_FMT):
         raise DataFormatError(f"{path}: file truncated ({len(raw)} bytes)")
     if raw[:MAGIC_LEN] != magic:
-        raise DataFormatError(
-            f"{path}: bad magic {raw[:MAGIC_LEN]!r}, expected {magic!r}"
-        )
+        raise DataFormatError(f"{path}: bad magic {raw[:MAGIC_LEN]!r}, expected {magic!r}")
     stored_crc = struct.unpack(_CRC_FMT, raw[-4:])[0]
     body = memoryview(raw)[:-4]
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise DataFormatError(f"{path}: CRC mismatch, file is corrupted")
-    (header_len,) = struct.unpack(
-        _LEN_FMT, raw[MAGIC_LEN : MAGIC_LEN + struct.calcsize(_LEN_FMT)]
-    )
-    header_start = MAGIC_LEN + struct.calcsize(_LEN_FMT)
-    if header_start + header_len > len(body):
+    header_end = _PREFIX_LEN + struct.unpack_from(_LEN_FMT, raw, MAGIC_LEN)[0]
+    if header_end > len(body):
         raise DataFormatError(f"{path}: header length exceeds file size")
     try:
-        header = json.loads(bytes(body[header_start : header_start + header_len]).decode("utf-8"))
+        header = json.loads(bytes(body[_PREFIX_LEN:header_end]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable header ({exc})") from exc
-    return header, body[header_start + header_len :]
+    if type(header) is not dict:
+        raise DataFormatError(f"{path}: header is not a JSON object")
+    require(header, {"format_version": int}, path)
+    if header["format_version"] != version:
+        raise DataFormatError(f"{path}: format version {header['format_version']} is not supported, "
+                              f"this program reads version {version}; regenerate or retrain it")
+    return header, body[header_end:]
 
 
+def require(mapping: dict, fields: dict, path, where: str = "header") -> None:
+    """Check that ``mapping`` holds every key of ``fields`` with its JSON type.
 
-def require(mapping, keys, path, where: str = "header") -> None:
-    """Raise a DataFormatError naming the first of ``keys`` that ``mapping`` lacks."""
-    if not isinstance(mapping, dict):
-        raise DataFormatError(f"{path}: {where} is not a JSON object")
-    for key in keys:
+    A type is ``int``, ``float`` (which also admits an integer), ``str``,
+    ``dict``, ``list``, or a pair ``(list, t)`` or ``(dict, t)``: a list, or
+    an object, whose values are all of type ``t``. The DataFormatError names
+    the first key that is missing or of another type.
+    """
+    for key, kind in fields.items():
         if key not in mapping:
             raise DataFormatError(f"{path}: {where} lacks the field {key!r}")
+        value = mapping[key]
+        if type(kind) is tuple:
+            items = value.values() if type(value) is dict else value
+            ok = type(value) is kind[0] and set(map(type, items)) <= _DECODED[kind[1]]
+        else:
+            ok = type(value) in _DECODED[kind]
+        if not ok:
+            name = f"{_NAMES[kind[0]]} of {_NAMES[kind[1]]}s" if type(kind) is tuple else _NAMES[kind]
+            raise DataFormatError(f"{path}: {where} field {key!r} is not of JSON type {name}")

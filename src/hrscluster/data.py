@@ -46,8 +46,13 @@ _SALT_SPLIT = 4
 # DatasetSplit's sample lists, in storage order.
 SPLITS = ("train", "validation", "test")
 
-# Keys of every record in a dataset header.
-_RECORD_FIELDS = ("split", "label", "label_rate", "cov_assignment", "offset", "nbytes")
+# JSON types of the dataset header's fields and of each of its records.
+_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "records": (list, dict)}
+_RECORD_FIELDS = {"split": str, "label": str, "label_rate": float, "cov_assignment": (list, int),
+                  "offset": int, "nbytes": int}
+
+# Draws per task of the generation pool; workers beyond the task count would idle.
+_GEN_CHUNK = 8
 
 
 def default_azimuths(num_covs: int) -> tuple[float, ...]:
@@ -136,17 +141,9 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        if "users" not in raw or "antennas" not in raw:
-            raise ConfigurationError("config requires 'users' and 'antennas'")
-        known = {f for f in ScenarioConfig.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
+        # a missing or unknown key raises TypeError naming it
         try:
-            if "azimuths" in kwargs:
-                kwargs["azimuths"] = tuple(kwargs["azimuths"])
-            return ScenarioConfig(**kwargs)
+            return ScenarioConfig(**{**raw, "azimuths": tuple(raw.get("azimuths", ()))})
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
 
@@ -225,8 +222,8 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> list[Sample]:
     indices = range(cfg.samples)
     if threads <= 1:
         return [one(i) for i in indices]
-    with Pool(threads) as pool:
-        return pool.map(one, indices, chunksize=8)
+    with Pool(min(threads, -(-cfg.samples // _GEN_CHUNK))) as pool:
+        return pool.map(one, indices, chunksize=_GEN_CHUNK)
 
 
 def balance(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
@@ -367,45 +364,35 @@ def serialize(dataset: DatasetSplit, path) -> None:
 
 
 def load(path) -> DatasetSplit:
-    header, blob = _binio.read_container(path, DATASET_MAGIC)
-    if header.get("format_version") != DATASET_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported dataset version {header.get('format_version')}"
-        )
-    _binio.require(header, ("config", "class_index", "records"), path)
-    cfg = ScenarioConfig.from_dict(header["config"])
+    header, blob = _binio.read_container(path, DATASET_MAGIC, DATASET_VERSION)
+    _binio.require(header, _HEADER_FIELDS, path)
     try:
-        class_index = {k: int(v) for k, v in header["class_index"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: class_index must map labels to integers ({exc})") from exc
+        cfg = ScenarioConfig.from_dict(header["config"])
+    except ConfigurationError as exc:
+        raise DataFormatError(f"{path}: config is refused ({exc})") from exc
+    class_index = header["class_index"]
+    if sorted(class_index.values()) != list(range(len(class_index))):
+        raise DataFormatError(f"{path}: class_index must number its labels 0..{len(class_index) - 1}, each once")
     m, n = cfg.antennas, cfg.users
     matrix_bytes = m * n * 16
+    covs = set(range(cfg.num_covs))
     parts: dict[str, list[Sample]] = {name: [] for name in SPLITS}
     for i, rec in enumerate(header["records"]):
         _binio.require(rec, _RECORD_FIELDS, path, f"record {i}")
         start, nbytes = rec["offset"], rec["nbytes"]
-        if isinstance(start, bool) or not isinstance(start, int) or start < 0:
-            raise DataFormatError(f"{path}: record {i} has offset {start!r}, need a non-negative integer")
-        if nbytes != 2 * matrix_bytes or start + nbytes > len(blob):
-            raise DataFormatError(f"{path}: record at offset {start} is malformed")
-        # `field` names the value being read, for the error a wrong type raises
-        field = "label"
-        try:
-            if rec["label"] not in class_index:
-                raise DataFormatError(f"{path}: record {i} has label {rec['label']!r}, which class_index lacks")
-            field = "split"
-            if rec["split"] not in parts:
-                raise DataFormatError(f"{path}: unknown split {rec['split']!r}")
-            field = "label_rate"
-            label_rate = float(rec["label_rate"])
-            field = "cov_assignment"
-            cov_assignment = tuple(int(a) for a in rec["cov_assignment"])
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: record {i} has an unreadable {field} ({exc})") from exc
+        if start < 0 or nbytes != 2 * matrix_bytes or start + nbytes > len(blob):
+            raise DataFormatError(f"{path}: record {i} has offset {start} and nbytes {nbytes}, outside the blob")
+        if rec["label"] not in class_index:
+            raise DataFormatError(f"{path}: record {i} has label {rec['label']!r}, which class_index lacks")
+        if rec["split"] not in parts:
+            raise DataFormatError(f"{path}: record {i} has unknown split {rec['split']!r}")
+        assignment = rec["cov_assignment"]
+        if len(assignment) != n or not covs.issuperset(assignment):
+            raise DataFormatError(f"{path}: record {i} cov_assignment {assignment} is not {n} indices < {cfg.num_covs}")
         raw = blob[start : start + nbytes]
         h_true = np.frombuffer(raw[:matrix_bytes], dtype="<c16").reshape((m, n), order="F")
         h_hat = np.frombuffer(raw[matrix_bytes:], dtype="<c16").reshape((m, n), order="F")
-        parts[rec["split"]].append(Sample(h_true, h_hat, rec["label"], label_rate, cov_assignment))
+        parts[rec["split"]].append(Sample(h_true, h_hat, rec["label"], rec["label_rate"], tuple(assignment)))
     return DatasetSplit(*parts.values(), class_index, cfg)
 
 

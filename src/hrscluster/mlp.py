@@ -46,6 +46,10 @@ ADAM_EPS = 1e-8
 # Rows per block of featurization and of top-k ranking.
 ROW_BLOCK = 512
 
+# JSON types of the checkpoint header's fields.
+_HEADER_FIELDS = {"layer_dims": (list, int), "feature_mean": (list, float), "feature_std": (list, float),
+                  "class_labels": (list, str)}
+
 
 @dataclass(frozen=True)
 class FeatureStats:
@@ -392,39 +396,22 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    header, blob = _binio.read_container(path, MODEL_MAGIC)
-    version = header.get("format_version")
-    if version != MODEL_VERSION:
-        raise DataFormatError(
-            f"{path}: model format version {version} is not supported "
-            f"(expected {MODEL_VERSION}); retrain the model"
-        )
-    _binio.require(header, ("layer_dims", "feature_mean", "feature_std", "class_labels"), path)
+    header, blob = _binio.read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    _binio.require(header, _HEADER_FIELDS, path)
     dims = header["layer_dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) < 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
-        raise DataFormatError(f"{path}: layer_dims {dims!r} is not a list of at least two positive integers")
+    if len(dims) < 2 or min(dims) < 1:
+        raise DataFormatError(f"{path}: layer_dims {dims} is not a list of at least two positive integers")
     expected = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
     if len(blob) != expected:
         raise DataFormatError(f"{path}: parameter blob has {len(blob)} bytes, layer_dims {dims} need {expected}")
+    for key, count in (("feature_mean", dims[0]), ("feature_std", dims[0]), ("class_labels", dims[-1])):
+        if len(header[key]) != count:
+            raise DataFormatError(f"{path}: {key} has {len(header[key])} entries, layer_dims need {count}")
     stats = FeatureStats(np.array(header["feature_mean"], dtype=float), np.array(header["feature_std"], dtype=float))
-    for key, values in (("feature_mean", stats.mean), ("feature_std", stats.std)):
-        if values.shape != (dims[0],):
-            raise DataFormatError(f"{path}: {key} has shape {values.shape}, layer_dims need ({dims[0]},)")
-    labels = tuple(header["class_labels"])
-    if len(labels) != dims[-1]:
-        raise DataFormatError(f"{path}: class_labels has {len(labels)} entries, layer_dims need {dims[-1]}")
-    weights, biases = [], []
-    cursor = 0
+    params = np.frombuffer(blob, dtype="<f8")
+    weights, biases, cursor = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w_bytes = fan_in * fan_out * 8
-        weights.append(
-            np.frombuffer(blob[cursor : cursor + w_bytes], dtype="<f8").reshape(fan_in, fan_out).copy()
-        )
-        cursor += w_bytes
-        biases.append(np.frombuffer(blob[cursor : cursor + fan_out * 8], dtype="<f8").copy())
-        cursor += fan_out * 8
-    return MlpModel(weights, biases, stats, labels)
+        weights.append(params[cursor : cursor + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+        biases.append(params[cursor + fan_in * fan_out : cursor + (fan_in + 1) * fan_out].copy())
+        cursor += (fan_in + 1) * fan_out
+    return MlpModel(weights, biases, stats, tuple(header["class_labels"]))

@@ -204,7 +204,7 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     old = mlp.init_model(width, (4,), ("1,2,3,4",), stats, np.random.default_rng(0))
     path = tmp_path / "old.hrsmlp"
     mlp.save_model(old, path)
-    header, blob = _binio.read_container(path, mlp.MODEL_MAGIC)
+    header, blob = _binio.read_container(path, mlp.MODEL_MAGIC, mlp.MODEL_VERSION)
     header["format_version"] = 1
     _binio.write_container(path, mlp.MODEL_MAGIC, header, (blob,))
     rc = cli.run(
@@ -218,7 +218,7 @@ def test_version_one_dataset_exits_3(workdir, tmp_path, capsys):
     # a version-1 dataset was labelled with Monte Carlo similarity constants
     # and its config carried their draw count
     path = tmp_path / "old.hrsdat"
-    header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC)
+    header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION)
     header["format_version"] = 1
     header["config"]["calibration_draws"] = 2000
     _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
@@ -283,6 +283,67 @@ def _label_as_list(header, blob):
     return header, blob
 
 
+def _header_as_list(header, blob):
+    return [header], blob
+
+
+def _set_record_field(key, value):
+    def edit(header, blob):
+        header["records"][0][key] = value
+        return header, blob
+
+    edit.__name__ = f"_{key}_{json.dumps(value)}"
+    return edit
+
+
+def _config_as_int(header, blob):
+    header["config"] = 5
+    return header, blob
+
+
+def _config_with_unknown_key(header, blob):
+    header["config"]["colour"] = "blue"
+    return header, blob
+
+
+def _set_first_class_index(value):
+    def edit(header, blob):
+        first = next(iter(header["class_index"]))
+        header["class_index"][first] = value
+        return header, blob
+
+    edit.__name__ = f"_class_index_{json.dumps(value)}"
+    return edit
+
+
+def _repeated_class_index(header, blob):
+    for label, index in header["class_index"].items():
+        if index == 1:
+            header["class_index"][label] = 0
+    return header, blob
+
+
+def _nbytes_as_float(header, blob):
+    rec = header["records"][0]
+    rec["nbytes"] = float(rec["nbytes"])
+    return header, blob
+
+
+def _class_labels_as_ints(header, blob):
+    header["class_labels"] = list(range(len(header["class_labels"])))
+    return header, blob
+
+
+def _feature_mean_as_strings(header, blob):
+    header["feature_mean"] = [repr(v) for v in header["feature_mean"]]
+    return header, blob
+
+
+def _true_in_feature_std(header, blob):
+    header["feature_std"][0] = True
+    return header, blob
+
+
 @pytest.mark.parametrize(
     "kind, field, edit",
     [
@@ -298,15 +359,32 @@ def _label_as_list(header, blob):
         ("dataset", "cov_assignment", _cov_assignment_as_int),
         ("dataset", "split", _split_as_list),
         ("dataset", "label", _label_as_list),
+        # headers that used to load silently or end in a traceback
+        ("model", "header", _header_as_list),
+        ("dataset", "header", _header_as_list),
+        ("dataset", "config", _config_as_int),
+        ("dataset", "config", _config_with_unknown_key),
+        ("dataset", "cov_assignment", _set_record_field("cov_assignment", "1023")),
+        ("dataset", "cov_assignment", _set_record_field("cov_assignment", [9])),
+        ("dataset", "cov_assignment", _set_record_field("cov_assignment", [])),
+        ("dataset", "label_rate", _set_record_field("label_rate", True)),
+        ("dataset", "label_rate", _set_record_field("label_rate", "2.5")),
+        ("dataset", "class_index", _set_first_class_index("0")),
+        ("dataset", "class_index", _set_first_class_index(2.7)),
+        ("dataset", "class_index", _repeated_class_index),
+        ("dataset", "nbytes", _nbytes_as_float),
+        ("model", "class_labels", _class_labels_as_ints),
+        ("model", "feature_mean", _feature_mean_as_strings),
+        ("model", "feature_std", _true_in_feature_std),
     ],
 )
 def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edit):
     # each container keeps a valid CRC; only its header disagrees with itself
-    source, magic = {
-        "model": (workdir / "model.hrsmlp", mlp.MODEL_MAGIC),
-        "dataset": (workdir / "data.hrsdat", data.DATASET_MAGIC),
+    source, magic, version = {
+        "model": (workdir / "model.hrsmlp", mlp.MODEL_MAGIC, mlp.MODEL_VERSION),
+        "dataset": (workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION),
     }[kind]
-    header, blob = edit(*_binio.read_container(source, magic))
+    header, blob = edit(*_binio.read_container(source, magic, version))
     path = tmp_path / source.name
     _binio.write_container(path, magic, header, (blob,))
     if kind == "model":

@@ -106,6 +106,31 @@ def test_generation_deterministic(tiny_config):
     assert all(x.H_true.tobytes() == y.H_true.tobytes() for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize("samples, threads, workers", [(12, 8, 2), (17, 8, 3), (40, 2, 2), (5, 3, 1)])
+def test_generation_starts_no_more_workers_than_chunks(monkeypatch, samples, threads, workers):
+    # the recorder maps in this process, so no worker process is started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [fn(i) for i in items]
+
+    monkeypatch.setattr(data, "Pool", RecordingPool)
+    cfg = data.ScenarioConfig(users=4, antennas=8, samples=samples, seed=6)
+    pooled = data.generate_samples(cfg, threads=threads)
+    assert started == [workers]
+    assert [s.label for s in pooled] == [s.label for s in data.generate_samples(cfg)]
+
+
 # (label, label_rate) of draws 0..29 at seed 20240801, recorded from the
 # unoptimized HC path: every cluster pair rescored from its stacked columns at
 # every merge, and the power grid built one (alpha, beta) point at a time.

@@ -444,7 +444,7 @@ def test_version_one_checkpoint_rejected(tiny_model, tmp_path):
     # a version-1 model read only the 2*N*M raw entries
     path = tmp_path / "old.hrsmlp"
     mlp.save_model(tiny_model, path)
-    header, blob = _binio.read_container(path, mlp.MODEL_MAGIC)
+    header, blob = _binio.read_container(path, mlp.MODEL_MAGIC, mlp.MODEL_VERSION)
     header["format_version"] = 1
     _binio.write_container(path, mlp.MODEL_MAGIC, header, (blob,))
     with pytest.raises(DataFormatError, match="version 1"):

@@ -12,6 +12,11 @@ directory, at fixed sizes and seeds:
 
 and prints one JSON object mapping each output to its sha256. Two versions
 of the program write the same bytes when they print the same object.
+
+Each dataset and model is also read back with ``data.load`` and
+``mlp.load_model`` and written again; the script exits non-zero unless the
+second write gives the same bytes, so the readers accept every file the
+writers produce.
 """
 
 from __future__ import annotations
@@ -29,6 +34,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def check_round_trip(path: Path) -> None:
+    """Exit unless ``path`` reads back and writes again to the same bytes."""
+    from hrscluster import data, mlp
+
+    again = path.with_name("again-" + path.name)
+    if path.suffix == ".hrsmlp":
+        mlp.save_model(mlp.load_model(path), again)
+    else:
+        data.serialize(data.load(path), again)
+    if again.read_bytes() != path.read_bytes():
+        raise SystemExit(f"{path.name} does not read back to the same bytes")
 
 
 def digests(work: Path) -> dict:
@@ -64,6 +82,9 @@ def digests(work: Path) -> dict:
         "compare csv": "compare/n8m8_summary.csv",
     }
     out = {name: _sha256((work / rel).read_bytes()) for name, rel in files.items()}
+    for rel in files.values():
+        if rel.endswith((".hrsdat", ".hrsmlp")):
+            check_round_trip(work / rel)
     # the stdout names the temporary output directory, which differs per run
     out["compare stdout"] = _sha256(stdout.replace(str(work), "<work>").encode())
     return out
