@@ -10,7 +10,8 @@ Layout (little-endian):
 
 ``read_container`` refuses a header that is not a JSON object or holds
 another ``format_version`` than the reader's; ``require`` checks the fields a
-reader declares, so readers check only what a JSON type cannot express.
+reader declares, and ``require_all`` the same fields of a list of records, a
+column at a time, so readers check only what a JSON type cannot express.
 
 Writes are streamed: ``write_container`` takes the blob as an iterable of
 bytes-like parts and writes each as it comes, carrying the CRC along, so the
@@ -90,12 +91,32 @@ def require(mapping: dict, fields: dict, path, where: str = "header") -> None:
     for key, kind in fields.items():
         if key not in mapping:
             raise DataFormatError(f"{path}: {where} lacks the field {key!r}")
-        value = mapping[key]
-        if type(kind) is tuple:
-            items = value.values() if type(value) is dict else value
-            ok = type(value) is kind[0] and set(map(type, items)) <= _DECODED[kind[1]]
-        else:
-            ok = type(value) in _DECODED[kind]
-        if not ok:
+        if not _fits((mapping[key],), kind):
             name = f"{_NAMES[kind[0]]} of {_NAMES[kind[1]]}s" if type(kind) is tuple else _NAMES[kind]
             raise DataFormatError(f"{path}: {where} field {key!r} is not of JSON type {name}")
+
+
+def require_all(mappings: list, fields: dict, path, where: str) -> dict[str, list]:
+    """Check every one of ``mappings`` as ``require`` does; one list of values per field.
+
+    Each field's column of values is checked whole, by the set of its types;
+    only when a column fails is ``require`` run mapping by mapping, so the
+    DataFormatError names the first bad mapping as ``where`` and its index.
+    """
+    try:
+        columns = {key: [mapping[key] for mapping in mappings] for key in fields}
+    except KeyError:
+        columns = None
+    if columns is None or not all(_fits(columns[key], kind) for key, kind in fields.items()):
+        for i, mapping in enumerate(mappings):
+            require(mapping, fields, path, f"{where} {i}")
+    return columns
+
+
+def _fits(values, kind) -> bool:
+    """Whether every one of ``values`` is of the JSON type ``kind`` (see ``require``)."""
+    if type(kind) is not tuple:
+        return set(map(type, values)) <= _DECODED[kind]
+    outer, inner = kind
+    items = chain.from_iterable(map(dict.values, values) if outer is dict else values)
+    return set(map(type, values)) <= {outer} and set(map(type, items)) <= _DECODED[inner]

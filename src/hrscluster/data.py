@@ -9,7 +9,10 @@ blocks (the label is invariant to such reorderings); the stratified
 
 Datasets are stored in a binary container (magic ``HRSDAT01``) holding the
 generating configuration, the class index, per-record metadata, and the raw
-complex matrices, protected by a CRC32 trailer.
+complex matrices, protected by a CRC32 trailer. The records' matrices lie
+back to back in storage order, so ``load`` checks the record fields one
+column at a time and views every matrix in one strided array over the
+file's bytes, copying none.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from itertools import chain
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -47,7 +51,7 @@ _SALT_SPLIT = 4
 SPLITS = ("train", "validation", "test")
 
 # JSON types of the dataset header's fields and of each of its records.
-_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "records": (list, dict)}
+_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "num_records": int, "records": (list, dict)}
 _RECORD_FIELDS = {"split": str, "label": str, "label_rate": float, "cov_assignment": (list, int),
                   "offset": int, "nbytes": int}
 
@@ -325,8 +329,8 @@ def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
 def serialize(dataset: DatasetSplit, path) -> None:
     """Write the dataset container; byte-exact and reloadable.
 
-    Every sample's shape is checked before the file is opened, then the
-    matrices are streamed to it one record at a time.
+    Every sample's shape and label rate are checked before the file is
+    opened, then the matrices are streamed to it one record at a time.
     """
     m = dataset.config.antennas
     n = dataset.config.users
@@ -338,6 +342,8 @@ def serialize(dataset: DatasetSplit, path) -> None:
                 raise DataFormatError(
                     f"sample matrices have shape {s.H_true.shape}, expected {(m, n)}"
                 )
+            if not _all_finite((s.label_rate,)):
+                raise DataFormatError(f"sample label_rate {s.label_rate!r} is not a finite number")
             records.append(
                 {
                     "split": part_name,
@@ -364,6 +370,8 @@ def serialize(dataset: DatasetSplit, path) -> None:
 
 
 def load(path) -> DatasetSplit:
+    """Read a dataset container. Each record check runs once over a whole
+    column; only a failed check walks the records to name the first bad one."""
     header, blob = _binio.read_container(path, DATASET_MAGIC, DATASET_VERSION)
     _binio.require(header, _HEADER_FIELDS, path)
     try:
@@ -373,27 +381,52 @@ def load(path) -> DatasetSplit:
     class_index = header["class_index"]
     if sorted(class_index.values()) != list(range(len(class_index))):
         raise DataFormatError(f"{path}: class_index must number its labels 0..{len(class_index) - 1}, each once")
+    records = header["records"]
+    count = len(records)
+    if header["num_records"] != count:
+        raise DataFormatError(f"{path}: num_records is {header['num_records']}, but records holds {count}")
+    col = _binio.require_all(records, _RECORD_FIELDS, path, "record")
+    offsets, sizes, labels, splits, rates = (col[k] for k in ("offset", "nbytes", "label", "split", "label_rate"))
+    assignments = list(map(tuple, col["cov_assignment"]))
     m, n = cfg.antennas, cfg.users
-    matrix_bytes = m * n * 16
+    span = 2 * m * n * 16
     covs = set(range(cfg.num_covs))
+    # (holds for records lo..hi-1, message for a record i that fails it)
+    checks = (
+        (lambda lo, hi: offsets[lo:hi] == list(range(lo * span, hi * span, span)) and set(sizes[lo:hi]) <= {span},
+         lambda i: f"has offset {offsets[i]} and nbytes {sizes[i]}, not {i * span} and {span}: "
+                   "records lie back to back in the blob"),
+        (lambda lo, hi: class_index.keys() >= set(labels[lo:hi]),
+         lambda i: f"has label {labels[i]!r}, which class_index lacks"),
+        (lambda lo, hi: set(SPLITS) >= set(splits[lo:hi]),
+         lambda i: f"has unknown split {splits[i]!r}"),
+        (lambda lo, hi: _all_finite(rates[lo:hi]),
+         lambda i: f"has label_rate {rates[i]!r}, which is not a finite number"),
+        (lambda lo, hi: set(map(len, assignments[lo:hi])) <= {n}
+         and covs.issuperset(chain.from_iterable(assignments[lo:hi])),
+         lambda i: f"cov_assignment {list(assignments[i])} is not {n} indices < {cfg.num_covs}"),
+    )
+    for holds, message in checks:
+        if not holds(0, count):
+            bad = next(i for i in range(count) if not holds(i, i + 1))
+            raise DataFormatError(f"{path}: record {bad} {message(bad)}")
+    if len(blob) != count * span:
+        raise DataFormatError(f"{path}: blob holds {len(blob)} bytes, not the {count} x {span} of its records")
+    matrices = np.frombuffer(blob, dtype="<c16").reshape(count, 2, n, m).transpose(0, 1, 3, 2)
     parts: dict[str, list[Sample]] = {name: [] for name in SPLITS}
-    for i, rec in enumerate(header["records"]):
-        _binio.require(rec, _RECORD_FIELDS, path, f"record {i}")
-        start, nbytes = rec["offset"], rec["nbytes"]
-        if start < 0 or nbytes != 2 * matrix_bytes or start + nbytes > len(blob):
-            raise DataFormatError(f"{path}: record {i} has offset {start} and nbytes {nbytes}, outside the blob")
-        if rec["label"] not in class_index:
-            raise DataFormatError(f"{path}: record {i} has label {rec['label']!r}, which class_index lacks")
-        if rec["split"] not in parts:
-            raise DataFormatError(f"{path}: record {i} has unknown split {rec['split']!r}")
-        assignment = rec["cov_assignment"]
-        if len(assignment) != n or not covs.issuperset(assignment):
-            raise DataFormatError(f"{path}: record {i} cov_assignment {assignment} is not {n} indices < {cfg.num_covs}")
-        raw = blob[start : start + nbytes]
-        h_true = np.frombuffer(raw[:matrix_bytes], dtype="<c16").reshape((m, n), order="F")
-        h_hat = np.frombuffer(raw[matrix_bytes:], dtype="<c16").reshape((m, n), order="F")
-        parts[rec["split"]].append(Sample(h_true, h_hat, rec["label"], rec["label_rate"], tuple(assignment)))
+    for h_true, h_hat, part, label, rate, assignment in zip(
+        matrices[:, 0], matrices[:, 1], splits, labels, rates, assignments
+    ):
+        parts[part].append(Sample(h_true, h_hat, label, rate, assignment))
     return DatasetSplit(*parts.values(), class_index, cfg)
+
+
+def _all_finite(values: list) -> bool:
+    """Whether every value is a finite float64; an integer past its range is not."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:

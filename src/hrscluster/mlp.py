@@ -14,9 +14,10 @@ platform. ``evaluate_topk`` is the one top-k rule: k is capped at the class
 count and an empty sample list reads NaN.
 
 Working memory does not scale with whole-split temporaries. ``_features``
-fills its output ``ROW_BLOCK`` rows at a time and ``evaluate_topk`` ranks the
-probability matrix ``ROW_BLOCK`` rows at a time; every row goes through the
+fills its output ``ROW_BLOCK`` rows at a time; every row goes through the
 same operations as in one stacked call, so the numbers are bit-identical.
+``evaluate_topk`` ranks in place on the probability matrix, one ``argmax``
+pass per rank.
 The forward pass works in place on each layer's pre-activation (bias, ReLU,
 exp and normalization), and ``backward`` turns the probabilities into the
 output delta in place.
@@ -43,7 +44,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Rows per block of featurization and of top-k ranking.
+# Rows per block of featurization.
 ROW_BLOCK = 512
 
 # JSON types of the checkpoint header's fields.
@@ -356,8 +357,9 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     top-C, which is 1.0 up to samples labeled outside the model's classes.
     Probability ties resolve toward the smaller class index. Classes a model
     never saw cannot be credited; a sample labeled outside the model's
-    classes counts as a miss. Rows are ranked ``ROW_BLOCK`` at a time and
-    only the leading max(k) classes of each ranking are kept.
+    classes counts as a miss. Ranking costs K = min(max(k), C) passes over
+    the probabilities: each pass takes every row's ``argmax`` (the first of
+    tied maxima) and overwrites it with -inf.
     """
     k_list = tuple(int(k) for k in k_list)
     if any(k < 1 for k in k_list):
@@ -367,10 +369,11 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     index = {label: i for i, label in enumerate(model.class_labels)}
     x = featurize_all(samples, model.feature_stats)
     probs = forward(model, x)
+    rows = np.arange(len(probs))
     ranking = np.empty((len(probs), min(max(k_list), probs.shape[1])), dtype=np.intp)
-    for start in range(0, len(probs), ROW_BLOCK):
-        block = probs[start : start + ROW_BLOCK]
-        ranking[start : start + len(block)] = np.argsort(-block, axis=1, kind="stable")[:, : ranking.shape[1]]
+    for rank in range(ranking.shape[1]):
+        ranking[:, rank] = best = probs.argmax(axis=1)
+        probs[rows, best] = -np.inf
     out = {}
     truth = np.array([index.get(s.label, -1) for s in samples])
     for k in k_list:

@@ -296,6 +296,22 @@ def _set_record_field(key, value):
     return edit
 
 
+def _num_records_7(header, blob):
+    header["num_records"] = 7
+    return header, blob
+
+
+def _swapped_offsets(header, blob):
+    # both records still lie inside the blob, but not where storage order puts them
+    first, last = header["records"][0], header["records"][-1]
+    first["offset"], last["offset"] = last["offset"], first["offset"]
+    return header, blob
+
+
+def _trailing_bytes(header, blob):
+    return header, bytes(blob) + bytes(16)
+
+
 def _config_as_int(header, blob):
     header["config"] = 5
     return header, blob
@@ -376,6 +392,13 @@ def _true_in_feature_std(header, blob):
         ("model", "class_labels", _class_labels_as_ints),
         ("model", "feature_mean", _feature_mean_as_strings),
         ("model", "feature_std", _true_in_feature_std),
+        # counts, rates and layouts that used to load silently
+        ("dataset", "num_records", _num_records_7),
+        ("dataset", "label_rate", _set_record_field("label_rate", float("nan"))),
+        ("dataset", "label_rate", _set_record_field("label_rate", float("inf"))),
+        ("dataset", "label_rate", _set_record_field("label_rate", float("-inf"))),
+        ("dataset", "offset", _swapped_offsets),
+        ("dataset", "blob", _trailing_bytes),
     ],
 )
 def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edit):

@@ -556,6 +556,31 @@ def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_p
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_serialize_rejects_a_non_finite_label_rate_before_writing(tiny_dataset, tmp_path, rate):
+    good = tiny_dataset.test[0]
+    bad = data.Sample(good.H_true, good.H_hat, good.label, rate, good.cov_assignment)
+    dataset = data.DatasetSplit(tiny_dataset.train, [], [bad], tiny_dataset.class_index, tiny_dataset.config)
+    path = tmp_path / "bad.hrsdat"
+    with pytest.raises(DataFormatError, match="label_rate"):
+        data.serialize(dataset, path)
+    assert not path.exists()
+
+
+def test_loaded_matrices_are_read_only_column_major_views_of_one_buffer(tiny_dataset, tmp_path):
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(tiny_dataset, path)
+    samples = data.load(path).all_samples()
+    m = tiny_dataset.config.antennas
+    for s in samples:
+        for h in (s.H_true, s.H_hat):
+            assert h.strides == (16, 16 * m)
+            assert not h.flags.writeable
+    # the load copies no matrix: the first and the last record view one buffer
+    buffer = samples[0].H_true.base
+    assert np.shares_memory(buffer, samples[0].H_true) and np.shares_memory(buffer, samples[-1].H_hat)
+
+
 def test_empty_dataset_round_trip(tmp_path):
     cfg = data.ScenarioConfig(users=4, antennas=8, samples=1)
     empty = data.DatasetSplit([], [], [], {}, cfg)
