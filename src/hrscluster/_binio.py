@@ -9,9 +9,10 @@ Layout (little-endian):
     4 bytes   uint32 CRC32 of every preceding byte
 
 ``read_container`` refuses a header that is not a JSON object or holds
-another ``format_version`` than the reader's; ``require`` checks the fields a
-reader declares, and ``require_all`` the same fields of a list of records, a
-column at a time, so readers check only what a JSON type cannot express.
+another ``format_version`` than the reader's; ``require`` checks the JSON
+type of each field a reader declares, so readers check only what a JSON type
+cannot express. Per-record values live in the blob as fixed-width columns,
+never in the header.
 
 Writes are streamed: ``write_container`` takes the blob as an iterable of
 bytes-like parts and writes each as it comes, carrying the CRC along, so the
@@ -80,8 +81,8 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
     return header, body[header_end:]
 
 
-def require(mapping: dict, fields: dict, path, where: str = "header") -> None:
-    """Check that ``mapping`` holds every key of ``fields`` with its JSON type.
+def require(header: dict, fields: dict, path) -> None:
+    """Check that ``header`` holds every key of ``fields`` with its JSON type.
 
     A type is ``int``, ``float`` (which also admits an integer), ``str``,
     ``dict``, ``list``, or a pair ``(list, t)`` or ``(dict, t)``: a list, or
@@ -89,34 +90,18 @@ def require(mapping: dict, fields: dict, path, where: str = "header") -> None:
     the first key that is missing or of another type.
     """
     for key, kind in fields.items():
-        if key not in mapping:
-            raise DataFormatError(f"{path}: {where} lacks the field {key!r}")
-        if not _fits((mapping[key],), kind):
+        if key not in header:
+            raise DataFormatError(f"{path}: header lacks the field {key!r}")
+        if not _fits(header[key], kind):
             name = f"{_NAMES[kind[0]]} of {_NAMES[kind[1]]}s" if type(kind) is tuple else _NAMES[kind]
-            raise DataFormatError(f"{path}: {where} field {key!r} is not of JSON type {name}")
+            raise DataFormatError(f"{path}: header field {key!r} is not of JSON type {name}")
 
 
-def require_all(mappings: list, fields: dict, path, where: str) -> dict[str, list]:
-    """Check every one of ``mappings`` as ``require`` does; one list of values per field.
-
-    Each field's column of values is checked whole, by the set of its types;
-    only when a column fails is ``require`` run mapping by mapping, so the
-    DataFormatError names the first bad mapping as ``where`` and its index.
-    """
-    try:
-        columns = {key: [mapping[key] for mapping in mappings] for key in fields}
-    except KeyError:
-        columns = None
-    if columns is None or not all(_fits(columns[key], kind) for key, kind in fields.items()):
-        for i, mapping in enumerate(mappings):
-            require(mapping, fields, path, f"{where} {i}")
-    return columns
-
-
-def _fits(values, kind) -> bool:
-    """Whether every one of ``values`` is of the JSON type ``kind`` (see ``require``)."""
+def _fits(value, kind) -> bool:
+    """Whether ``value`` is of the JSON type ``kind`` (see ``require``)."""
     if type(kind) is not tuple:
-        return set(map(type, values)) <= _DECODED[kind]
+        return type(value) in _DECODED[kind]
     outer, inner = kind
-    items = chain.from_iterable(map(dict.values, values) if outer is dict else values)
-    return set(map(type, values)) <= {outer} and set(map(type, items)) <= _DECODED[inner]
+    if type(value) is not outer:
+        return False
+    return set(map(type, value.values() if outer is dict else value)) <= _DECODED[inner]

@@ -7,11 +7,12 @@ then caps class sizes; augmentation shuffles users within their labeled
 blocks (the label is invariant to such reorderings); the stratified
 80/10/10 split keeps every surviving class represented in training.
 
-Datasets are stored in a binary container (magic ``HRSDAT01``) holding the
-generating configuration, the class index, per-record metadata, and the raw
-complex matrices, protected by a CRC32 trailer. The records' matrices lie
-back to back in storage order, so ``load`` checks the record fields one
-column at a time and views every matrix in one strided array over the
+Datasets are stored in a binary container (magic ``HRSDAT01``) whose header
+holds the generating configuration, the class index and the three split
+sizes. Its blob holds every record's matrices back to back in storage order
+(train, validation, test), then the records' class ids, label rates and
+covariance indices as fixed-width columns. ``load`` checks each column with
+one array predicate and views every matrix in one strided array over the
 file's bytes, copying none.
 """
 
@@ -37,7 +38,7 @@ from .hrs import HrsConfig, uniform_alpha_grid, uniform_beta_grid
 from .partitions import Partition
 
 DATASET_MAGIC = b"HRSDAT01"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 REFERENCE_SCENARIOS = ((8, 4), (8, 8), (8, 12), (12, 6), (12, 12), (12, 16))
 
@@ -50,10 +51,8 @@ _SALT_SPLIT = 4
 # DatasetSplit's sample lists, in storage order.
 SPLITS = ("train", "validation", "test")
 
-# JSON types of the dataset header's fields and of each of its records.
-_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "num_records": int, "records": (list, dict)}
-_RECORD_FIELDS = {"split": str, "label": str, "label_rate": float, "cov_assignment": (list, int),
-                  "offset": int, "nbytes": int}
+# JSON types of the dataset header's fields.
+_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "split_sizes": (list, int)}
 
 # Draws per task of the generation pool; workers beyond the task count would idle.
 _GEN_CHUNK = 8
@@ -329,49 +328,36 @@ def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
 def serialize(dataset: DatasetSplit, path) -> None:
     """Write the dataset container; byte-exact and reloadable.
 
-    Every sample's shape and label rate are checked before the file is
-    opened, then the matrices are streamed to it one record at a time.
+    Every sample is checked before the file is opened; then the matrices are
+    streamed to it one record at a time, followed by the record columns.
     """
-    m = dataset.config.antennas
-    n = dataset.config.users
-    nbytes = 2 * m * n * 16
-    records = []
-    for part_name, part in dataset.parts():
-        for s in part:
-            if s.H_true.shape != (m, n) or s.H_hat.shape != (m, n):
-                raise DataFormatError(
-                    f"sample matrices have shape {s.H_true.shape}, expected {(m, n)}"
-                )
-            if not _all_finite((s.label_rate,)):
-                raise DataFormatError(f"sample label_rate {s.label_rate!r} is not a finite number")
-            records.append(
-                {
-                    "split": part_name,
-                    "label": s.label,
-                    "label_rate": s.label_rate,
-                    "cov_assignment": list(s.cov_assignment),
-                    "offset": len(records) * nbytes,
-                    "nbytes": nbytes,
-                }
-            )
+    cfg = dataset.config
+    m, n = cfg.antennas, cfg.users
+    samples = dataset.all_samples()
+    for s in samples:
+        if s.H_true.shape != (m, n) or s.H_hat.shape != (m, n) or len(s.cov_assignment) != n:
+            raise DataFormatError(f"sample matrices have shape {s.H_true.shape} and {len(s.cov_assignment)} "
+                                  f"covariance indices, expected {(m, n)} and {n}")
+    try:
+        ids = np.array([dataset.class_index[s.label] for s in samples], dtype=np.int64)
+    except KeyError as exc:
+        raise DataFormatError(f"sample label {exc.args[0]!r} is not a key of class_index") from None
+    rates = np.array([s.label_rate for s in samples], dtype="<f8")
+    assignments = np.array([s.cov_assignment for s in samples], dtype=np.int64).reshape(len(samples), n)
+    _check_columns("sample", ids, rates, assignments, len(dataset.class_index), cfg.num_covs)
     header = {
         "format_version": DATASET_VERSION,
-        "config": dataset.config.to_dict(),
+        "config": cfg.to_dict(),
         "class_index": dataset.class_index,
-        "num_records": len(records),
-        "records": records,
+        "split_sizes": [len(part) for _, part in dataset.parts()],
     }
-    payloads = (
-        np.asfortranarray(h, dtype="<c16").tobytes(order="F")
-        for s in dataset.all_samples()
-        for h in (s.H_true, s.H_hat)
-    )
-    _binio.write_container(path, DATASET_MAGIC, header, payloads)
+    matrices = (np.asfortranarray(h, dtype="<c16").tobytes(order="F") for s in samples for h in (s.H_true, s.H_hat))
+    columns = (ids.astype("<i4").tobytes(), rates.tobytes(), assignments.astype("<i4").tobytes())
+    _binio.write_container(path, DATASET_MAGIC, header, chain(matrices, columns))
 
 
 def load(path) -> DatasetSplit:
-    """Read a dataset container. Each record check runs once over a whole
-    column; only a failed check walks the records to name the first bad one."""
+    """Read a dataset container, checking each record column with one array predicate."""
     header, blob = _binio.read_container(path, DATASET_MAGIC, DATASET_VERSION)
     _binio.require(header, _HEADER_FIELDS, path)
     try:
@@ -379,54 +365,55 @@ def load(path) -> DatasetSplit:
     except ConfigurationError as exc:
         raise DataFormatError(f"{path}: config is refused ({exc})") from exc
     class_index = header["class_index"]
-    if sorted(class_index.values()) != list(range(len(class_index))):
-        raise DataFormatError(f"{path}: class_index must number its labels 0..{len(class_index) - 1}, each once")
-    records = header["records"]
-    count = len(records)
-    if header["num_records"] != count:
-        raise DataFormatError(f"{path}: num_records is {header['num_records']}, but records holds {count}")
-    col = _binio.require_all(records, _RECORD_FIELDS, path, "record")
-    offsets, sizes, labels, splits, rates = (col[k] for k in ("offset", "nbytes", "label", "split", "label_rate"))
-    assignments = list(map(tuple, col["cov_assignment"]))
-    m, n = cfg.antennas, cfg.users
+    labels = sorted(class_index, key=class_index.get)
+    if [class_index[label] for label in labels] != list(range(len(labels))):
+        raise DataFormatError(f"{path}: class_index must number its labels 0..{len(labels) - 1}, each once")
+    for label in labels:
+        if not _is_canonical_key(label, cfg.users):
+            raise DataFormatError(f"{path}: class_index key {label!r} is not a canonical partition key "
+                                  f"of {cfg.users} users")
+    sizes = header["split_sizes"]
+    if len(sizes) != len(SPLITS) or min(sizes) < 0:
+        raise DataFormatError(f"{path}: split_sizes {sizes} is not {len(SPLITS)} record counts, each >= 0")
+    m, n, count = cfg.antennas, cfg.users, sum(sizes)
     span = 2 * m * n * 16
-    covs = set(range(cfg.num_covs))
-    # (holds for records lo..hi-1, message for a record i that fails it)
+    # per record: two <c16 matrices, then a <i4 class id, a <f8 rate and n <i4 covariance indices
+    if len(blob) != count * (span + 12 + 4 * n):
+        raise DataFormatError(f"{path}: blob holds {len(blob)} bytes, not the {count} x {span + 12 + 4 * n} "
+                              f"of its {count} records")
+    matrices = np.frombuffer(blob, "<c16", count * 2 * m * n).reshape(count, 2, n, m).transpose(0, 1, 3, 2)
+    ids = np.frombuffer(blob, "<i4", count, count * span)
+    rates = np.frombuffer(blob, "<f8", count, count * (span + 4))
+    assignments = np.frombuffer(blob, "<i4", count * n, count * (span + 12)).reshape(count, n)
+    _check_columns(f"{path}: record", ids, rates, assignments, len(labels), cfg.num_covs)
+    samples = list(map(Sample, matrices[:, 0], matrices[:, 1], [labels[i] for i in ids.tolist()],
+                       rates.tolist(), map(tuple, assignments.tolist())))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return DatasetSplit(*(samples[lo:hi] for lo, hi in zip(bounds, bounds[1:])), class_index, cfg)
+
+
+def _check_columns(where: str, ids, rates, assignments, num_classes: int, num_covs: int) -> None:
+    """Refuse, naming the first bad record, a class id outside [0, num_classes),
+    a rate that is not finite, or a covariance index outside [0, num_covs)."""
     checks = (
-        (lambda lo, hi: offsets[lo:hi] == list(range(lo * span, hi * span, span)) and set(sizes[lo:hi]) <= {span},
-         lambda i: f"has offset {offsets[i]} and nbytes {sizes[i]}, not {i * span} and {span}: "
-                   "records lie back to back in the blob"),
-        (lambda lo, hi: class_index.keys() >= set(labels[lo:hi]),
-         lambda i: f"has label {labels[i]!r}, which class_index lacks"),
-        (lambda lo, hi: set(SPLITS) >= set(splits[lo:hi]),
-         lambda i: f"has unknown split {splits[i]!r}"),
-        (lambda lo, hi: _all_finite(rates[lo:hi]),
-         lambda i: f"has label_rate {rates[i]!r}, which is not a finite number"),
-        (lambda lo, hi: set(map(len, assignments[lo:hi])) <= {n}
-         and covs.issuperset(chain.from_iterable(assignments[lo:hi])),
-         lambda i: f"cov_assignment {list(assignments[i])} is not {n} indices < {cfg.num_covs}"),
+        ("label id", ids, (ids < 0) | (ids >= num_classes), f"in [0, {num_classes}), the ids of class_index"),
+        ("label_rate", rates, ~np.isfinite(rates), "a finite number"),
+        ("cov_assignment", assignments, ((assignments < 0) | (assignments >= num_covs)).any(axis=1),
+         f"{assignments.shape[1]} indices in [0, {num_covs})"),
     )
-    for holds, message in checks:
-        if not holds(0, count):
-            bad = next(i for i in range(count) if not holds(i, i + 1))
-            raise DataFormatError(f"{path}: record {bad} {message(bad)}")
-    if len(blob) != count * span:
-        raise DataFormatError(f"{path}: blob holds {len(blob)} bytes, not the {count} x {span} of its records")
-    matrices = np.frombuffer(blob, dtype="<c16").reshape(count, 2, n, m).transpose(0, 1, 3, 2)
-    parts: dict[str, list[Sample]] = {name: [] for name in SPLITS}
-    for h_true, h_hat, part, label, rate, assignment in zip(
-        matrices[:, 0], matrices[:, 1], splits, labels, rates, assignments
-    ):
-        parts[part].append(Sample(h_true, h_hat, label, rate, assignment))
-    return DatasetSplit(*parts.values(), class_index, cfg)
+    for name, column, bad, rule in checks:
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise DataFormatError(f"{where} {i} has {name} {column[i].tolist()!r}, which is not {rule}")
 
 
-def _all_finite(values: list) -> bool:
-    """Whether every value is a finite float64; an integer past its range is not."""
+def _is_canonical_key(label: str, users: int) -> bool:
+    """Whether ``label`` is the canonical key of a partition of ``users`` users."""
     try:
-        return all(map(math.isfinite, values))
-    except OverflowError:
+        partition = Partition.from_key(label)
+    except ConfigurationError:
         return False
+    return partition.key() == label and partition.num_users == users
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:

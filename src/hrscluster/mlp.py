@@ -410,7 +410,20 @@ def load_model(path) -> MlpModel:
     for key, count in (("feature_mean", dims[0]), ("feature_std", dims[0]), ("class_labels", dims[-1])):
         if len(header[key]) != count:
             raise DataFormatError(f"{path}: {key} has {len(header[key])} entries, layer_dims need {count}")
-    stats = FeatureStats(np.array(header["feature_mean"], dtype=float), np.array(header["feature_std"], dtype=float))
+    # FeatureStats.fit floors every std at STD_FLOOR, so no checkpoint train writes holds less
+    constants = []
+    for key, floor in (("feature_mean", -np.inf), ("feature_std", STD_FLOOR)):
+        try:
+            values = np.array(header[key], dtype=float)
+        except OverflowError:
+            raise DataFormatError(f"{path}: {key} holds an integer beyond the float64 range") from None
+        good = np.isfinite(values) & (values >= floor)
+        if not good.all():
+            i = np.flatnonzero(~good)[0]
+            raise DataFormatError(f"{path}: {key}[{i}] is {values[i].tolist()!r}, which is not a finite number"
+                                  + (f" >= STD_FLOOR ({STD_FLOOR})" if key == "feature_std" else ""))
+        constants.append(values)
+    stats = FeatureStats(*constants)
     params = np.frombuffer(blob, dtype="<f8")
     weights, biases, cursor = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -214,17 +214,19 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
-def test_version_one_dataset_exits_3(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_one_dataset_exits_3(workdir, tmp_path, capsys, version):
     # a version-1 dataset was labelled with Monte Carlo similarity constants
-    # and its config carried their draw count
+    # and its config carried their draw count; version 2 kept its records in the header
     path = tmp_path / "old.hrsdat"
     header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION)
-    header["format_version"] = 1
-    header["config"]["calibration_draws"] = 2000
+    header["format_version"] = version
+    if version == 1:
+        header["config"]["calibration_draws"] = 2000
     _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
     rc = cli.run(["train", "--data", str(path), "--out", str(tmp_path / "m")])
     assert rc == 3
-    assert "version 1" in capsys.readouterr().err
+    assert f"version {version}" in capsys.readouterr().err
 
 
 def _shorter_blob(header, blob):
@@ -241,20 +243,21 @@ def _no_layer_dims(header, blob):
     return header, blob
 
 
-def _negative_offset(header, blob):
-    # Python slicing would read the second-to-last record's bytes
-    rec = header["records"][0]
-    rec["offset"] = -2 * rec["nbytes"]
-    return header, blob
+def _record_columns(header, blob):
+    """A writable copy of a dataset blob, and views of its label id, rate and covariance columns."""
+    cfg, count = header["config"], sum(header["split_sizes"])
+    blob, n = bytearray(blob), cfg["users"]
+    start = count * 2 * cfg["antennas"] * n * 16
+    return blob, {
+        "label": np.frombuffer(blob, "<i4", count, start),
+        "label_rate": np.frombuffer(blob, "<f8", count, start + 4 * count),
+        "cov_assignment": np.frombuffer(blob, "<i4", count * n, start + 12 * count).reshape(count, n),
+    }
 
 
 def _label_outside_class_index(header, blob):
-    header["records"][0]["label"] = "1,2,3,4,5,6,7,8,9"
-    return header, blob
-
-
-def _no_label_rate(header, blob):
-    del header["records"][0]["label_rate"]
+    blob, columns = _record_columns(header, blob)
+    columns["label"][0] = len(header["class_index"])
     return header, blob
 
 
@@ -263,49 +266,24 @@ def _class_index_as_list(header, blob):
     return header, blob
 
 
-def _label_rate_as_word(header, blob):
-    header["records"][0]["label_rate"] = "fast"
-    return header, blob
-
-
-def _cov_assignment_as_int(header, blob):
-    header["records"][0]["cov_assignment"] = 3
-    return header, blob
-
-
-def _split_as_list(header, blob):
-    header["records"][0]["split"] = ["train"]
-    return header, blob
-
-
-def _label_as_list(header, blob):
-    header["records"][0]["label"] = ["1,2"]
-    return header, blob
-
-
 def _header_as_list(header, blob):
     return [header], blob
 
 
-def _set_record_field(key, value):
+def _set_first_record(key, value):
     def edit(header, blob):
-        header["records"][0][key] = value
+        blob, columns = _record_columns(header, blob)
+        columns[key][0] = value
         return header, blob
 
     edit.__name__ = f"_{key}_{json.dumps(value)}"
     return edit
 
 
-def _num_records_7(header, blob):
-    header["num_records"] = 7
-    return header, blob
-
-
-def _swapped_offsets(header, blob):
-    # both records still lie inside the blob, but not where storage order puts them
-    first, last = header["records"][0], header["records"][-1]
-    first["offset"], last["offset"] = last["offset"], first["offset"]
-    return header, blob
+def _one_record_short(header, blob):
+    users = header["config"]["users"]
+    record = 2 * header["config"]["antennas"] * users * 16 + 4 + 8 + 4 * users
+    return header, blob[:-record]
 
 
 def _trailing_bytes(header, blob):
@@ -339,9 +317,30 @@ def _repeated_class_index(header, blob):
     return header, blob
 
 
-def _nbytes_as_float(header, blob):
-    rec = header["records"][0]
-    rec["nbytes"] = float(rec["nbytes"])
+def _rename_first_label(key):
+    def edit(header, blob):
+        first = next(iter(header["class_index"]))
+        header["class_index"][key] = header["class_index"].pop(first)
+        return header, blob
+
+    edit.__name__ = f"_class_index_key_{json.dumps(key)}"
+    return edit
+
+
+def _split_sizes_as_int(header, blob):
+    header["split_sizes"] = sum(header["split_sizes"])
+    return header, blob
+
+
+def _two_split_sizes(header, blob):
+    header["split_sizes"].pop()
+    return header, blob
+
+
+def _negative_split_size(header, blob):
+    # the sum, and so the expected blob length, stays the same
+    train, validation, test = header["split_sizes"]
+    header["split_sizes"] = [train + validation + 1, -1, test]
     return header, blob
 
 
@@ -360,49 +359,65 @@ def _true_in_feature_std(header, blob):
     return header, blob
 
 
+def _huge_integer_in_feature_mean(header, blob):
+    header["feature_mean"][0] = 10**400
+    return header, blob
+
+
+def _set_first_entry(key, value):
+    def edit(header, blob):
+        header[key][0] = value
+        return header, blob
+
+    edit.__name__ = f"_{key}_{json.dumps(value)}"
+    return edit
+
+
 @pytest.mark.parametrize(
     "kind, field, edit",
     [
         ("model", "layer_dims", _shorter_blob),
         ("model", "class_labels", _one_class_label_fewer),
         ("model", "layer_dims", _no_layer_dims),
-        ("dataset", "offset", _negative_offset),
-        ("dataset", "label", _label_outside_class_index),
-        ("dataset", "label_rate", _no_label_rate),
         # fields of the wrong type
         ("dataset", "class_index", _class_index_as_list),
-        ("dataset", "label_rate", _label_rate_as_word),
-        ("dataset", "cov_assignment", _cov_assignment_as_int),
-        ("dataset", "split", _split_as_list),
-        ("dataset", "label", _label_as_list),
+        ("dataset", "split_sizes", _split_sizes_as_int),
         # headers that used to load silently or end in a traceback
         ("model", "header", _header_as_list),
         ("dataset", "header", _header_as_list),
         ("dataset", "config", _config_as_int),
         ("dataset", "config", _config_with_unknown_key),
-        ("dataset", "cov_assignment", _set_record_field("cov_assignment", "1023")),
-        ("dataset", "cov_assignment", _set_record_field("cov_assignment", [9])),
-        ("dataset", "cov_assignment", _set_record_field("cov_assignment", [])),
-        ("dataset", "label_rate", _set_record_field("label_rate", True)),
-        ("dataset", "label_rate", _set_record_field("label_rate", "2.5")),
         ("dataset", "class_index", _set_first_class_index("0")),
         ("dataset", "class_index", _set_first_class_index(2.7)),
         ("dataset", "class_index", _repeated_class_index),
-        ("dataset", "nbytes", _nbytes_as_float),
         ("model", "class_labels", _class_labels_as_ints),
         ("model", "feature_mean", _feature_mean_as_strings),
         ("model", "feature_std", _true_in_feature_std),
-        # counts, rates and layouts that used to load silently
-        ("dataset", "num_records", _num_records_7),
-        ("dataset", "label_rate", _set_record_field("label_rate", float("nan"))),
-        ("dataset", "label_rate", _set_record_field("label_rate", float("inf"))),
-        ("dataset", "label_rate", _set_record_field("label_rate", float("-inf"))),
-        ("dataset", "offset", _swapped_offsets),
+        ("dataset", "split_sizes", _two_split_sizes),
+        ("dataset", "split_sizes", _negative_split_size),
+        # record columns that hold values out of range
+        ("dataset", "label", _label_outside_class_index),
+        ("dataset", "label", _set_first_record("label", -1)),
+        ("dataset", "label_rate", _set_first_record("label_rate", float("nan"))),
+        ("dataset", "label_rate", _set_first_record("label_rate", float("inf"))),
+        ("dataset", "label_rate", _set_first_record("label_rate", float("-inf"))),
+        ("dataset", "cov_assignment", _set_first_record("cov_assignment", [9])),
+        ("dataset", "cov_assignment", _set_first_record("cov_assignment", 4)),
+        ("dataset", "blob", _one_record_short),
         ("dataset", "blob", _trailing_bytes),
+        # a class that is no partition of the scenario's users
+        ("dataset", "class_index", _rename_first_label("2,1")),
+        ("dataset", "class_index", _rename_first_label("1|2|3")),
+        # checkpoint constants that train never writes
+        ("model", "feature_std", _set_first_entry("feature_std", float("nan"))),
+        ("model", "feature_std", _set_first_entry("feature_std", 0.0)),
+        ("model", "feature_std", _set_first_entry("feature_std", -1.0)),
+        ("model", "feature_mean", _set_first_entry("feature_mean", float("inf"))),
+        ("model", "feature_mean", _huge_integer_in_feature_mean),
     ],
 )
 def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edit):
-    # each container keeps a valid CRC; only its header disagrees with itself
+    # each container keeps a valid CRC; only its header or its record columns disagree
     source, magic, version = {
         "model": (workdir / "model.hrsmlp", mlp.MODEL_MAGIC, mlp.MODEL_VERSION),
         "dataset": (workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION),

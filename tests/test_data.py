@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -495,6 +496,9 @@ def test_round_trip_bit_identical(tiny_dataset, tmp_path):
             assert a.label == b.label
             assert a.label_rate == b.label_rate
             assert a.cov_assignment == b.cov_assignment
+            # Python scalars, not numpy ones: export_labels_csv writes repr(label_rate)
+            assert type(b.label_rate) is float
+            assert type(b.cov_assignment) is tuple and all(type(c) is int for c in b.cov_assignment)
     # a second write of the loaded dataset yields the same bytes
     path2 = tmp_path / "ds2.hrsdat"
     data.serialize(loaded, path2)
@@ -556,13 +560,24 @@ def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_p
     assert not path.exists()
 
 
-@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
-def test_serialize_rejects_a_non_finite_label_rate_before_writing(tiny_dataset, tmp_path, rate):
-    good = tiny_dataset.test[0]
-    bad = data.Sample(good.H_true, good.H_hat, good.label, rate, good.cov_assignment)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("label_rate", float("nan"), "label_rate", id="nan"),
+        pytest.param("label_rate", float("inf"), "label_rate", id="inf"),
+        pytest.param("label_rate", float("-inf"), "label_rate", id="-inf"),
+        pytest.param("label", "1,2,3,4,5,6,7,8,9", "class_index", id="label-outside-class_index"),
+        pytest.param("cov_assignment", (0, 1, 2, 99), "cov_assignment", id="cov_assignment-out-of-range"),
+        pytest.param("cov_assignment", (0, -1, 2, 3), "cov_assignment", id="cov_assignment-negative"),
+        pytest.param("cov_assignment", (0, 1), "covariance indices", id="cov_assignment-too-short"),
+    ],
+)
+def test_serialize_rejects_a_non_finite_label_rate_before_writing(tiny_dataset, tmp_path, field, value, message):
+    # a label or covariance indices that the record columns cannot hold are refused the same way
+    bad = dataclasses.replace(tiny_dataset.test[0], **{field: value})
     dataset = data.DatasetSplit(tiny_dataset.train, [], [bad], tiny_dataset.class_index, tiny_dataset.config)
     path = tmp_path / "bad.hrsdat"
-    with pytest.raises(DataFormatError, match="label_rate"):
+    with pytest.raises(DataFormatError, match=message):
         data.serialize(dataset, path)
     assert not path.exists()
 
