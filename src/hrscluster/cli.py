@@ -158,8 +158,9 @@ def _check_compatible(dataset: data.DatasetSplit, model: mlp.MlpModel) -> None:
             f"model expects {model.layer_dims[0]} features but the dataset "
             f"provides {expected}; scenario/model mismatch"
         )
-    # two scenarios can share an input width (n4m8 and n5m6 both give 70)
-    if any(Partition.from_key(label).num_users != users for label in model.class_labels):
+    # two scenarios can share an input width (n4m8 and n5m6 both give 70);
+    # load_model has checked that every class partitions as many users as the first
+    if Partition.from_key(model.class_labels[0]).num_users != users:
         raise ConfigurationError(
             f"model classes do not partition the dataset's {users} users; scenario/model mismatch"
         )

@@ -9,8 +9,8 @@ principal directions. The projection-Frobenius score
 cosine of the principal angles and lives in [0, 1]. For well-separated
 cluster sizes the raw score is biased, so it is standardized against the
 mean and deviation it takes on independent isotropic subspaces of the same
-sizes; those constants have a closed form (see ``calibrate_similarity``)
-and are tabulated once per scenario. Standardization needs M > N_k + N_j,
+sizes; those constants have a closed form (see ``calibrate_similarity``),
+computed once per size triple. Standardization needs M > N_k + N_j,
 otherwise the raw score is used as is.
 
 A bottom-up agglomeration of the estimate H_hat merges the most similar pair
@@ -102,52 +102,23 @@ def _overlap(u_k: np.ndarray, u_j: np.ndarray, n_k: int, n_j: int) -> float:
     return float(norm(u_k.conj().T @ u_j) ** 2 / min(n_k, n_j))
 
 
-def _standardize(s: float, m: int, n_k: int, n_j: int, calib: SimilarityCalibration | None) -> float:
+def _standardize(s: float, m: int, n_k: int, n_j: int) -> float:
     """(s - eta) / sigma when M > N_k + N_j, the raw score otherwise."""
     if m > n_k + n_j:
-        if calib is None:
-            raise CalibrationError("calibration required for M > N_k + N_j")
-        eta, sigma = calib.lookup(m, n_k, n_j)
+        eta, sigma = calibrate_similarity(m, n_k, n_j)
         return (s - eta) / sigma
     return s
 
 
-@dataclass
-class SimilarityCalibration:
-    """Mean/deviation of the similarity of independent random subspaces.
-
-    Keys are (M, N_small, N_large); the score is symmetric so sizes are
-    stored sorted.
-    """
-
-    table: dict[tuple[int, int, int], tuple[float, float]]
-
-    @staticmethod
-    def for_scenario(m: int, n_users: int) -> "SimilarityCalibration":
-        """Every size pair an agglomeration over n_users can standardize."""
-        return SimilarityCalibration(
-            {
-                (m, small, large): calibrate_similarity(m, small, large)
-                for small in range(1, n_users)
-                for large in range(small, n_users - small + 1)
-                if m > small + large
-            }
-        )
-
-    def lookup(self, m: int, n_k: int, n_j: int) -> tuple[float, float]:
-        key = (m, min(n_k, n_j), max(n_k, n_j))
-        if key not in self.table:
-            raise CalibrationError(f"no calibration entry for (M, N_k, N_j) = {key}")
-        return self.table[key]
-
-
+@cache
 def calibrate_similarity(m: int, n_k: int, n_j: int) -> tuple[float, float]:
     """Exact mean and deviation of the similarity under independence.
 
     For independent isotropic subspaces of dimensions a and b in C^M the
     Weingarten calculus (Collins & Sniady 2006) gives E[trace(P_a P_b)] = ab/M
     and Var = ab(M-a)(M-b) / (M^2 (M^2-1)); the mean and the deviation are
-    divided by min(a, b).
+    divided by min(a, b). Everything before the first rounding is an exact
+    integer symmetric in the two sizes, so swapping them gives the same bits.
     """
     if m <= n_k + n_j:
         raise CalibrationError(
@@ -159,11 +130,9 @@ def calibrate_similarity(m: int, n_k: int, n_j: int) -> tuple[float, float]:
     return ab / (m * scale), float(np.sqrt(variance)) / scale
 
 
-def normalized_similarity(
-    H_k: np.ndarray, H_j: np.ndarray, calib: SimilarityCalibration | None
-) -> float:
+def normalized_similarity(H_k: np.ndarray, H_j: np.ndarray) -> float:
     """Standardized similarity when applicable, raw similarity otherwise."""
-    return _standardize(pf_similarity(H_k, H_j), H_k.shape[0], H_k.shape[1], H_j.shape[1], calib)
+    return _standardize(pf_similarity(H_k, H_j), H_k.shape[0], H_k.shape[1], H_j.shape[1])
 
 
 class MergeStep(NamedTuple):
@@ -186,7 +155,7 @@ class Dendrogram:
     bases: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
 
 
-def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendrogram:
+def agglomerate(H_hat: np.ndarray) -> Dendrogram:
     """Greedy bottom-up clustering of users by channel-subspace similarity.
 
     At each step every pair of current clusters is scored on the stacked
@@ -213,7 +182,7 @@ def agglomerate(H_hat: np.ndarray, calib: SimilarityCalibration | None) -> Dendr
 
     @cache
     def score(a, b):  # not bit-symmetric; the scan passes the smaller minimum first
-        return _standardize(_overlap(basis(a), basis(b), len(a), len(b)), m, len(a), len(b), calib)
+        return _standardize(_overlap(basis(a), basis(b), len(a), len(b)), m, len(a), len(b))
 
     blocks = [(u,) for u in range(1, n + 1)]
     levels = [Partition(tuple(blocks))]

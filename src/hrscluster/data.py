@@ -32,10 +32,10 @@ import numpy as np
 
 from . import _binio
 from .channel import ArrayGeometry, CovarianceMatrix, build_covariance, corrupt_csi, sample_channels
-from .clustering import SimilarityCalibration, agglomerate, best_partition
+from .clustering import agglomerate, best_partition, calibrate_similarity
 from .errors import ConfigurationError, DataFormatError, StratificationError
 from .hrs import HrsConfig, uniform_alpha_grid, uniform_beta_grid
-from .partitions import Partition
+from .partitions import Partition, is_canonical_key
 
 DATASET_MAGIC = b"HRSDAT01"
 DATASET_VERSION = 3
@@ -56,6 +56,14 @@ _HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "split_sizes": (li
 
 # Draws per task of the generation pool; workers beyond the task count would idle.
 _GEN_CHUNK = 8
+
+
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a number, not a bool, that float64 holds as a finite value."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
 
 
 def default_azimuths(num_covs: int) -> tuple[float, ...]:
@@ -89,9 +97,7 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            ):
+            if f.type == "float" and not _is_finite_real(value):
                 raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "str" and not isinstance(value, str):
                 raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
@@ -113,7 +119,7 @@ class ScenarioConfig:
             object.__setattr__(self, "azimuths", default_azimuths(self.num_covs))
         if len(self.azimuths) != self.num_covs:
             raise ConfigurationError("need one azimuth per covariance")
-        if not all(isinstance(az, numbers.Real) and math.isfinite(az) for az in self.azimuths):
+        if not all(_is_finite_real(az) for az in self.azimuths):
             raise ConfigurationError(f"azimuths must be finite real numbers, got {list(self.azimuths)}")
         if not self.name:
             object.__setattr__(self, "name", f"n{self.users}m{self.antennas}")
@@ -136,8 +142,12 @@ class ScenarioConfig:
             for az in self.azimuths
         )
 
-    def calibration(self) -> SimilarityCalibration:
-        return SimilarityCalibration.for_scenario(self.antennas, self.users)
+    # no src caller; the benchmark's clustering.calibration hook looks it up by name
+    def calibration(self) -> dict[tuple[int, int, int], tuple[float, float]]:
+        """Similarity constants of every size pair the scenario can standardize."""
+        m, n = self.antennas, self.users
+        return {(m, a, b): calibrate_similarity(m, a, b)
+                for a in range(1, n) for b in range(a, n - a + 1) if m > a + b}
 
     def to_dict(self) -> dict:
         return {**asdict(self), "azimuths": list(self.azimuths)}
@@ -201,14 +211,13 @@ def draw_assignment(cfg: ScenarioConfig, index: int) -> tuple[int, ...]:
 def _generate_one(
     cfg: ScenarioConfig,
     covariances: tuple[CovarianceMatrix, ...],
-    calibration: SimilarityCalibration,
     hrs: HrsConfig,
     index: int,
 ) -> Sample:
     assignment = draw_assignment(cfg, index)
     channels = sample_channels(covariances, assignment, (cfg.seed, index, _SALT_SAMPLE, 1))
     channels = corrupt_csi(channels, cfg.tau, (cfg.seed, index, _SALT_CSI))
-    dendrogram = agglomerate(channels.H_hat, calibration)
+    dendrogram = agglomerate(channels.H_hat)
     partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, hrs)
     return Sample(
         channels.H_true, channels.H_hat, partition.key(), rate.R_total, assignment
@@ -221,7 +230,7 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> list[Sample]:
     Every sample owns a child seed derived from (master seed, index), so the
     result is identical whether generated serially or across workers.
     """
-    one = partial(_generate_one, cfg, cfg.covariances(), cfg.calibration(), cfg.hrs_config())
+    one = partial(_generate_one, cfg, cfg.covariances(), cfg.hrs_config())
     indices = range(cfg.samples)
     if threads <= 1:
         return [one(i) for i in indices]
@@ -270,8 +279,7 @@ def augment(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
         n = s.H_true.shape[1]
         for _ in range(cfg.num_shuffles):
             perm = np.arange(n)
-            for g in range(partition.num_groups):
-                cols = partition.block_columns(g)
+            for cols in partition.layout.columns:
                 perm[cols] = rng.permutation(perm[cols])
             out.append(
                 Sample(
@@ -369,7 +377,7 @@ def load(path) -> DatasetSplit:
     if [class_index[label] for label in labels] != list(range(len(labels))):
         raise DataFormatError(f"{path}: class_index must number its labels 0..{len(labels) - 1}, each once")
     for label in labels:
-        if not _is_canonical_key(label, cfg.users):
+        if not is_canonical_key(label, cfg.users):
             raise DataFormatError(f"{path}: class_index key {label!r} is not a canonical partition key "
                                   f"of {cfg.users} users")
     sizes = header["split_sizes"]
@@ -405,15 +413,6 @@ def _check_columns(where: str, ids, rates, assignments, num_classes: int, num_co
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise DataFormatError(f"{where} {i} has {name} {column[i].tolist()!r}, which is not {rule}")
-
-
-def _is_canonical_key(label: str, users: int) -> bool:
-    """Whether ``label`` is the canonical key of a partition of ``users`` users."""
-    try:
-        partition = Partition.from_key(label)
-    except ConfigurationError:
-        return False
-    return partition.key() == label and partition.num_users == users
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:

@@ -40,7 +40,7 @@ class DegenerateInputError(NumericalConsistencyError):
 
 
 class CalibrationError(ConfigurationError):
-    """Similarity calibration requested outside its domain or not available."""
+    """Similarity standardization requested outside its domain, M <= N_k + N_j."""
 
 
 class StratificationError(ConfigurationError):

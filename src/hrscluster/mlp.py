@@ -33,6 +33,7 @@ import numpy as np
 from . import _binio
 from .data import DatasetSplit, Sample
 from .errors import ConfigurationError, DataFormatError, NumericalConsistencyError
+from .partitions import is_canonical_key
 
 MODEL_MAGIC = b"HRSMLP01"
 MODEL_VERSION = 2  # 2: inputs gained the user-pair similarities
@@ -410,6 +411,14 @@ def load_model(path) -> MlpModel:
     for key, count in (("feature_mean", dims[0]), ("feature_std", dims[0]), ("class_labels", dims[-1])):
         if len(header[key]) != count:
             raise DataFormatError(f"{path}: {key} has {len(header[key])} entries, layer_dims need {count}")
+    labels = header["class_labels"]
+    users = len(labels[0].replace("|", ",").split(","))  # a canonical key names each of its users once
+    for label in labels:
+        if not is_canonical_key(label, users):
+            raise DataFormatError(f"{path}: class_labels entry {label!r} is not a canonical partition key "
+                                  f"of {users} users")
+    if len(set(labels)) != len(labels):
+        raise DataFormatError(f"{path}: class_labels holds a label more than once")
     # FeatureStats.fit floors every std at STD_FLOOR, so no checkpoint train writes holds less
     constants = []
     for key, floor in (("feature_mean", -np.inf), ("feature_std", STD_FLOOR)):

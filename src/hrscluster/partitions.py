@@ -7,8 +7,10 @@ doubles as the classification label, serialized as ``"1,3|2,4"``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +19,9 @@ from .errors import ConfigurationError, ResourceLimitError
 
 # Bell(10); enumerating anything larger is guarded off.
 MAX_ENUMERATION_SIZE = 10
+
+# decimal user numbers without leading zeros, joined by "," within and "|" between blocks
+_KEY_SYNTAX = re.compile(r"[1-9][0-9]*(?:[,|][1-9][0-9]*)*")
 
 
 class Layout(NamedTuple):
@@ -99,14 +104,6 @@ class Partition:
         columns = tuple(order[a : a + len(b)] for a, b in zip(starts, self.blocks))
         return Layout(columns, order, table[3, :g_count], table[1], table[2])
 
-    def block_columns(self, g: int) -> np.ndarray:
-        """0-based column indices of the users in block ``g`` (read-only)."""
-        return self.layout.columns[g]
-
-    def group_of_user(self) -> np.ndarray:
-        """Array mapping 0-based user column to its block index (read-only)."""
-        return self.layout.group
-
     def relabeled(self, perm: np.ndarray) -> "Partition":
         """Partition after renaming user ``u`` to ``perm[u-1] + 1``."""
         return Partition.from_blocks(
@@ -115,6 +112,17 @@ class Partition:
 
     def __str__(self) -> str:
         return self.key()
+
+
+def is_canonical_key(key: str, users: int) -> bool:
+    """Whether ``key`` is the canonical key of a partition of ``users`` users:
+    it names each of 1..users once, and its blocks, each ascending, are in the
+    order of their first users."""
+    if not _KEY_SYNTAX.fullmatch(key):
+        return False
+    blocks = [list(map(int, block.split(","))) for block in key.split("|")]
+    named = sorted(chain.from_iterable(blocks))
+    return len(named) == users and named == list(range(1, users + 1)) and sorted(map(sorted, blocks)) == blocks
 
 
 def bell_number(n: int) -> int:

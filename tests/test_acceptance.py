@@ -17,7 +17,6 @@ from conftest import finite_difference_grads, kink_free_batch, outer_precoders
 from hrscluster import cli, data, evaluation, mlp
 from hrscluster.channel import corrupt_csi, sample_channels
 from hrscluster.clustering import (
-    SimilarityCalibration,
     agglomerate,
     best_partition,
     calibrate_similarity,
@@ -180,14 +179,13 @@ def test_criterion_4_oracle_equivalence():
     start = time.time()
     cfg = data.ScenarioConfig(users=5, antennas=8, samples=100, seed=404)
     covs = cfg.covariances()
-    calib = cfg.calibration()
     hrs = cfg.hrs_config()
     hc_rates, oracle_rates = [], []
     for i in range(100):
         assignment = data.draw_assignment(cfg, i)
         channels = sample_channels(covs, assignment, (cfg.seed, i, 1))
         channels = corrupt_csi(channels, cfg.tau, (cfg.seed, i, 2))
-        dendro = agglomerate(channels.H_hat, calib)
+        dendro = agglomerate(channels.H_hat)
         _, hc = best_partition(channels.H_true, channels.H_hat, dendro, hrs)
         _, oracle = exhaustive_best(channels.H_true, channels.H_hat, hrs)
         assert oracle.R_total >= hc.R_total - 1e-12, f"instance {i}: oracle below dendrogram"

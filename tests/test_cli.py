@@ -99,6 +99,9 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"seed": -3}, id="negative-seed"),
         pytest.param({"num_covs": 0}, id="no-covariances"),
         pytest.param({"azimuths": [0.0, "north", 1.0, 2.0]}, id="non-numeric-azimuth"),
+        pytest.param({"azimuths": [0.0, 10**400, 1.0, 2.0]}, id="overflowing-azimuth"),
+        pytest.param({"tau_sq": 10**400}, id="overflowing-tau-sq"),
+        pytest.param({"spread": 10**400}, id="overflowing-spread"),
         pytest.param({"seed": 1.5}, id="fractional-seed"),
         pytest.param({"num_beta": 2.5}, id="fractional-num-beta"),
         pytest.param({"integration_points": 100.5}, id="fractional-integration-points"),
@@ -364,6 +367,16 @@ def _huge_integer_in_feature_mean(header, blob):
     return header, blob
 
 
+def _overflowing_config_spread(header, blob):
+    header["config"]["spread"] = 10**400
+    return header, blob
+
+
+def _repeated_class_label(header, blob):
+    header["class_labels"][1] = header["class_labels"][0]
+    return header, blob
+
+
 def _set_first_entry(key, value):
     def edit(header, blob):
         header[key][0] = value
@@ -414,6 +427,10 @@ def _set_first_entry(key, value):
         ("model", "feature_std", _set_first_entry("feature_std", -1.0)),
         ("model", "feature_mean", _set_first_entry("feature_mean", float("inf"))),
         ("model", "feature_mean", _huge_integer_in_feature_mean),
+        # values that raised OverflowError or loaded silently
+        ("dataset", "config", _overflowing_config_spread),
+        ("model", "class_labels", _set_first_entry("class_labels", "4,3,2,1")),
+        ("model", "class_labels", _repeated_class_label),
     ],
 )
 def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edit):

@@ -5,7 +5,6 @@ from conftest import random_channelset
 from hrscluster.channel import ArrayGeometry, build_covariance, sample_channels
 from hrscluster.clustering import (
     Dendrogram,
-    SimilarityCalibration,
     agglomerate,
     best_partition,
     calibrate_similarity,
@@ -127,31 +126,29 @@ def test_calibration_rejects_small_geometry():
         calibrate_similarity(4, 2, 2)
 
 
-def test_scenario_calibration_covers_needed_keys():
-    calib = SimilarityCalibration.for_scenario(8, 4)
-    assert (8, 1, 1) in calib.table
-    assert (8, 2, 2) in calib.table
-    assert (8, 1, 3) in calib.table
-    with pytest.raises(CalibrationError):
-        calib.lookup(8, 4, 4)
+def test_calibration_is_bit_symmetric_in_the_two_sizes():
+    # _standardize passes the sizes in scan order, unsorted
+    for m in range(3, 17):
+        for a in range(1, m):
+            for b in range(1, m - a):
+                assert calibrate_similarity(m, a, b) == calibrate_similarity(m, b, a)
 
 
 def test_normalized_similarity_branches(rng):
-    calib = SimilarityCalibration.for_scenario(8, 4)
     # wide geometry: standardized score; centered value maps near zero
     h1 = complex_gaussian(rng, (8, 1))
     h2 = complex_gaussian(rng, (8, 1))
-    eta, sigma = calib.lookup(8, 1, 1)
+    eta, sigma = calibrate_similarity(8, 1, 1)
     s_raw = pf_similarity(h1, h2)
-    assert normalized_similarity(h1, h2, calib) == pytest.approx((s_raw - eta) / sigma, abs=1e-12)
+    assert normalized_similarity(h1, h2) == pytest.approx((s_raw - eta) / sigma, abs=1e-12)
     # identical single-user subspaces achieve the top of the calibrated scale
-    top = normalized_similarity(h1, h1, calib)
+    top = normalized_similarity(h1, h1)
     assert top == pytest.approx((1.0 - eta) / sigma, abs=1e-9)
     assert top > 0
     # narrow geometry falls back to the raw score
     g1 = complex_gaussian(rng, (4, 2))
     g2 = complex_gaussian(rng, (4, 2))
-    assert normalized_similarity(g1, g2, None) == pytest.approx(pf_similarity(g1, g2), abs=1e-12)
+    assert normalized_similarity(g1, g2) == pytest.approx(pf_similarity(g1, g2), abs=1e-12)
 
 
 # -------------------------------------------------------------- agglomeration
@@ -159,16 +156,14 @@ def test_normalized_similarity_branches(rng):
 
 def test_two_user_dendrogram():
     channels = random_channelset(4, 2, seed=30)
-    calib = SimilarityCalibration.for_scenario(4, 2)
-    d = agglomerate(channels.H_hat, calib)
+    d = agglomerate(channels.H_hat)
     assert [p.key() for p in d.levels] == ["1|2", "1,2"]
     assert len(d.merge_trace) == 1
 
 
 def test_dendrogram_structure(rng):
     channels = random_channelset(8, 6, seed=31)
-    calib = SimilarityCalibration.for_scenario(8, 6)
-    d = agglomerate(channels.H_hat, calib)
+    d = agglomerate(channels.H_hat)
     assert len(d.levels) == 6
     assert d.levels[0] == Partition.singletons(6)
     assert d.levels[-1] == Partition.universal(6)
@@ -181,12 +176,11 @@ def test_dendrogram_structure(rng):
 
 def test_first_merge_attains_level_zero_maximum():
     channels = random_channelset(8, 5, seed=32)
-    calib = SimilarityCalibration.for_scenario(8, 5)
-    d = agglomerate(channels.H_hat, calib)
+    d = agglomerate(channels.H_hat)
     first = d.merge_trace[0]
     h = channels.H_hat
     pair_scores = [
-        normalized_similarity(h[:, [i]], h[:, [j]], calib)
+        normalized_similarity(h[:, [i]], h[:, [j]])
         for i in range(5)
         for j in range(i + 1, 5)
     ]
@@ -200,24 +194,22 @@ def test_recovers_two_separated_angular_groups():
     c1 = build_covariance(geom, -np.pi / 2, np.pi / 6)
     c2 = build_covariance(geom, np.pi / 2, np.pi / 6)
     channels = sample_channels([c1, c2], [0, 0, 1, 1], rng_seed=33)
-    calib = SimilarityCalibration.for_scenario(8, 4)
-    d = agglomerate(channels.H_hat, calib)
+    d = agglomerate(channels.H_hat)
     level_g2 = next(p for p in d.levels if p.num_groups == 2)
     assert level_g2.key() == "1,2|3,4"
 
 
 def test_merge_sequence_invariant_under_common_unitary(rng):
     channels = random_channelset(8, 5, seed=34, tau=0.4)
-    calib = SimilarityCalibration.for_scenario(8, 5)
     q, _ = np.linalg.qr(complex_gaussian(rng, (8, 8)))
-    d1 = agglomerate(channels.H_hat, calib)
-    d2 = agglomerate(q @ channels.H_hat, calib)
+    d1 = agglomerate(channels.H_hat)
+    d2 = agglomerate(q @ channels.H_hat)
     assert [p.key() for p in d1.levels] == [p.key() for p in d2.levels]
     for s1, s2 in zip(d1.merge_trace, d2.merge_trace):
         assert s1.similarity == pytest.approx(s2.similarity, abs=1e-9)
 
 
-def _rescoring_agglomerate(h, calib):
+def _rescoring_agglomerate(h):
     """Reference merge order: every pair rescored from its stacked columns at every step."""
     blocks = [(u,) for u in range(1, h.shape[1] + 1)]
     keys, trace = [Partition(tuple(blocks)).key()], []
@@ -226,7 +218,7 @@ def _rescoring_agglomerate(h, calib):
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 cols_i, cols_j = np.asarray(blocks[i]) - 1, np.asarray(blocks[j]) - 1
-                s = normalized_similarity(h[:, cols_i], h[:, cols_j], calib)
+                s = normalized_similarity(h[:, cols_i], h[:, cols_j])
                 if s > best:
                     best, pair = s, (i, j)
         i, j = pair
@@ -237,9 +229,9 @@ def _rescoring_agglomerate(h, calib):
     return keys, trace
 
 
-def _assert_matches_rescoring(h, calib):
-    d = agglomerate(h, calib)
-    keys, trace = _rescoring_agglomerate(h, calib)
+def _assert_matches_rescoring(h):
+    d = agglomerate(h)
+    keys, trace = _rescoring_agglomerate(h)
     assert [p.key() for p in d.levels] == keys
     assert [(step.merged, step.similarity) for step in d.merge_trace] == trace
     return d
@@ -247,21 +239,19 @@ def _assert_matches_rescoring(h, calib):
 
 @pytest.mark.parametrize("m, n", [(8, 8), (12, 12), (6, 12)])
 def test_agglomerate_matches_rescoring_reference(m, n):
-    calib = SimilarityCalibration.for_scenario(m, n)
     covs = [build_covariance(ArrayGeometry.uca(m), az, np.pi / 6) for az in (-np.pi / 2, 0.0, np.pi / 2)]
     for seed in range(6):
-        _assert_matches_rescoring(random_channelset(m, n, seed=60 + seed, tau=0.4).H_hat, calib)
+        _assert_matches_rescoring(random_channelset(m, n, seed=60 + seed, tau=0.4).H_hat)
         assignment = [(seed + u) % len(covs) for u in range(n)]
-        _assert_matches_rescoring(sample_channels(covs, assignment, rng_seed=70 + seed).H_hat, calib)
+        _assert_matches_rescoring(sample_channels(covs, assignment, rng_seed=70 + seed).H_hat)
 
 
 def test_agglomerate_tie_merges_smallest_block_minima_first():
     # orthonormal users: every singleton pair scores the same, so (1, 2)
     # merges first, then (3, 4) beats the pairs of unequal sizes
     h = np.eye(8, dtype=complex)[:, :4]
-    calib = SimilarityCalibration.for_scenario(8, 4)
-    d = _assert_matches_rescoring(h, calib)
-    assert len({normalized_similarity(h[:, [i]], h[:, [j]], calib) for i in range(4) for j in range(i + 1, 4)}) == 1
+    d = _assert_matches_rescoring(h)
+    assert len({normalized_similarity(h[:, [i]], h[:, [j]]) for i in range(4) for j in range(i + 1, 4)}) == 1
     assert [step.merged for step in d.merge_trace[:2]] == [((1,), (2,)), ((3,), (4,))]
 
 
@@ -271,7 +261,7 @@ def test_agglomerate_never_decomposes_the_universal_cluster():
     h = np.array([[1.0, 2.0], [0.5j, 1.0j], [0.2, 0.4], [0.0, 0.0]], dtype=complex)
     with pytest.raises(DegenerateInputError):
         pf_similarity(h, h[:, :1])
-    d = agglomerate(h, SimilarityCalibration.for_scenario(4, 2))
+    d = agglomerate(h)
     assert [p.key() for p in d.levels] == ["1|2", "1,2"]
 
 
@@ -282,16 +272,16 @@ def test_agglomerate_rejects_a_zero_user_column_as_one_decomposition_would():
     with pytest.raises(DegenerateInputError) as alone:
         pf_similarity(h[:, [0]], h[:, [2]])
     with pytest.raises(DegenerateInputError) as err:
-        agglomerate(h, SimilarityCalibration.for_scenario(8, 5))
+        agglomerate(h)
     assert str(err.value) == str(alone.value) == "matrix is numerically rank deficient (condition 0.00e+00)"
     # a lone user is the universal cluster, which is never decomposed
-    assert [p.key() for p in agglomerate(np.zeros((8, 1), dtype=complex), None).levels] == ["1"]
+    assert [p.key() for p in agglomerate(np.zeros((8, 1), dtype=complex)).levels] == ["1"]
 
 
 def test_dendrogram_keeps_the_bases_of_every_non_universal_block():
     for m, n, seed in ((8, 6, 52), (12, 12, 53), (6, 12, 54)):
         h = random_channelset(m, n, seed=seed, tau=0.4).H_hat
-        d = agglomerate(h, SimilarityCalibration.for_scenario(m, n))
+        d = agglomerate(h)
         blocks = {block for level in d.levels for block in level.blocks}
         assert set(d.bases) == blocks - {tuple(range(1, n + 1))}
         for block, basis in d.bases.items():
@@ -304,7 +294,7 @@ def test_dendrogram_keeps_the_bases_of_every_non_universal_block():
 
 def test_single_user_best_partition():
     channels = random_channelset(4, 1, seed=35)
-    d = agglomerate(channels.H_hat, None)
+    d = agglomerate(channels.H_hat)
     part, rate = best_partition(channels.H_true, channels.H_hat, d, HrsConfig(total_power=10.0))
     assert part.key() == "1"
     assert rate.feasible and rate.R_total > 0
@@ -312,10 +302,9 @@ def test_single_user_best_partition():
 
 def test_best_partition_dominates_universal():
     cfg = HrsConfig(total_power=20.0)
-    calib = SimilarityCalibration.for_scenario(8, 5)
     for seed in range(36, 41):
         channels = random_channelset(8, 5, seed=seed, tau=0.6)
-        d = agglomerate(channels.H_hat, calib)
+        d = agglomerate(channels.H_hat)
         part, rate = best_partition(channels.H_true, channels.H_hat, d, cfg)
         uni = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(5), cfg)
         assert rate.R_total >= uni.R_total - 1e-12
@@ -323,10 +312,9 @@ def test_best_partition_dominates_universal():
 
 def test_exhaustive_dominates_dendrogram_selection():
     cfg = HrsConfig(total_power=20.0)
-    calib = SimilarityCalibration.for_scenario(8, 4)
     for seed in range(41, 51):
         channels = random_channelset(8, 4, seed=seed, tau=0.6)
-        d = agglomerate(channels.H_hat, calib)
+        d = agglomerate(channels.H_hat)
         _, hc = best_partition(channels.H_true, channels.H_hat, d, cfg)
         _, oracle = exhaustive_best(channels.H_true, channels.H_hat, cfg)
         assert oracle.R_total >= hc.R_total - 1e-12

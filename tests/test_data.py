@@ -74,10 +74,18 @@ def test_config_rejects_non_integer_fields(name, value):
 
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5", False, None])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), "0.5", False, None, pytest.param(10**400, id="10**400")]
+)
 def test_config_rejects_non_finite_float_fields(name, value):
     with pytest.raises(ConfigurationError, match=f"{name} must be a finite number"):
         data.ScenarioConfig(users=4, antennas=8, **{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), "north", True, pytest.param(10**400, id="10**400")])
+def test_config_rejects_non_finite_azimuths(value):
+    with pytest.raises(ConfigurationError, match="azimuths must be finite real numbers"):
+        data.ScenarioConfig(users=4, antennas=8, azimuths=(0.0, 1.0, value, 2.0))
 
 
 def test_config_accepts_integers_in_float_fields():
@@ -332,10 +340,9 @@ def test_covariance_assignment_uniformity():
 
 def test_label_rate_reproducible_from_stored_channels(tiny_dataset):
     cfg = tiny_dataset.config
-    calib = cfg.calibration()
     hrs = cfg.hrs_config()
     for s in tiny_dataset.train[:3]:
-        dendro = agglomerate(s.H_hat, calib)
+        dendro = agglomerate(s.H_hat)
         part, rate = best_partition(s.H_true, s.H_hat, dendro, hrs)
         assert part.key() == s.label
         assert rate.R_total == pytest.approx(s.label_rate, abs=1e-9)

@@ -58,14 +58,12 @@ def test_baseline_relations(tiny_dataset, tiny_model):
 
 
 def test_nn_rate_bounded_by_hc_when_prediction_on_dendrogram(tiny_dataset, tiny_model):
-    cfg = tiny_dataset.config
-    calib = cfg.calibration()
     predictions = mlp.predict_labels(tiny_model, tiny_dataset.test)
     results = evaluation.run_baselines(tiny_dataset, tiny_model)
     by = {r.method: r for r in results}
     checked = 0
     for i, (s, pred) in enumerate(zip(tiny_dataset.test, predictions)):
-        dendro = agglomerate(s.H_hat, calib)
+        dendro = agglomerate(s.H_hat)
         if pred in {p.key() for p in dendro.levels}:
             assert by["NN"].rates[i] <= by["HC"].rates[i] + 1e-9
             checked += 1

@@ -229,7 +229,7 @@ def test_stacked_design_matches_group_loops_on_every_small_partition():
             h = random_channelset(m, n, seed=100 * m + n, tau=0.3).H_hat
             for partition in enumerate_partitions(n):
                 if partition.num_groups <= m:
-                    groups = [h[:, partition.block_columns(g)] for g in range(partition.num_groups)]
+                    groups = [h[:, cols] for cols in partition.layout.columns]
                     _assert_stacked_design_matches_loops(groups)
 
 
@@ -237,11 +237,10 @@ def test_stacked_design_matches_group_loops_on_every_small_partition():
 def test_stacked_design_matches_group_loops_on_dendrogram_levels(users, antennas):
     # the level sweep's path: dominant bases read from the dendrogram
     cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=10, seed=3)
-    calib = cfg.calibration()
     for s in data.generate_samples(cfg):
-        dendrogram = agglomerate(s.H_hat, calib)
+        dendrogram = agglomerate(s.H_hat)
         for level in dendrogram.levels:
-            groups = [s.H_hat[:, level.block_columns(g)] for g in range(level.num_groups)]
+            groups = [s.H_hat[:, cols] for cols in level.layout.columns]
             dominant = [dendrogram.bases[b] for b in level.blocks] if level.num_groups > 1 else None
             _assert_stacked_design_matches_loops(groups, dominant)
 
@@ -284,10 +283,10 @@ def test_stacked_candidates_match_one_at_a_time_on_every_small_partition():
 def test_stacked_candidates_match_one_at_a_time_on_dendrogram_levels(users, antennas):
     # the level sweep's path, on the dendrogram's bases, against fresh SVDs
     cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=10, seed=3)
-    calib, hrs_cfg = cfg.calibration(), cfg.hrs_config()
+    hrs_cfg = cfg.hrs_config()
     infeasible = 0
     for s in data.generate_samples(cfg):
-        dendrogram = agglomerate(s.H_hat, calib)
+        dendrogram = agglomerate(s.H_hat)
         got = evaluate_partitions(s.H_true, s.H_hat, dendrogram.levels, hrs_cfg, dendrogram.bases)
         want = [evaluate_partition(s.H_true, s.H_hat, p, hrs_cfg) for p in dendrogram.levels]
         _assert_same_breakdowns(got, want)
@@ -302,7 +301,7 @@ def test_searches_design_every_candidate_in_one_pass(monkeypatch):
     for name in ("compute_outer_precoders", "compute_inner_precoders"):
         original = getattr(hrs, name)
         monkeypatch.setattr(hrs, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    best_partition(s.H_true, s.H_hat, agglomerate(s.H_hat, cfg.calibration()), cfg.hrs_config())
+    best_partition(s.H_true, s.H_hat, agglomerate(s.H_hat), cfg.hrs_config())
     exhaustive_best(s.H_true, s.H_hat, cfg.hrs_config())
     assert calls == ["compute_outer_precoders", "compute_inner_precoders"] * 2
 
@@ -311,7 +310,7 @@ def test_searches_design_every_candidate_in_one_pass(monkeypatch):
 
 
 def _precoders_for(H_hat, partition, cfg):
-    groups = [H_hat[:, partition.block_columns(g)] for g in range(partition.num_groups)]
+    groups = [H_hat[:, cols] for cols in partition.layout.columns]
     b = outer_precoders(groups)
     return compute_inner_precoders([b], [groups], cfg)[0]
 
@@ -452,7 +451,7 @@ def test_sic_denominators_ordered(rng):
     private = np.abs(ht @ np.concatenate(pre.private, axis=1)) ** 2  # blocks are in user order here
     _, p_ic, p_priv = _one_split(0.25, 0.5, 30.0, partition)
     users = np.arange(5)
-    group_of_user = partition.group_of_user()
+    group_of_user = partition.layout.group
     interference = p_ic @ common.T + p_priv @ private.T
     self_ic = p_ic[group_of_user] * common[users, group_of_user]
     self_p = p_priv * private[users, users]
@@ -486,7 +485,7 @@ def test_feasibility_table():
                 g_count = partition.num_groups
                 out = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
                 assert out.feasible == (g_count <= m)
-                groups = [channels.H_hat[:, partition.block_columns(g)] for g in range(g_count)]
+                groups = [channels.H_hat[:, cols] for cols in partition.layout.columns]
                 if out.feasible:
                     outer = outer_precoders(groups)
                     assert [b.shape for b in outer] == [(m, m // g_count)] * g_count
@@ -536,7 +535,7 @@ def test_power_grid_rows_are_one_row_splits(blocks):
         assert np.all(p_ic[k] == (1.0 - a) * b * 25.0 / g_count)
         for g, block in enumerate(partition.blocks):
             want = (1.0 - a) * (1.0 - b) * 25.0 * (1.0 / (g_count * len(block)))
-            assert np.all(p_priv[k, partition.block_columns(g)] == want)
+            assert np.all(p_priv[k, partition.layout.columns[g]] == want)
 
     channels = random_channelset(8, 6, seed=26, tau=0.3)
     best = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hrscluster.errors import ConfigurationError, ResourceLimitError
-from hrscluster.partitions import Partition, bell_number, enumerate_partitions
+from hrscluster.partitions import Partition, bell_number, enumerate_partitions, is_canonical_key
 
 
 def test_canonical_form_sorts_blocks_by_minimum():
@@ -16,6 +16,40 @@ def test_canonical_form_sorts_blocks_by_minimum():
 def test_key_round_trip():
     p = Partition.from_blocks([[5], [1, 3], [2, 4]])
     assert Partition.from_key(p.key()) == p
+
+
+def _round_trips(key, users):
+    """The reference rule: the key parses to a partition of ``users`` users whose key it is."""
+    try:
+        partition = Partition.from_key(key)
+    except ConfigurationError:
+        return False
+    return partition.key() == key and partition.num_users == users
+
+
+def test_canonical_key_check_agrees_with_the_key_round_trip():
+    rng = np.random.default_rng(8)
+    alphabet = list("0123456789,| +-")
+    for n in range(1, 6):
+        for partition in enumerate_partitions(n):
+            key = partition.key()
+            assert is_canonical_key(key, n)
+            for _ in range(20):  # one character replaced, inserted, deleted, or two swapped
+                chars, i = list(key), int(rng.integers(len(key)))
+                op = int(rng.integers(4))
+                if op == 0:
+                    chars[i] = rng.choice(alphabet)
+                elif op == 1:
+                    chars.insert(i, rng.choice(alphabet))
+                elif op == 2:
+                    del chars[i]
+                else:
+                    j = int(rng.integers(len(key)))
+                    chars[i], chars[j] = chars[j], chars[i]
+                for users in (n - 1, n, n + 1):
+                    assert is_canonical_key("".join(chars), users) == _round_trips("".join(chars), users)
+    for key in ("", "1|", "|1", "01", "1,01", " 1", "+1", "2|1", "1|3,2", "1,1", "1,2|2"):
+        assert not is_canonical_key(key, len(key.replace("|", ",").split(",")))
 
 
 def test_rejects_non_covering_blocks():
@@ -34,8 +68,8 @@ def test_singletons_and_universal():
 
 def test_group_of_user_matches_blocks():
     p = Partition.from_blocks([[1, 4], [2], [3]])
-    assert list(p.group_of_user()) == [0, 1, 2, 0]
-    assert list(p.block_columns(0)) == [0, 3]
+    assert list(p.layout.group) == [0, 1, 2, 0]
+    assert list(p.layout.columns[0]) == [0, 3]
 
 
 def test_layout_agrees_with_blocks_is_read_only_and_survives_pickling():
@@ -44,10 +78,8 @@ def test_layout_agrees_with_blocks_is_read_only_and_survives_pickling():
         assert layout is p.layout  # built once per instance
         for g, block in enumerate(p.blocks):
             assert list(layout.columns[g]) == [u - 1 for u in block]
-            assert layout.columns[g] is p.block_columns(g)
         assert list(layout.order) == [u - 1 for block in p.blocks for u in block]
         assert list(layout.starts) == [sum(len(b) for b in p.blocks[:g]) for g in range(p.num_groups)]
-        assert layout.group is p.group_of_user()
         users = range(1, p.num_users + 1)
         assert list(layout.group) == [next(g for g, b in enumerate(p.blocks) if u in b) for u in users]
         assert list(layout.size) == [len(p.blocks[g]) for g in layout.group]
