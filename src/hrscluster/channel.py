@@ -27,6 +27,7 @@ from .errors import ConfigurationError, NumericalConsistencyError
 
 EIGENVALUE_CLAMP_REL = 1e-12
 HERMITIAN_TOL = 1e-10
+INTEGRATION_POINTS = 512  # midpoints of the sector integral
 
 
 @dataclass(frozen=True)
@@ -125,22 +126,16 @@ class ChannelSet:
     covariances: tuple[CovarianceMatrix, ...] = field(repr=False)
 
 
-def build_covariance(
-    geometry: ArrayGeometry,
-    azimuth: float,
-    spread: float,
-    num_integration_points: int = 512,
-) -> CovarianceMatrix:
-    """One-ring covariance for a uniform sector, midpoint-rule integration.
+def build_covariance(geometry: ArrayGeometry, azimuth: float, spread: float) -> CovarianceMatrix:
+    """One-ring covariance for a uniform sector, midpoint-rule integration
+    over INTEGRATION_POINTS points.
 
     Each steering vector has unit per-element magnitude, so trace(R) equals
     the number of antennas exactly (per-antenna average gain of one).
     """
     if spread <= 0:
         raise ConfigurationError("angular spread must be positive")
-    if num_integration_points < 64:
-        raise ConfigurationError("need at least 64 integration points")
-    n = int(num_integration_points)
+    n = INTEGRATION_POINTS
     step = 2.0 * spread / n
     phis = azimuth - spread + (np.arange(n) + 0.5) * step
     A = geometry.steering(phis)  # (M, n)

@@ -7,7 +7,8 @@ Subcommands:
     compare     --data D --model M [--out R]  accuracy, relative rate and baselines
     sweep       --configs DIR --out R  full pipeline for every config file
 
-Global flags ``--seed``, ``--threads``, ``--power`` override the config.
+Global flags: ``--seed`` overrides the config seed, ``--threads`` sets the
+generation worker count.
 Exit codes: 0 success, 2 configuration error, 3 data-format error,
 4 numerical-consistency error.
 """
@@ -32,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--threads", type=int, default=1, help="worker processes for generation")
-    parser.add_argument("--power", type=float, default=None, help="override total transmit power")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-dataset", help="generate a labeled dataset")
@@ -60,12 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: data.ScenarioConfig, args) -> data.ScenarioConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.power is not None:
-        updates["total_power"] = args.power
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _cmd_gen_dataset(args) -> int:

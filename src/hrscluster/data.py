@@ -7,13 +7,13 @@ then caps class sizes; augmentation shuffles users within their labeled
 blocks (the label is invariant to such reorderings); the stratified
 80/10/10 split keeps every surviving class represented in training.
 
-Datasets are stored in a binary container (magic ``HRSDAT01``) whose header
-holds the generating configuration, the class index and the three split
-sizes. Its blob holds every record's matrices back to back in storage order
-(train, validation, test), then the records' class ids, label rates and
-covariance indices as fixed-width columns. ``load`` checks each column with
-one array predicate and views every matrix in one strided array over the
-file's bytes, copying none.
+Datasets are stored in a binary container (magic ``HRSDAT01``, format
+version 4) whose header holds the generating configuration, the class index
+and the three split sizes. Its blob holds every record's matrices back to
+back in storage order (train, validation, test), then the records' class
+ids, label rates and covariance indices as fixed-width columns. ``load``
+checks each column with one array predicate and views every matrix in one
+strided array over the file's bytes, copying none.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from . import _binio
 from .channel import ArrayGeometry, CovarianceMatrix, build_covariance, corrupt_csi, sample_channels
 from .clustering import agglomerate, best_partition, calibrate_similarity
 from .errors import ConfigurationError, DataFormatError, StratificationError
-from .hrs import HrsConfig, uniform_alpha_grid, uniform_beta_grid
+from .hrs import HrsConfig
 from .partitions import Partition, is_canonical_key
 
 DATASET_MAGIC = b"HRSDAT01"
-DATASET_VERSION = 3
+DATASET_VERSION = 4
 
 REFERENCE_SCENARIOS = ((8, 4), (8, 8), (8, 12), (12, 6), (12, 12), (12, 16))
 
@@ -84,9 +84,6 @@ class ScenarioConfig:
     num_covs: int = 4
     azimuths: tuple[float, ...] = ()
     spread: float = float(np.pi / 6)
-    integration_points: int = 512
-    num_alpha: int = 10
-    num_beta: int = 10
     rate_floor_frac: float = 0.25
     min_class_samples: int = 50
     max_class_samples: int = 200
@@ -103,8 +100,8 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
         if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
             raise ConfigurationError(f"name must be a plain file name, got {self.name!r}")
-        for key in ("users", "antennas", "samples", "num_covs", "num_alpha", "num_beta",
-                    "min_class_samples", "max_class_samples", "num_shuffles"):
+        for key in ("users", "antennas", "samples", "num_covs", "min_class_samples", "max_class_samples",
+                    "num_shuffles"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.seed < 0:
@@ -113,6 +110,8 @@ class ScenarioConfig:
             raise ConfigurationError("tau_sq must lie in [0, 1]")
         if self.total_power <= 0:
             raise ConfigurationError("total power must be positive")
+        if self.spread <= 0:
+            raise ConfigurationError(f"spread must be positive, got {self.spread}")
         if self.rate_floor_frac <= 0:
             raise ConfigurationError(f"rate_floor_frac must be positive, got {self.rate_floor_frac}")
         if not self.azimuths:
@@ -129,18 +128,11 @@ class ScenarioConfig:
         return float(np.sqrt(self.tau_sq))
 
     def hrs_config(self) -> HrsConfig:
-        return HrsConfig(
-            total_power=self.total_power,
-            alpha_grid=uniform_alpha_grid(self.num_alpha),
-            beta_grid=uniform_beta_grid(self.num_beta),
-        )
+        return HrsConfig(self.total_power)
 
     def covariances(self) -> tuple[CovarianceMatrix, ...]:
         geometry = ArrayGeometry.uca(self.antennas)
-        return tuple(
-            build_covariance(geometry, az, self.spread, self.integration_points)
-            for az in self.azimuths
-        )
+        return tuple(build_covariance(geometry, az, self.spread) for az in self.azimuths)
 
     # no src caller; the benchmark's clustering.calibration hook looks it up by name
     def calibration(self) -> dict[tuple[int, int, int], tuple[float, float]]:
@@ -154,9 +146,12 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
+        azimuths = raw.get("azimuths", [])
+        if not isinstance(azimuths, list):
+            raise ConfigurationError(f"azimuths must be a list of numbers, got {azimuths!r}")
         # a missing or unknown key raises TypeError naming it
         try:
-            return ScenarioConfig(**{**raw, "azimuths": tuple(raw.get("azimuths", ()))})
+            return ScenarioConfig(**{**raw, "azimuths": tuple(azimuths)})
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
 

@@ -20,8 +20,9 @@ Power is controlled by two fractions alpha, beta in (0, 1]:
 so the three layers always sum to P. ``evaluate_partitions(H_true, H_hat,
 partitions, config)`` takes rates against the true channel H_true while every
 precoder is designed from the (possibly imperfect) estimate H_hat; a
-brute-force sweep over an (alpha, beta) grid picks the best split per
-candidate. ``evaluate_partition`` is its one-candidate call.
+brute-force sweep over the fixed grid ALPHA_GRID x BETA_GRID, as in Dai et
+al. 2016, picks the best split per candidate. ``evaluate_partition`` is its
+one-candidate call.
 
 Precoder design is batched over every group of every candidate partition of
 a draw: groups whose matrices share a shape go through one stacked LAPACK
@@ -56,19 +57,30 @@ DENOMINATOR_GUARD = -1e-12
 _TINY = np.finfo(float).tiny
 
 
-def uniform_alpha_grid(points: int = 10) -> tuple[float, ...]:
-    # `points` uniform points on (0, 1] plus a near-zero entry that
-    # effectively switches the outer common layer off.
-    return (1e-3,) + tuple((i + 1) / points for i in range(points))
+# The power-split sweep: ten uniform points on (0, 1] per fraction, plus a
+# near-zero alpha that effectively switches the outer common layer off.
+ALPHA_GRID = (1e-3,) + tuple((i + 1) / 10 for i in range(10))
+BETA_GRID = tuple((i + 1) / 10 for i in range(10))
 
 
-def uniform_beta_grid(points: int = 10) -> tuple[float, ...]:
-    return tuple((i + 1) / points for i in range(points))
+def _pairs(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every (alpha, beta) pair of ``alphas`` x BETA_GRID as two read-only
+    (K,) arrays, alpha-major, so the first maximizer is the smallest alpha,
+    then beta."""
+    alpha, beta = np.repeat(alphas, len(BETA_GRID)), np.tile(BETA_GRID, len(alphas))
+    alpha.flags.writeable = beta.flags.writeable = False
+    return alpha, beta
+
+
+# The splits a candidate sweeps: the full grid, or for a single group alpha
+# pinned at the grid minimum (see ``evaluate_partitions``).
+_SPLITS = _pairs(ALPHA_GRID)
+_ONE_GROUP_SPLITS = _pairs(ALPHA_GRID[:1])
 
 
 @dataclass(frozen=True)
 class HrsConfig:
-    """Total transmit power and the (alpha, beta) sweep grids.
+    """Total transmit power.
 
     Precoder dimensions are fixed by the JSDM rule: with G groups on M
     antennas every group gets d = floor(M / G) reduced dimensions and nulls d
@@ -77,15 +89,10 @@ class HrsConfig:
     """
 
     total_power: float = 100.0
-    alpha_grid: tuple[float, ...] = uniform_alpha_grid()
-    beta_grid: tuple[float, ...] = uniform_beta_grid()
 
     def __post_init__(self):
         if not math.isfinite(self.total_power) or self.total_power <= 0:
             raise FeasibilityError(f"total power must be finite and positive, got {self.total_power!r}")
-        for name, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
-            if not grid or any(not 0.0 < v <= 1.0 for v in grid):
-                raise FeasibilityError(f"{name} grid values must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -348,15 +355,6 @@ def rate(
     )
 
 
-@cache
-def _power_grid(alphas: tuple, betas: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Every (alpha, beta) pair as two read-only (K,) arrays, alpha-major, so
-    the first maximizer is the smallest alpha, then beta."""
-    alpha, beta = np.repeat(alphas, len(betas)), np.tile(betas, len(alphas))
-    alpha.flags.writeable = beta.flags.writeable = False
-    return alpha, beta
-
-
 def evaluate_partitions(
     H_true: np.ndarray, H_hat: np.ndarray, partitions, config: HrsConfig, bases=None
 ) -> list[RateBreakdown]:
@@ -391,13 +389,8 @@ def evaluate_partitions(
     bases.update(zip(missing, _dominant_bases([columns[block] for block in missing])))
     dominant = [[bases[b] for b in p.blocks] if p.num_groups > 1 else None for p in feasible]
     precoders = iter(compute_inner_precoders(compute_outer_precoders(grouped, dominant), grouped, config))
-    single = (min(config.alpha_grid),)
     return [
-        rate(
-            H_true, p, next(precoders),
-            *_power_grid(tuple(config.alpha_grid) if p.num_groups > 1 else single, tuple(config.beta_grid)),
-            config.total_power,
-        )
+        rate(H_true, p, next(precoders), *(_SPLITS if p.num_groups > 1 else _ONE_GROUP_SPLITS), config.total_power)
         if p.num_groups <= H_hat.shape[0]
         else RateBreakdown.infeasible()
         for p in partitions

@@ -100,6 +100,8 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"num_covs": 0}, id="no-covariances"),
         pytest.param({"azimuths": [0.0, "north", 1.0, 2.0]}, id="non-numeric-azimuth"),
         pytest.param({"azimuths": [0.0, 10**400, 1.0, 2.0]}, id="overflowing-azimuth"),
+        pytest.param({"azimuths": 5}, id="non-list-azimuths"),
+        pytest.param({"azimuths": None}, id="null-azimuths"),
         pytest.param({"tau_sq": 10**400}, id="overflowing-tau-sq"),
         pytest.param({"spread": 10**400}, id="overflowing-spread"),
         pytest.param({"seed": 1.5}, id="fractional-seed"),
@@ -111,6 +113,8 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"num_alpha": -2}, id="negative-num-alpha"),
         pytest.param({"num_alpha": 0}, id="zero-num-alpha"),
         pytest.param({"num_beta": 0}, id="zero-num-beta"),
+        # keys the config no longer has, refused as unknown
+        pytest.param({"num_alpha": 10}, id="removed-num-alpha"),
         pytest.param({"name": 5}, id="non-string-name"),
         pytest.param({"name": "a/b"}, id="name-with-slash"),
         pytest.param({"name": ".."}, id="parent-dir-name"),
@@ -145,10 +149,13 @@ def test_negative_seed_flag_exits_2(workdir, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("power", ["nan", "inf"])
 def test_non_finite_power_flag_exits_2(workdir, tmp_path, capsys, power):
+    # there is no --power flag: total_power is set in the config alone, so
+    # the parser refuses the flag before any value is looked at
     out = tmp_path / "out"
-    rc = cli.run(["--power", power, "gen-dataset", "--config", str(workdir / "cfg.json"), "--out", str(out)])
-    assert rc == 2
-    assert "error: total_power must be a finite number" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--power", power, "gen-dataset", "--config", str(workdir / "cfg.json"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "hrscluster: error:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -217,10 +224,11 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_version_one_dataset_exits_3(workdir, tmp_path, capsys, version):
     # a version-1 dataset was labelled with Monte Carlo similarity constants
-    # and its config carried their draw count; version 2 kept its records in the header
+    # and its config carried their draw count; version 2 kept its records in
+    # the header; version 3's config carried the sweep grid and quadrature sizes
     path = tmp_path / "old.hrsdat"
     header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION)
     header["format_version"] = version
@@ -372,6 +380,11 @@ def _overflowing_config_spread(header, blob):
     return header, blob
 
 
+def _negative_spread(header, blob):
+    header["config"]["spread"] = -1.0
+    return header, blob
+
+
 def _repeated_class_label(header, blob):
     header["class_labels"][1] = header["class_labels"][0]
     return header, blob
@@ -429,6 +442,7 @@ def _set_first_entry(key, value):
         ("model", "feature_mean", _huge_integer_in_feature_mean),
         # values that raised OverflowError or loaded silently
         ("dataset", "config", _overflowing_config_spread),
+        ("dataset", "config", _negative_spread),
         ("model", "class_labels", _set_first_entry("class_labels", "4,3,2,1")),
         ("model", "class_labels", _repeated_class_label),
     ],

@@ -8,6 +8,7 @@ from scipy.stats import chi2
 from hrscluster import data
 from hrscluster.clustering import agglomerate, best_partition
 from hrscluster.errors import ConfigurationError, DataFormatError, StratificationError
+from hrscluster.hrs import ALPHA_GRID, BETA_GRID
 from hrscluster.partitions import Partition
 
 
@@ -50,17 +51,16 @@ def test_config_round_trip_and_validation(tmp_path):
 
 
 def test_alpha_beta_grids():
-    cfg = data.ScenarioConfig(users=4, antennas=8)
-    hrs = cfg.hrs_config()
-    assert len(hrs.alpha_grid) == 11
-    assert hrs.alpha_grid[0] == pytest.approx(1e-3)
-    assert hrs.alpha_grid[1:] == tuple((i + 1) / 10 for i in range(10))
-    assert len(hrs.beta_grid) == 10
+    assert len(ALPHA_GRID) == 11
+    assert ALPHA_GRID[0] == pytest.approx(1e-3)
+    assert ALPHA_GRID[1:] == tuple((i + 1) / 10 for i in range(10))
+    assert len(BETA_GRID) == 10
+    # the power fractions' domain
+    assert all(0.0 < v <= 1.0 for v in ALPHA_GRID + BETA_GRID)
 
 
 INT_FIELDS = (
-    "users", "antennas", "samples", "seed", "num_covs", "integration_points",
-    "num_alpha", "num_beta", "min_class_samples", "max_class_samples", "num_shuffles",
+    "users", "antennas", "samples", "seed", "num_covs", "min_class_samples", "max_class_samples", "num_shuffles",
 )
 FLOAT_FIELDS = ("tau_sq", "total_power", "spread", "rate_floor_frac")
 

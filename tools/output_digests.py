@@ -12,7 +12,10 @@ directory, at fixed sizes and seeds:
     compare      that model on that dataset: SVG, JSON lines, CSV and stdout
 
 and prints one JSON object mapping each output to its sha256. Two versions
-of the program write the same bytes when they print the same object.
+of the program write the same bytes when they print the same object. Each
+dataset also gets a ``<name> blob`` digest, the sha256 of its records alone
+(the bytes after the header), which a change to the header alone leaves as
+it was.
 
 Each dataset and model is also read back with ``data.load`` and
 ``mlp.load_model`` and written again; the script exits non-zero unless the
@@ -51,7 +54,7 @@ def check_round_trip(path: Path) -> None:
 
 
 def digests(work: Path) -> dict:
-    from hrscluster import cli
+    from hrscluster import _binio, cli, data
 
     def run(*argv) -> str:
         out = io.StringIO()
@@ -85,7 +88,12 @@ def digests(work: Path) -> dict:
         "compare jsonl": "compare/n8m8_rates.jsonl",
         "compare csv": "compare/n8m8_summary.csv",
     }
-    out = {name: _sha256((work / rel).read_bytes()) for name, rel in files.items()}
+    out = {}
+    for name, rel in files.items():
+        out[name] = _sha256((work / rel).read_bytes())
+        if rel.endswith(".hrsdat"):
+            blob = _binio.read_container(work / rel, data.DATASET_MAGIC, data.DATASET_VERSION)[1]
+            out[f"{name} blob"] = _sha256(blob)
     for rel in files.values():
         if rel.endswith((".hrsdat", ".hrsmlp")):
             check_round_trip(work / rel)
