@@ -14,6 +14,15 @@ type of each field a reader declares, so readers check only what a JSON type
 cannot express. Per-record values live in the blob as fixed-width columns,
 never in the header.
 
+Reads are streamed too: ``read_container`` reads the header, lets the caller
+check it and name the blob offset from which it wants the bytes, reads past
+the bytes before that offset a bounded chunk at a time, and reads the rest
+straight into one immutable buffer, carrying one CRC over all of them. So
+every byte is CRC-checked, and a reader that needs the last records of a
+large file never holds the others. A CRC mismatch is refused before anything
+is returned, and ahead of any refusal of the header itself, so a corrupted
+file always reads as corrupted.
+
 Writes are streamed: ``write_container`` takes the blob as an iterable of
 bytes-like parts and writes each as it comes, carrying the CRC along, so the
 whole blob is never joined in memory. Callers check their inputs before the
@@ -23,10 +32,10 @@ file is opened, so a rejected input writes no file.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from itertools import chain
-from pathlib import Path
 
 from .errors import DataFormatError
 
@@ -34,6 +43,9 @@ MAGIC_LEN = 8
 _LEN_FMT = "<Q"
 _CRC_FMT = "<I"
 _PREFIX_LEN = MAGIC_LEN + struct.calcsize(_LEN_FMT)
+_CRC_LEN = struct.calcsize(_CRC_FMT)
+# Bytes read per step of the streamed read; bounds what the skipped blob costs in memory.
+_CHUNK = 1 << 20
 
 # The Python types a JSON value of each type decodes to: a number written
 # without a fraction decodes to int, and a bool is never a number.
@@ -54,22 +66,47 @@ def write_container(path, magic: bytes, header: dict, parts) -> None:
         fh.write(struct.pack(_CRC_FMT, crc & 0xFFFFFFFF))
 
 
-def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
-    """Header and blob of a container of format ``version``; the blob views the file's bytes."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _PREFIX_LEN + struct.calcsize(_CRC_FMT):
-        raise DataFormatError(f"{path}: file truncated ({len(raw)} bytes)")
-    if raw[:MAGIC_LEN] != magic:
-        raise DataFormatError(f"{path}: bad magic {raw[:MAGIC_LEN]!r}, expected {magic!r}")
-    stored_crc = struct.unpack(_CRC_FMT, raw[-4:])[0]
-    body = memoryview(raw)[:-4]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
-        raise DataFormatError(f"{path}: CRC mismatch, file is corrupted")
-    header_end = _PREFIX_LEN + struct.unpack_from(_LEN_FMT, raw, MAGIC_LEN)[0]
-    if header_end > len(body):
-        raise DataFormatError(f"{path}: header length exceeds file size")
+def _whole_blob(header: dict, blob_size: int) -> tuple[dict, int]:
+    return header, 0
+
+
+def read_container(path, magic: bytes, version: int, layout=_whole_blob) -> tuple:
+    """Read a container of format ``version`` in one streamed, CRC-checked pass.
+
+    ``layout(header, blob_size)`` checks the header against the size of the
+    blob the file holds, raising DataFormatError, and returns ``(value,
+    keep_from)``; the read returns ``value`` and a read-only view of the blob
+    from byte ``keep_from`` on. The default returns the header and the whole
+    blob.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _PREFIX_LEN + _CRC_LEN:
+            raise DataFormatError(f"{path}: file truncated ({size} bytes)")
+        prefix, crc = _read(fh, _PREFIX_LEN, 0, path)
+        if prefix[:MAGIC_LEN] != magic:
+            raise DataFormatError(f"{path}: bad magic {prefix[:MAGIC_LEN]!r}, expected {magic!r}")
+        header_end = _PREFIX_LEN + struct.unpack_from(_LEN_FMT, prefix, MAGIC_LEN)[0]
+        blob_size = size - _CRC_LEN - header_end
+        try:
+            if blob_size < 0:
+                raise DataFormatError(f"{path}: header length exceeds file size")
+            header, crc = _read(fh, header_end - _PREFIX_LEN, crc, path)
+            value, keep_from = layout(_parse_header(header, version, path), blob_size)
+        except DataFormatError:
+            # a corrupted file is refused as corrupted, whatever the damage did to its header
+            _check_crc(fh, _skip(fh, size - _CRC_LEN - fh.tell(), crc, path), path)
+            raise
+        crc = _skip(fh, keep_from, crc, path)
+        kept, crc = _read(fh, blob_size - keep_from, crc, path)
+        _check_crc(fh, crc, path)
+    return value, memoryview(kept)
+
+
+def _parse_header(raw: bytes, version: int, path) -> dict:
+    """The JSON object ``raw`` holds, refused unless it is of format ``version``."""
     try:
-        header = json.loads(bytes(body[_PREFIX_LEN:header_end]).decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable header ({exc})") from exc
     if type(header) is not dict:
@@ -78,7 +115,28 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
     if header["format_version"] != version:
         raise DataFormatError(f"{path}: format version {header['format_version']} is not supported, "
                               f"this program reads version {version}; regenerate or retrain it")
-    return header, body[header_end:]
+    return header
+
+
+def _read(fh, count: int, crc: int, path) -> tuple[bytes, int]:
+    """The next ``count`` bytes of ``fh``, read into one immutable buffer, and ``crc`` carried over them."""
+    raw = fh.read(count)
+    if len(raw) != count:
+        raise DataFormatError(f"{path}: file truncated while it was read")
+    return raw, zlib.crc32(raw, crc)
+
+
+def _skip(fh, count: int, crc: int, path) -> int:
+    """Read past ``count`` bytes a chunk at a time, keeping none; returns ``crc`` carried over them."""
+    for lo in range(0, count, _CHUNK):
+        crc = _read(fh, min(_CHUNK, count - lo), crc, path)[1]
+    return crc
+
+
+def _check_crc(fh, crc: int, path) -> None:
+    """Refuse the file unless its trailer, the next bytes of ``fh``, holds ``crc``."""
+    if fh.read(_CRC_LEN) != struct.pack(_CRC_FMT, crc & 0xFFFFFFFF):
+        raise DataFormatError(f"{path}: CRC mismatch, file is corrupted")
 
 
 def require(header: dict, fields: dict, path) -> None:

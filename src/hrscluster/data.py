@@ -12,8 +12,13 @@ version 4) whose header holds the generating configuration, the class index
 and the three split sizes. Its blob holds every record's matrices back to
 back in storage order (train, validation, test), then the records' class
 ids, label rates and covariance indices as fixed-width columns. ``load``
-checks each column with one array predicate and views every matrix in one
-strided array over the file's bytes, copying none.
+reads the file in one streamed pass that CRC-checks every byte, keeps the
+blob from the first wanted split's matrices on in one read-only buffer,
+checks every record's columns with one array predicate each, and views the
+kept matrices in one strided array over that buffer, copying none.
+``compare`` asks for the validation and test splits alone, so the train
+matrices, most of the file, are read past a chunk at a time and never made
+into samples.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -114,6 +119,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"spread must be positive, got {self.spread}")
         if self.rate_floor_frac <= 0:
             raise ConfigurationError(f"rate_floor_frac must be positive, got {self.rate_floor_frac}")
+        if type(self.azimuths) is not tuple:
+            raise ConfigurationError(f"azimuths must be a tuple of numbers, got {self.azimuths!r}")
         if not self.azimuths:
             object.__setattr__(self, "azimuths", default_azimuths(self.num_covs))
         if len(self.azimuths) != self.num_covs:
@@ -359,9 +366,39 @@ def serialize(dataset: DatasetSplit, path) -> None:
     _binio.write_container(path, DATASET_MAGIC, header, chain(matrices, columns))
 
 
-def load(path) -> DatasetSplit:
-    """Read a dataset container, checking each record column with one array predicate."""
-    header, blob = _binio.read_container(path, DATASET_MAGIC, DATASET_VERSION)
+def load(path, splits=SPLITS) -> DatasetSplit:
+    """Read a dataset container, creating the records of ``splits`` only; the others are ``[]``.
+
+    Every byte is CRC-checked and every record column checked with one array
+    predicate; the matrices of records before the first wanted split are read
+    past, never held.
+    """
+    if not set(splits) <= set(SPLITS):
+        raise ValueError(f"splits must be among {SPLITS}, got {splits!r}")
+    (cfg, class_index, labels, bounds, first), kept = _binio.read_container(
+        path, DATASET_MAGIC, DATASET_VERSION, partial(_layout, path, splits))
+    m, n, count = cfg.antennas, cfg.users, bounds[-1]
+    span = 2 * m * n * 16
+    # the kept bytes run from record ``first``'s matrices to the end of the blob
+    base = first * span
+    matrices = np.frombuffer(kept, "<c16", (count - first) * 2 * m * n).reshape(-1, 2, n, m).transpose(0, 1, 3, 2)
+    ids = np.frombuffer(kept, "<i4", count, count * span - base)
+    rates = np.frombuffer(kept, "<f8", count, count * (span + 4) - base)
+    assignments = np.frombuffer(kept, "<i4", count * n, count * (span + 12) - base).reshape(count, n)
+    _check_columns(f"{path}: record", ids, rates, assignments, len(labels), cfg.num_covs)
+    parts = [
+        list(map(Sample, matrices[lo - first : hi - first, 0], matrices[lo - first : hi - first, 1],
+                 [labels[i] for i in ids[lo:hi].tolist()], rates[lo:hi].tolist(),
+                 map(tuple, assignments[lo:hi].tolist())))
+        if name in splits else []
+        for name, lo, hi in zip(SPLITS, bounds, bounds[1:])
+    ]
+    return DatasetSplit(*parts, class_index, cfg)
+
+
+def _layout(path, splits, header: dict, blob_size: int):
+    """Check a dataset header against its blob's size; returns ``((config, class_index,
+    its labels in id order, split bounds, first wanted record), blob offset of that record)``."""
     _binio.require(header, _HEADER_FIELDS, path)
     try:
         cfg = ScenarioConfig.from_dict(header["config"])
@@ -378,21 +415,15 @@ def load(path) -> DatasetSplit:
     sizes = header["split_sizes"]
     if len(sizes) != len(SPLITS) or min(sizes) < 0:
         raise DataFormatError(f"{path}: split_sizes {sizes} is not {len(SPLITS)} record counts, each >= 0")
-    m, n, count = cfg.antennas, cfg.users, sum(sizes)
-    span = 2 * m * n * 16
+    bounds = list(accumulate(sizes, initial=0))
+    span, count = 2 * cfg.antennas * cfg.users * 16, bounds[-1]
     # per record: two <c16 matrices, then a <i4 class id, a <f8 rate and n <i4 covariance indices
-    if len(blob) != count * (span + 12 + 4 * n):
-        raise DataFormatError(f"{path}: blob holds {len(blob)} bytes, not the {count} x {span + 12 + 4 * n} "
+    record = span + 12 + 4 * cfg.users
+    if blob_size != count * record:
+        raise DataFormatError(f"{path}: blob holds {blob_size} bytes, not the {count} x {record} "
                               f"of its {count} records")
-    matrices = np.frombuffer(blob, "<c16", count * 2 * m * n).reshape(count, 2, n, m).transpose(0, 1, 3, 2)
-    ids = np.frombuffer(blob, "<i4", count, count * span)
-    rates = np.frombuffer(blob, "<f8", count, count * (span + 4))
-    assignments = np.frombuffer(blob, "<i4", count * n, count * (span + 12)).reshape(count, n)
-    _check_columns(f"{path}: record", ids, rates, assignments, len(labels), cfg.num_covs)
-    samples = list(map(Sample, matrices[:, 0], matrices[:, 1], [labels[i] for i in ids.tolist()],
-                       rates.tolist(), map(tuple, assignments.tolist())))
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return DatasetSplit(*(samples[lo:hi] for lo, hi in zip(bounds, bounds[1:])), class_index, cfg)
+    first = min((bounds[SPLITS.index(name)] for name in splits), default=count)
+    return (cfg, class_index, labels, bounds, first), first * span
 
 
 def _check_columns(where: str, ids, rates, assignments, num_classes: int, num_covs: int) -> None:

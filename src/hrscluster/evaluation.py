@@ -16,6 +16,7 @@ Accuracies are the validation top-1 and the test top-1/3/5 of
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,10 +119,10 @@ def write_records_jsonl(results: list[MethodResult], scenario: str, path) -> Non
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in CSV_COLUMNS) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([str(row.get(c, "")) for c in CSV_COLUMNS] for row in rows)
 
 
 def write_boxplot_svg(results: list[MethodResult], scenario: str, path) -> None:
@@ -138,9 +139,11 @@ def write_boxplot_svg(results: list[MethodResult], scenario: str, path) -> None:
         return margin + plot_h * (1.0 - (v - lo) / (hi - lo))
 
     slot = (width - 2 * margin) / max(len(results), 1)
+    # the title is XML character data; xml.sax.saxutils.escape would cost every command its import (about 7 MB)
+    title = scenario.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="13">{scenario}</text>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="13">{title}</text>',
         f'<line x1="{margin}" y1="{margin + plot_h}" x2="{width - margin}" y2="{margin + plot_h}" stroke="black"/>',
     ]
     for i, res in enumerate(results):

@@ -26,7 +26,7 @@ output delta in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -400,14 +400,26 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    header, blob = _binio.read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    (dims, stats, labels), blob = _binio.read_container(path, MODEL_MAGIC, MODEL_VERSION, partial(_layout, path))
+    params = np.frombuffer(blob, dtype="<f8")
+    weights, biases, cursor = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(params[cursor : cursor + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+        biases.append(params[cursor + fan_in * fan_out : cursor + (fan_in + 1) * fan_out].copy())
+        cursor += (fan_in + 1) * fan_out
+    return MlpModel(weights, biases, stats, labels)
+
+
+def _layout(path, header: dict, blob_size: int):
+    """Check a checkpoint header against its blob's size; returns ``((layer_dims,
+    feature statistics, class labels), 0)``."""
     _binio.require(header, _HEADER_FIELDS, path)
     dims = header["layer_dims"]
     if len(dims) < 2 or min(dims) < 1:
         raise DataFormatError(f"{path}: layer_dims {dims} is not a list of at least two positive integers")
     expected = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: parameter blob has {len(blob)} bytes, layer_dims {dims} need {expected}")
+    if blob_size != expected:
+        raise DataFormatError(f"{path}: parameter blob has {blob_size} bytes, layer_dims {dims} need {expected}")
     for key, count in (("feature_mean", dims[0]), ("feature_std", dims[0]), ("class_labels", dims[-1])):
         if len(header[key]) != count:
             raise DataFormatError(f"{path}: {key} has {len(header[key])} entries, layer_dims need {count}")
@@ -432,11 +444,4 @@ def load_model(path) -> MlpModel:
             raise DataFormatError(f"{path}: {key}[{i}] is {values[i].tolist()!r}, which is not a finite number"
                                   + (f" >= STD_FLOOR ({STD_FLOOR})" if key == "feature_std" else ""))
         constants.append(values)
-    stats = FeatureStats(*constants)
-    params = np.frombuffer(blob, dtype="<f8")
-    weights, biases, cursor = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(params[cursor : cursor + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-        biases.append(params[cursor + fan_in * fan_out : cursor + (fan_in + 1) * fan_out].copy())
-        cursor += (fan_in + 1) * fan_out
-    return MlpModel(weights, biases, stats, tuple(header["class_labels"]))
+    return (dims, FeatureStats(*constants), tuple(labels)), 0

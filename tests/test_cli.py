@@ -464,6 +464,24 @@ def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edi
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault, message", [("flipped byte", "CRC mismatch"), ("label id", "label id")])
+def test_compare_refuses_a_fault_in_the_train_records_it_does_not_score(workdir, tmp_path, capsys, fault, message):
+    source = workdir / "data.hrsdat"
+    path = tmp_path / "data.hrsdat"
+    assert data.load(source).train  # so record 0, the one spoilt below, is a train record
+    if fault == "flipped byte":
+        raw = bytearray(source.read_bytes())
+        raw[16 + int.from_bytes(raw[8:16], "little") + 100] ^= 0xFF  # inside record 0's H_true
+        path.write_bytes(bytes(raw))
+    else:
+        header, blob = _label_outside_class_index(
+            *_binio.read_container(source, data.DATASET_MAGIC, data.DATASET_VERSION))
+        _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
+    argv = ["compare", "--data", str(path), "--model", str(workdir / "model.hrsmlp"), "--out", str(tmp_path / "r")]
+    assert cli.run(argv) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_seed_override_changes_dataset(workdir, tmp_path):
     out1 = tmp_path / "a.hrsdat"
     out2 = tmp_path / "b.hrsdat"

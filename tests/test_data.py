@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hrscluster import data
+from hrscluster import _binio, data
 from hrscluster.clustering import agglomerate, best_partition
 from hrscluster.errors import ConfigurationError, DataFormatError, StratificationError
 from hrscluster.hrs import ALPHA_GRID, BETA_GRID
@@ -86,6 +86,12 @@ def test_config_rejects_non_finite_float_fields(name, value):
 def test_config_rejects_non_finite_azimuths(value):
     with pytest.raises(ConfigurationError, match="azimuths must be finite real numbers"):
         data.ScenarioConfig(users=4, antennas=8, azimuths=(0.0, 1.0, value, 2.0))
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_config_rejects_azimuths_that_are_not_a_tuple(value):
+    with pytest.raises(ConfigurationError, match="azimuths must be a tuple of numbers"):
+        data.ScenarioConfig(users=4, antennas=8, azimuths=value)
 
 
 def test_config_accepts_integers_in_float_fields():
@@ -601,6 +607,97 @@ def test_loaded_matrices_are_read_only_column_major_views_of_one_buffer(tiny_dat
     # the load copies no matrix: the first and the last record view one buffer
     buffer = samples[0].H_true.base
     assert np.shares_memory(buffer, samples[0].H_true) and np.shares_memory(buffer, samples[-1].H_hat)
+
+
+VAL_TEST = ("validation", "test")
+
+
+def test_validation_and_test_load_equals_the_full_load(tiny_dataset, tmp_path):
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(tiny_dataset, path)
+    full, subset = data.load(path), data.load(path, VAL_TEST)
+    assert subset.train == [] and full.train
+    assert subset.config == full.config and subset.class_index == full.class_index
+    for part in VAL_TEST:
+        assert len(getattr(subset, part)) == len(getattr(full, part)) > 0
+        for a, b in zip(getattr(full, part), getattr(subset, part)):
+            for g, h in ((a.H_true, b.H_true), (a.H_hat, b.H_hat)):
+                assert g.tobytes() == h.tobytes() and g.strides == h.strides and not h.flags.writeable
+            assert (a.label, a.label_rate, a.cov_assignment) == (b.label, b.label_rate, b.cov_assignment)
+            assert type(b.label_rate) is float and all(type(c) is int for c in b.cov_assignment)
+    # the kept records view one buffer
+    assert np.shares_memory(subset.validation[0].H_true.base, subset.test[-1].H_hat)
+
+
+def _flip_train_matrix_byte(raw, header_end):
+    raw[header_end + 100] ^= 0xFF
+
+
+def _flip_header_byte(raw, header_end):
+    raw[20] ^= 0xFF  # corruption is named as such, not as the unreadable header it leaves
+
+
+def _bad_magic(raw, header_end):
+    raw[:8] = b"NOTMAGIC"
+
+
+def _truncate(raw, header_end):
+    del raw[40:]
+
+
+@pytest.mark.parametrize("splits", [data.SPLITS, VAL_TEST])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_flip_train_matrix_byte, "CRC mismatch"),
+        (_flip_header_byte, "CRC mismatch"),
+        (_bad_magic, "bad magic"),
+        (_truncate, "CRC mismatch"),
+    ],
+)
+def test_every_load_refuses_a_corrupted_file(tiny_dataset, tmp_path, splits, edit, message):
+    # the validation and test load reads past the train matrices, but CRC-checks them
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(tiny_dataset, path)
+    raw = bytearray(path.read_bytes())
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    edit(raw, header_end)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match=message):
+        data.load(path, splits)
+
+
+def test_validation_and_test_load_checks_the_train_columns(tiny_dataset, tmp_path):
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(tiny_dataset, path)
+    header, blob = _binio.read_container(path, data.DATASET_MAGIC, data.DATASET_VERSION)
+    blob = bytearray(blob)
+    cfg, count = tiny_dataset.config, sum(header["split_sizes"])
+    assert tiny_dataset.train  # so record 0 is a train record
+    np.frombuffer(blob, "<i4", 1, count * 2 * cfg.antennas * cfg.users * 16)[:] = 9999  # its class id
+    _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
+    with pytest.raises(DataFormatError, match="record 0 has label id 9999"):
+        data.load(path, VAL_TEST)
+
+
+def test_validation_and_test_load_of_a_train_heavy_file_holds_a_fraction_of_it(tmp_path):
+    # the train matrices are read past a chunk at a time; only the records after them are kept
+    cfg = data.ScenarioConfig(users=8, antennas=8, samples=1)
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((4000, 2, 8, 8)) + 1j * rng.standard_normal((4000, 2, 8, 8))
+    samples = [data.Sample(h[i, 0], h[i, 1], "1,2,3,4,5,6,7,8", float(i), (0,) * 8) for i in range(len(h))]
+    dataset = data.DatasetSplit(samples[:3800], samples[3800:3900], samples[3900:], {"1,2,3,4,5,6,7,8": 0}, cfg)
+    path = tmp_path / "big.hrsdat"
+    data.serialize(dataset, path)
+    del h, samples, dataset
+    tracemalloc.start()
+    try:
+        loaded = data.load(path, VAL_TEST)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.validation) == len(loaded.test) == 100
+    assert peak < path.stat().st_size / 4
 
 
 def test_empty_dataset_round_trip(tmp_path):

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -153,6 +155,19 @@ def test_empty_results_produce_valid_files(tmp_path):
     assert (tmp_path / "empty_rates.jsonl").read_text() == ""
     assert len((tmp_path / "empty_summary.csv").read_text().splitlines()) == 2
     assert "<svg" in (tmp_path / "empty_boxplot.svg").read_text()
+
+
+def test_reports_hold_a_scenario_name_with_csv_and_xml_specials(tiny_dataset, tiny_model, tmp_path):
+    name = 'n8m8,tau=0.4&x<y "q"'
+    data.ScenarioConfig(users=4, antennas=8, name=name)  # a name the config accepts
+    results = evaluation.run_baselines(tiny_dataset, tiny_model)
+    row = evaluation.report(results, {"val_top1": 0.5}, name, tmp_path)
+    with open(tmp_path / f"{name}_summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [list(evaluation.CSV_COLUMNS), [str(row.get(c, "")) for c in evaluation.CSV_COLUMNS]]
+    assert rows[1][0] == name
+    svg = ElementTree.parse(tmp_path / f"{name}_boxplot.svg").getroot()
+    assert svg.find("{http://www.w3.org/2000/svg}text").text == name
 
 
 def test_svg_box_groups_in_method_order(tiny_dataset, tiny_model, tmp_path):

@@ -20,7 +20,9 @@ it was.
 Each dataset and model is also read back with ``data.load`` and
 ``mlp.load_model`` and written again; the script exits non-zero unless the
 second write gives the same bytes, so the readers accept every file the
-writers produce.
+writers produce. Each dataset is read a second time with only its
+validation and test splits, as ``compare`` reads it; the script exits
+non-zero unless those records equal the full read's.
 """
 
 from __future__ import annotations
@@ -41,16 +43,29 @@ def _sha256(data: bytes) -> str:
 
 
 def check_round_trip(path: Path) -> None:
-    """Exit unless ``path`` reads back and writes again to the same bytes."""
+    """Exit unless ``path`` reads back and writes again to the same bytes, and,
+    for a dataset, unless its validation and test splits read alone equal the
+    full read's."""
     from hrscluster import data, mlp
 
     again = path.with_name("again-" + path.name)
     if path.suffix == ".hrsmlp":
         mlp.save_model(mlp.load_model(path), again)
     else:
-        data.serialize(data.load(path), again)
+        full = data.load(path)
+        data.serialize(full, again)
+        subset = data.load(path, ("validation", "test"))
+        if subset.train or any(_records(getattr(subset, part)) != _records(getattr(full, part))
+                               for part in ("validation", "test")):
+            raise SystemExit(f"{path.name}: its validation and test splits read alone differ from the full read")
     if again.read_bytes() != path.read_bytes():
         raise SystemExit(f"{path.name} does not read back to the same bytes")
+
+
+def _records(samples) -> list:
+    """Every stored value of ``samples``, with the Python type of each scalar."""
+    return [(s.H_true.tobytes(), s.H_hat.tobytes(), s.label, s.label_rate, type(s.label_rate),
+             s.cov_assignment, tuple(map(type, s.cov_assignment))) for s in samples]
 
 
 def digests(work: Path) -> dict:
