@@ -17,8 +17,15 @@ blob from the first wanted split's matrices on in one read-only buffer,
 checks every record's columns with one array predicate each, and views the
 kept matrices in one strided array over that buffer, copying none.
 ``compare`` asks for the validation and test splits alone, so the train
-matrices, most of the file, are read past a chunk at a time and never made
-into samples.
+matrices, most of the file, are read past a chunk at a time and never held.
+
+A generated dataset holds each split as a list of ``Sample``; a loaded one
+holds each split it read as one ``Records``: read-only column views of the
+blob (the matrices, the class ids with their labels, the rates and the
+covariance indices), with no Python object per record. Indexing or
+iterating ``Records`` yields a ``Sample`` of the same values and scalar
+types. ``h_hat_stack`` and ``class_ids`` read either form, so their callers
+keep one code path; ``serialize`` writes a loaded split from its columns.
 """
 
 from __future__ import annotations
@@ -27,9 +34,11 @@ import csv
 import json
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -184,15 +193,60 @@ class Sample:
     cov_assignment: tuple[int, ...]
 
 
+class Records(Sequence):
+    """A loaded split as read-only columns of its records, viewed from the blob.
+
+    ``matrices`` is (S, 2, M, N): each record's ``H_true`` then ``H_hat``;
+    ``ids`` the ``<i4`` class ids, which name their labels in ``labels``;
+    ``rates`` the ``<f8`` label rates; ``assignments`` the (S, N) ``<i4``
+    covariance indices. An integer index yields the record's ``Sample``, a
+    slice the ``Records`` of the slice's records.
+    """
+
+    def __init__(self, matrices, ids, labels: tuple[str, ...], rates, assignments):
+        self.matrices, self.ids, self.labels, self.rates, self.assignments = matrices, ids, labels, rates, assignments
+        self.H_true, self.H_hat = matrices[:, 0], matrices[:, 1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Records(self.matrices[index], self.ids[index], self.labels, self.rates[index],
+                           self.assignments[index])
+        index = operator.index(index)
+        return Sample(self.H_true[index], self.H_hat[index], self.labels[self.ids[index]],
+                      float(self.rates[index]), tuple(self.assignments[index].tolist()))
+
+    def __iter__(self):
+        return map(Sample, self.H_true, self.H_hat, [self.labels[i] for i in self.ids.tolist()],
+                   self.rates.tolist(), map(tuple, self.assignments.tolist()))
+
+
+def h_hat_stack(samples) -> np.ndarray:
+    """The estimates of ``samples`` (a list of ``Sample`` or a ``Records``) as one
+    C-contiguous (S, M, N) complex array."""
+    if isinstance(samples, Records):
+        return np.ascontiguousarray(samples.H_hat, dtype=complex)
+    return np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples])
+
+
+def class_ids(samples, class_index: dict[str, int]) -> np.ndarray:
+    """The ``class_index`` id of each sample's label, -1 where it has none."""
+    if isinstance(samples, Records):
+        return np.array([class_index.get(label, -1) for label in samples.labels], dtype=np.int64)[samples.ids]
+    return np.array([class_index.get(s.label, -1) for s in samples], dtype=np.int64)
+
+
 @dataclass
 class DatasetSplit:
-    train: list[Sample]
-    validation: list[Sample]
-    test: list[Sample]
+    train: Sequence[Sample]
+    validation: Sequence[Sample]
+    test: Sequence[Sample]
     class_index: dict[str, int]
     config: ScenarioConfig
 
-    def parts(self) -> list[tuple[str, list[Sample]]]:
+    def parts(self) -> list[tuple[str, Sequence[Sample]]]:
         """(split name, samples) pairs in storage order."""
         return [(name, getattr(self, name)) for name in SPLITS]
 
@@ -339,35 +393,49 @@ def serialize(dataset: DatasetSplit, path) -> None:
     """Write the dataset container; byte-exact and reloadable.
 
     Every sample is checked before the file is opened; then the matrices are
-    streamed to it one record at a time, followed by the record columns.
+    streamed to it, a loaded split's in one part from its columns and a list's
+    one record at a time, followed by the record columns.
     """
     cfg = dataset.config
-    m, n = cfg.antennas, cfg.users
-    samples = dataset.all_samples()
-    for s in samples:
-        if s.H_true.shape != (m, n) or s.H_hat.shape != (m, n) or len(s.cov_assignment) != n:
-            raise DataFormatError(f"sample matrices have shape {s.H_true.shape} and {len(s.cov_assignment)} "
-                                  f"covariance indices, expected {(m, n)} and {n}")
-    try:
-        ids = np.array([dataset.class_index[s.label] for s in samples], dtype=np.int64)
-    except KeyError as exc:
-        raise DataFormatError(f"sample label {exc.args[0]!r} is not a key of class_index") from None
-    rates = np.array([s.label_rate for s in samples], dtype="<f8")
-    assignments = np.array([s.cov_assignment for s in samples], dtype=np.int64).reshape(len(samples), n)
+    parts = [part for _, part in dataset.parts()]
+    columns = [_columns(part, cfg.antennas, cfg.users) for part in parts]
+    ids = np.concatenate([class_ids(part, dataset.class_index) for part in parts])
+    if (ids < 0).any():
+        label = next(islice(chain.from_iterable(parts), int(np.argmax(ids < 0)), None)).label
+        raise DataFormatError(f"sample label {label!r} is not a key of class_index")
+    matrices, rates, assignments = zip(*columns)
+    rates, assignments = np.concatenate(rates), np.concatenate(assignments)
     _check_columns("sample", ids, rates, assignments, len(dataset.class_index), cfg.num_covs)
     header = {
         "format_version": DATASET_VERSION,
         "config": cfg.to_dict(),
         "class_index": dataset.class_index,
-        "split_sizes": [len(part) for _, part in dataset.parts()],
+        "split_sizes": [len(part) for part in parts],
     }
+    tail = (ids.astype("<i4").tobytes(), rates.astype("<f8").tobytes(), assignments.astype("<i4").tobytes())
+    _binio.write_container(path, DATASET_MAGIC, header, chain(*matrices, tail))
+
+
+def _columns(samples, m: int, n: int):
+    """``(matrix bytes in storage order, as parts, label rates, (S, n) covariance
+    indices)`` of one split, refused unless its matrices are m x n and every
+    record has n covariance indices."""
+    loaded = isinstance(samples, Records)
+    shapes = ([(samples.matrices.shape[2:], samples.assignments.shape[1])] if loaded
+              else ((h.shape, len(s.cov_assignment)) for s in samples for h in (s.H_true, s.H_hat)))
+    for shape, count in shapes:
+        if shape != (m, n) or count != n:
+            raise DataFormatError(f"sample matrices have shape {shape} and {count} "
+                                  f"covariance indices, expected {(m, n)} and {n}")
+    if loaded:  # the blob's bytes: each matrix stored transposed, in C order
+        return (np.ascontiguousarray(samples.matrices.transpose(0, 1, 3, 2)),), samples.rates, samples.assignments
     matrices = (np.asfortranarray(h, dtype="<c16").tobytes(order="F") for s in samples for h in (s.H_true, s.H_hat))
-    columns = (ids.astype("<i4").tobytes(), rates.tobytes(), assignments.astype("<i4").tobytes())
-    _binio.write_container(path, DATASET_MAGIC, header, chain(matrices, columns))
+    rates = np.array([s.label_rate for s in samples], dtype="<f8")
+    return matrices, rates, np.array([s.cov_assignment for s in samples], dtype=np.int64).reshape(len(samples), n)
 
 
 def load(path, splits=SPLITS) -> DatasetSplit:
-    """Read a dataset container, creating the records of ``splits`` only; the others are ``[]``.
+    """Read a dataset container, viewing the records of ``splits`` only as ``Records``; the others are ``[]``.
 
     Every byte is CRC-checked and every record column checked with one array
     predicate; the matrices of records before the first wanted split are read
@@ -387,9 +455,7 @@ def load(path, splits=SPLITS) -> DatasetSplit:
     assignments = np.frombuffer(kept, "<i4", count * n, count * (span + 12) - base).reshape(count, n)
     _check_columns(f"{path}: record", ids, rates, assignments, len(labels), cfg.num_covs)
     parts = [
-        list(map(Sample, matrices[lo - first : hi - first, 0], matrices[lo - first : hi - first, 1],
-                 [labels[i] for i in ids[lo:hi].tolist()], rates[lo:hi].tolist(),
-                 map(tuple, assignments[lo:hi].tolist())))
+        Records(matrices[lo - first : hi - first], ids[lo:hi], labels, rates[lo:hi], assignments[lo:hi])
         if name in splits else []
         for name, lo, hi in zip(SPLITS, bounds, bounds[1:])
     ]
@@ -405,7 +471,7 @@ def _layout(path, splits, header: dict, blob_size: int):
     except ConfigurationError as exc:
         raise DataFormatError(f"{path}: config is refused ({exc})") from exc
     class_index = header["class_index"]
-    labels = sorted(class_index, key=class_index.get)
+    labels = tuple(sorted(class_index, key=class_index.get))
     if [class_index[label] for label in labels] != list(range(len(labels))):
         raise DataFormatError(f"{path}: class_index must number its labels 0..{len(labels) - 1}, each once")
     for label in labels:

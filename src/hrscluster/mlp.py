@@ -13,9 +13,15 @@ is plain numpy so training is bit-reproducible for a fixed seed and
 platform. ``evaluate_topk`` is the one top-k rule: k is capped at the class
 count and an empty sample list reads NaN.
 
+A split is a list of ``data.Sample`` or, once loaded, a ``data.Records``
+of column views; ``data.h_hat_stack`` and ``data.class_ids`` read the
+estimates and the class ids of either, so every function here has one code
+path and both forms give the same bits.
+
 Working memory does not scale with whole-split temporaries. ``_features``
-fills its output ``ROW_BLOCK`` rows at a time; every row goes through the
-same operations as in one stacked call, so the numbers are bit-identical.
+fills its output ``ROW_BLOCK`` rows at a time, from one C-contiguous stack
+of each block's estimates; every row goes through the same operations as in
+one stacked call, so the numbers are bit-identical.
 ``evaluate_topk`` ranks in place on the probability matrix, one ``argmax``
 pass per rank.
 The forward pass works in place on each layer's pre-activation (bias, ReLU,
@@ -31,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _binio
-from .data import DatasetSplit, Sample
+from .data import DatasetSplit, Sample, class_ids, h_hat_stack
 from .errors import ConfigurationError, DataFormatError, NumericalConsistencyError
 from .partitions import is_canonical_key
 
@@ -127,7 +133,7 @@ def _features(samples) -> np.ndarray:
     m, n = np.shape(samples[0].H_hat)
     out = np.empty((len(samples), feature_count(n, m)))
     for start in range(0, len(samples), ROW_BLOCK):
-        h_hat = np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples[start : start + ROW_BLOCK]])
+        h_hat = h_hat_stack(samples[start : start + ROW_BLOCK])
         rows = out[start : start + len(h_hat)]
         flat = np.swapaxes(h_hat, 1, 2).reshape(len(h_hat), m * n)  # column-major per sample
         rows[:, 0 : 2 * m * n : 2] = flat.real
@@ -313,9 +319,9 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
     x_train = _features(dataset.train)
     stats = FeatureStats.fit(x_train)
     stats.standardize(x_train)
-    y_train = np.array([dataset.class_index[s.label] for s in dataset.train])
+    y_train = class_ids(dataset.train, dataset.class_index)
     x_val = featurize_all(dataset.validation, stats)
-    y_val = np.array([dataset.class_index[s.label] for s in dataset.validation])
+    y_val = class_ids(dataset.validation, dataset.class_index)
 
     rng = np.random.default_rng(hyper.seed)
     model = init_model(x_train.shape[1], hyper.hidden, labels_sorted, stats, rng)
@@ -351,8 +357,9 @@ def predict_labels(model: MlpModel, samples) -> list[str]:
 
 
 def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
-    """Fraction of samples whose class is among the k most probable ones;
-    NaN for an empty sample list.
+    """Fraction of samples whose class is among the k most probable ones, for
+    each k of ``k_list``; NaN for an empty sample list. ``k_list`` must hold at
+    least one k, each at least 1, whether or not there are samples.
 
     k saturates at the class count: with C classes top-k for k >= C is
     top-C, which is 1.0 up to samples labeled outside the model's classes.
@@ -363,11 +370,10 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     tied maxima) and overwrites it with -inf.
     """
     k_list = tuple(int(k) for k in k_list)
-    if any(k < 1 for k in k_list):
-        raise ConfigurationError(f"k must be at least 1, got {k_list}")
+    if not k_list or min(k_list) < 1:
+        raise ConfigurationError(f"k_list must hold at least one k, each at least 1, got {k_list}")
     if not samples:
         return {k: float("nan") for k in k_list}
-    index = {label: i for i, label in enumerate(model.class_labels)}
     x = featurize_all(samples, model.feature_stats)
     probs = forward(model, x)
     rows = np.arange(len(probs))
@@ -376,7 +382,7 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
         ranking[:, rank] = best = probs.argmax(axis=1)
         probs[rows, best] = -np.inf
     out = {}
-    truth = np.array([index.get(s.label, -1) for s in samples])
+    truth = class_ids(samples, {label: i for i, label in enumerate(model.class_labels)})
     for k in k_list:
         hits = (ranking[:, :k] == truth[:, None]).any(axis=1)
         out[k] = float(hits.mean())

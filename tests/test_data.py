@@ -1,11 +1,15 @@
 import dataclasses
+import gc
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hrscluster import _binio, data
+from hrscluster import _binio, data, mlp
 from hrscluster.clustering import agglomerate, best_partition
 from hrscluster.errors import ConfigurationError, DataFormatError, StratificationError
 from hrscluster.hrs import ALPHA_GRID, BETA_GRID
@@ -698,6 +702,98 @@ def test_validation_and_test_load_of_a_train_heavy_file_holds_a_fraction_of_it(t
         tracemalloc.stop()
     assert len(loaded.validation) == len(loaded.test) == 100
     assert peak < path.stat().st_size / 4
+
+
+def _synthetic_dataset(n_train, n_val=40, n_test=40, seed=0):
+    """Random 4-user, 8-antenna records with two labels and varied rates and covariance indices."""
+    cfg = data.ScenarioConfig(users=4, antennas=8, samples=1)
+    rng = np.random.default_rng(seed)
+    count = n_train + n_val + n_test
+    h = rng.standard_normal((count, 2, 8, 4)) + 1j * rng.standard_normal((count, 2, 8, 4))
+    labels = ("1,2,3,4", "1|2|3|4")
+    samples = [data.Sample(h[i, 0], h[i, 1], labels[i % 2], float(rng.uniform(1, 9)),
+                           tuple(int(c) for c in rng.integers(0, 4, 4))) for i in range(count)]
+    parts = samples[:n_train], samples[n_train : n_train + n_val], samples[n_train + n_val :]
+    return data.DatasetSplit(*parts, {label: i for i, label in enumerate(labels)}, cfg)
+
+
+def _output_digests():
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_load_allocates_no_object_per_record(tmp_path):
+    # the train splits differ 10x in record count; the blocks a full load leaves allocated do not
+    growth = []
+    for n_train in (100, 1000):
+        path = tmp_path / f"train{n_train}.hrsdat"
+        data.serialize(_synthetic_dataset(n_train), path)
+        data.load(path)  # warm every cache a first load fills
+        gc.collect()
+        before = sys.getallocatedblocks()
+        loaded = data.load(path)
+        growth.append(sys.getallocatedblocks() - before)
+        assert len(loaded.train) == n_train
+        del loaded
+    assert abs(growth[1] - growth[0]) <= 10, growth
+
+
+def test_loaded_split_is_a_read_only_column_backed_sequence(tmp_path):
+    dataset = _synthetic_dataset(1100)
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(dataset, path)
+    loaded = data.load(path)
+    for name, written in dataset.parts():
+        records = getattr(loaded, name)
+        assert isinstance(records, data.Records) and len(records) == len(written)
+        for column in (records.H_true, records.H_hat, records.ids, records.rates, records.assignments):
+            assert not column.flags.writeable
+    train, written = loaded.train, dataset.train
+    digests = _output_digests()
+    # every stored value and the Python type of every scalar, field by field
+    assert digests._records(train) == digests._records(written)
+    assert digests._records([train[0], train[-1]]) == digests._records([written[0], written[-1]])
+    assert digests._records([train[-len(train)]]) == digests._records([written[0]])
+    for index in (len(train), -len(train) - 1):
+        with pytest.raises(IndexError):
+            train[index]
+    with pytest.raises(TypeError):
+        train[1.0]
+    part = train[5:700:3]
+    assert isinstance(part, data.Records) and len(part) == len(written[5:700:3])
+    assert digests._records(part) == digests._records(written[5:700:3])
+    assert digests._records(list(iter(train))) == digests._records(written)
+    sample = train[7]
+    assert type(sample) is data.Sample and not sample.H_true.flags.writeable and not sample.H_hat.flags.writeable
+    assert type(sample.label_rate) is float and all(type(c) is int for c in sample.cov_assignment)
+    # features of the columns, in several row blocks, equal those of the samples bit for bit
+    assert len(train) > 2 * mlp.ROW_BLOCK
+    assert mlp._features(train).tobytes() == mlp._features(list(train)).tobytes()
+    assert mlp._features(part).tobytes() == mlp._features(list(part)).tobytes()
+    assert np.array_equal(data.class_ids(train, dataset.class_index),
+                          [dataset.class_index[s.label] for s in written])
+    # a strided slice writes the bytes its samples write
+    for name, split in (("records", part), ("list", list(part))):
+        data.serialize(data.DatasetSplit(split, [], [], dataset.class_index, dataset.config), tmp_path / name)
+    assert (tmp_path / "records").read_bytes() == (tmp_path / "list").read_bytes()
+
+
+def test_serialize_refuses_loaded_records_that_do_not_fit_the_dataset(tmp_path):
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(_synthetic_dataset(10, 2, 2), path)
+    loaded = data.load(path)
+    narrow = dataclasses.replace(loaded.config, antennas=4)
+    cases = [
+        (data.DatasetSplit(loaded.train, [], [], loaded.class_index, narrow), "shape"),
+        (data.DatasetSplit(loaded.train, [], [], {"1,2,3,4": 0}, loaded.config), "'1|2|3|4' is not a key"),
+    ]
+    for dataset, message in cases:
+        with pytest.raises(DataFormatError, match=message):
+            data.serialize(dataset, tmp_path / "bad.hrsdat")
+        assert not (tmp_path / "bad.hrsdat").exists()
 
 
 def test_empty_dataset_round_trip(tmp_path):

@@ -345,6 +345,21 @@ def test_training_deterministic(tiny_dataset):
         assert a.tobytes() == b.tobytes()
 
 
+def test_training_from_loaded_records_and_from_lists_writes_the_same_checkpoint(tiny_dataset, tmp_path):
+    path = tmp_path / "ds.hrsdat"
+    data.serialize(tiny_dataset, path)
+    loaded = data.load(path)
+    assert all(isinstance(part, data.Records) for _, part in loaded.parts())
+    as_lists = data.DatasetSplit(*(list(part) for _, part in loaded.parts()), loaded.class_index, loaded.config)
+    hyper = mlp.TrainingHyper(hidden=(16, 8), epochs=2, seed=5)
+    written = []
+    for dataset in (loaded, as_lists):
+        model, report = mlp.train(dataset, hyper)
+        written.append(tmp_path / f"model{len(written)}.hrsmlp")
+        mlp.save_model(model, written[-1])
+    assert written[0].read_bytes() == written[1].read_bytes()
+
+
 # ------------------------------------------------------------------ accuracy
 
 
@@ -365,6 +380,13 @@ def test_topk_rejects_bad_k(tiny_dataset, tiny_model):
     for k in (0, -1):
         with pytest.raises(ConfigurationError, match="at least 1"):
             mlp.evaluate_topk(tiny_model, tiny_dataset.test, (1, k))
+
+
+@pytest.mark.parametrize("with_samples", [True, False], ids=["samples", "no-samples"])
+def test_topk_rejects_an_empty_k_list(tiny_dataset, tiny_model, with_samples):
+    samples = tiny_dataset.test if with_samples else []
+    with pytest.raises(ConfigurationError, match="at least one k"):
+        mlp.evaluate_topk(tiny_model, samples, ())
 
 
 def test_topk_saturates_at_class_count(tiny_dataset, tiny_model):

@@ -20,9 +20,10 @@ it was.
 Each dataset and model is also read back with ``data.load`` and
 ``mlp.load_model`` and written again; the script exits non-zero unless the
 second write gives the same bytes, so the readers accept every file the
-writers produce. Each dataset is read a second time with only its
-validation and test splits, as ``compare`` reads it; the script exits
-non-zero unless those records equal the full read's.
+writers produce. Each dataset is read again with only its validation and
+test splits, as ``compare`` reads it, and once per split with that split
+alone; the script exits non-zero unless every such read's records equal the
+full read's and its other splits are empty.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def _sha256(data: bytes) -> str:
 
 def check_round_trip(path: Path) -> None:
     """Exit unless ``path`` reads back and writes again to the same bytes, and,
-    for a dataset, unless its validation and test splits read alone equal the
-    full read's."""
+    for a dataset, unless its validation and test splits read alone, and each
+    split read alone, equal the full read's."""
     from hrscluster import data, mlp
 
     again = path.with_name("again-" + path.name)
@@ -54,10 +55,11 @@ def check_round_trip(path: Path) -> None:
     else:
         full = data.load(path)
         data.serialize(full, again)
-        subset = data.load(path, ("validation", "test"))
-        if subset.train or any(_records(getattr(subset, part)) != _records(getattr(full, part))
-                               for part in ("validation", "test")):
-            raise SystemExit(f"{path.name}: its validation and test splits read alone differ from the full read")
+        for splits in (("validation", "test"), *((name,) for name in data.SPLITS)):
+            subset = data.load(path, splits)
+            if any(_records(getattr(subset, part)) != (_records(getattr(full, part)) if part in splits else [])
+                   for part in data.SPLITS):
+                raise SystemExit(f"{path.name}: a read of {' and '.join(splits)} alone differs from the full read")
     if again.read_bytes() != path.read_bytes():
         raise SystemExit(f"{path.name} does not read back to the same bytes")
 
