@@ -53,15 +53,6 @@ CONDITION_LIMIT = 1e12
 EXHAUSTIVE_USER_LIMIT = 6
 
 
-def projection_matrix(H_j: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column space of a full-column-rank matrix."""
-    H_j = np.asarray(H_j)
-    if H_j.ndim != 2 or H_j.shape[1] > H_j.shape[0]:
-        raise DegenerateInputError(f"need a tall matrix, got shape {H_j.shape}")
-    basis = _column_space_basis(H_j)
-    return basis @ basis.conj().T
-
-
 def _column_space_basis(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, at most min(M, N) vectors.
 
@@ -128,11 +119,6 @@ def calibrate_similarity(m: int, n_k: int, n_j: int) -> tuple[float, float]:
     variance = ab * (m - n_k) * (m - n_j) / (m * m * (m * m - 1))
     scale = min(n_k, n_j)
     return ab / (m * scale), float(np.sqrt(variance)) / scale
-
-
-def normalized_similarity(H_k: np.ndarray, H_j: np.ndarray) -> float:
-    """Standardized similarity when applicable, raw similarity otherwise."""
-    return _standardize(pf_similarity(H_k, H_j), H_k.shape[0], H_k.shape[1], H_j.shape[1])
 
 
 class MergeStep(NamedTuple):

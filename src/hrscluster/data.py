@@ -19,13 +19,14 @@ kept matrices in one strided array over that buffer, copying none.
 ``compare`` asks for the validation and test splits alone, so the train
 matrices, most of the file, are read past a chunk at a time and never held.
 
-A generated dataset holds each split as a list of ``Sample``; a loaded one
-holds each split it read as one ``Records``: read-only column views of the
-blob (the matrices, the class ids with their labels, the rates and the
-covariance indices), with no Python object per record. Indexing or
-iterating ``Records`` yields a ``Sample`` of the same values and scalar
-types. ``h_hat_stack`` and ``class_ids`` read either form, so their callers
-keep one code path; ``serialize`` writes a loaded split from its columns.
+Every split, generated or loaded, is one ``Records``: columns of its
+records (the matrices, the class ids with their labels, the rates and the
+covariance indices), with no Python object per record. Generation fills one
+store laid out as in the blob; balancing, augmentation and the split map
+indices into it, and ``build_dataset`` gathers each split's matrices from
+it once, in the augmented user orders. A loaded split views the blob,
+read-only. Indexing or iterating ``Records`` yields a ``Sample`` of the
+same values and scalar types.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -62,7 +63,7 @@ _SALT_CSI = 2
 _SALT_AUGMENT = 3
 _SALT_SPLIT = 4
 
-# DatasetSplit's sample lists, in storage order.
+# DatasetSplit's splits, in storage order.
 SPLITS = ("train", "validation", "test")
 
 # JSON types of the dataset header's fields.
@@ -194,13 +195,13 @@ class Sample:
 
 
 class Records(Sequence):
-    """A loaded split as read-only columns of its records, viewed from the blob.
+    """A split as columns of its records, owned (generation, ``take``) or viewed read-only in the blob (``load``).
 
-    ``matrices`` is (S, 2, M, N): each record's ``H_true`` then ``H_hat``;
-    ``ids`` the ``<i4`` class ids, which name their labels in ``labels``;
-    ``rates`` the ``<f8`` label rates; ``assignments`` the (S, N) ``<i4``
-    covariance indices. An integer index yields the record's ``Sample``, a
-    slice the ``Records`` of the slice's records.
+    ``matrices`` is (S, 2, M, N), each record's ``H_true`` then ``H_hat``, a
+    view of an (S, 2, N, M) store laid out as in the blob; ``ids`` the class
+    ids, which name their labels in ``labels``; ``rates`` the label rates;
+    ``assignments`` the (S, N) covariance indices. An integer index yields
+    the record's ``Sample``, a slice the ``Records`` of the slice's records.
     """
 
     def __init__(self, matrices, ids, labels: tuple[str, ...], rates, assignments):
@@ -222,32 +223,39 @@ class Records(Sequence):
         return map(Sample, self.H_true, self.H_hat, [self.labels[i] for i in self.ids.tolist()],
                    self.rates.tolist(), map(tuple, self.assignments.tolist()))
 
+    def take(self, rows, orders) -> "Records":
+        """The records ``rows``, the users of each in the order of its row of
+        ``orders`` (matrices and covariance indices alike); the matrices are
+        gathered into a store laid out as in the blob, in one indexing pass."""
+        store = self.matrices.transpose(0, 1, 3, 2)
+        matrices = store[rows[:, None, None], np.arange(2)[:, None], orders[:, None, :]]
+        return Records(matrices.transpose(0, 1, 3, 2), self.ids[rows], self.labels, self.rates[rows],
+                       self.assignments[rows[:, None], orders])
+
 
 def h_hat_stack(samples) -> np.ndarray:
-    """The estimates of ``samples`` (a list of ``Sample`` or a ``Records``) as one
-    C-contiguous (S, M, N) complex array."""
+    """The estimates of ``samples`` as one C-contiguous (S, M, N) complex array; ``samples``
+    is a ``Records``, or a list of ``Sample`` as ``predict_labels(model, [records[j]])`` passes."""
     if isinstance(samples, Records):
         return np.ascontiguousarray(samples.H_hat, dtype=complex)
     return np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples])
 
 
-def class_ids(samples, class_index: dict[str, int]) -> np.ndarray:
-    """The ``class_index`` id of each sample's label, -1 where it has none."""
-    if isinstance(samples, Records):
-        return np.array([class_index.get(label, -1) for label in samples.labels], dtype=np.int64)[samples.ids]
-    return np.array([class_index.get(s.label, -1) for s in samples], dtype=np.int64)
+def class_ids(records: Records, class_index: dict[str, int]) -> np.ndarray:
+    """The ``class_index`` id of each record's label, -1 where it has none."""
+    return np.array([class_index.get(label, -1) for label in records.labels], dtype=np.int64)[records.ids]
 
 
 @dataclass
 class DatasetSplit:
-    train: Sequence[Sample]
-    validation: Sequence[Sample]
-    test: Sequence[Sample]
+    train: Records
+    validation: Records
+    test: Records
     class_index: dict[str, int]
     config: ScenarioConfig
 
-    def parts(self) -> list[tuple[str, Sequence[Sample]]]:
-        """(split name, samples) pairs in storage order."""
+    def parts(self) -> list[tuple[str, Records]]:
+        """(split name, records) pairs in storage order."""
         return [(name, getattr(self, name)) for name in SPLITS]
 
     def all_samples(self) -> list[Sample]:
@@ -264,178 +272,165 @@ def draw_assignment(cfg: ScenarioConfig, index: int) -> tuple[int, ...]:
     return tuple(int(a) for a in rng.integers(0, cfg.num_covs, cfg.users))
 
 
-def _generate_one(
-    cfg: ScenarioConfig,
-    covariances: tuple[CovarianceMatrix, ...],
-    hrs: HrsConfig,
-    index: int,
-) -> Sample:
+def _generate_one(cfg: ScenarioConfig, covariances: tuple[CovarianceMatrix, ...], hrs: HrsConfig, index: int):
+    """``(H_true, H_hat, label, label rate, covariance indices)`` of draw ``index``."""
     assignment = draw_assignment(cfg, index)
     channels = sample_channels(covariances, assignment, (cfg.seed, index, _SALT_SAMPLE, 1))
     channels = corrupt_csi(channels, cfg.tau, (cfg.seed, index, _SALT_CSI))
     dendrogram = agglomerate(channels.H_hat)
     partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, hrs)
-    return Sample(
-        channels.H_true, channels.H_hat, partition.key(), rate.R_total, assignment
-    )
+    return channels.H_true, channels.H_hat, partition.key(), rate.R_total, assignment
 
 
-def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> list[Sample]:
+def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
     """Draw ``cfg.samples`` labeled realizations; deterministic per seed.
 
     Every sample owns a child seed derived from (master seed, index), so the
-    result is identical whether generated serially or across workers.
+    result is identical whether generated serially or across workers. The
+    draws fill one store laid out as in the blob; labels are numbered in the
+    order they are first drawn.
     """
     one = partial(_generate_one, cfg, cfg.covariances(), cfg.hrs_config())
     indices = range(cfg.samples)
     if threads <= 1:
-        return [one(i) for i in indices]
-    with Pool(min(threads, -(-cfg.samples // _GEN_CHUNK))) as pool:
-        return pool.map(one, indices, chunksize=_GEN_CHUNK)
+        draws = map(one, indices)
+    else:
+        with Pool(min(threads, -(-cfg.samples // _GEN_CHUNK))) as pool:
+            draws = pool.map(one, indices, chunksize=_GEN_CHUNK)
+    store = np.empty((cfg.samples, 2, cfg.users, cfg.antennas), dtype=complex)
+    ids, labels = np.empty(cfg.samples, dtype=np.int64), {}
+    rates, assignments = np.empty(cfg.samples), np.empty((cfg.samples, cfg.users), dtype=np.int64)
+    for i, (h_true, h_hat, label, rate, assignment) in enumerate(draws):
+        store[i, 0], store[i, 1] = h_true.T, h_hat.T
+        ids[i], rates[i], assignments[i] = labels.setdefault(label, len(labels)), rate, assignment
+    return Records(store.transpose(0, 1, 3, 2), ids, tuple(labels), rates, assignments)
 
 
-def balance(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
-    """Drop classes that are both weak and rare, then cap class sizes.
+def _classes(ids) -> list[np.ndarray]:
+    """The positions in ``ids`` of each class id it holds, ascending, ids ascending."""
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(ids[order])) + 1) if len(ids) else []
+
+
+def balance(records: Records, cfg: ScenarioConfig) -> np.ndarray:
+    """Drop classes that are both weak and rare, then cap class sizes;
+    returns the surviving records' indices.
 
     A class is removed only when its mean rate falls below
     ``rate_floor_frac`` of the scenario's overall mean rate AND it holds
-    fewer than ``min_class_samples`` samples; surviving classes keep their
-    first ``max_class_samples`` samples in generation order.
+    fewer than ``min_class_samples`` samples; surviving classes, in the
+    order of their first record, keep their first ``max_class_samples``
+    records in generation order.
     """
-    if not samples:
+    if not len(records):
         raise ConfigurationError("cannot balance an empty sample list")
-    scenario_mean = float(np.mean([s.label_rate for s in samples]))
-    by_class: dict[str, list[Sample]] = {}
-    for s in samples:
-        by_class.setdefault(s.label, []).append(s)
-    survivors: list[Sample] = []
-    floor = cfg.rate_floor_frac * scenario_mean
-    for label, members in by_class.items():
-        class_mean = float(np.mean([s.label_rate for s in members]))
-        if class_mean < floor and len(members) < cfg.min_class_samples:
-            continue
-        survivors.extend(members[: cfg.max_class_samples])
+    floor = cfg.rate_floor_frac * float(np.mean(records.rates))
+    survivors = [members[: cfg.max_class_samples]
+                 for members in sorted(_classes(records.ids), key=lambda members: members[0])
+                 if not (float(np.mean(records.rates[members])) < floor and len(members) < cfg.min_class_samples)]
     if not survivors:
-        raise ConfigurationError(
-            "balancing removed every class; the scenario is degenerate"
-        )
-    return survivors
+        raise ConfigurationError("balancing removed every class; the scenario is degenerate")
+    return np.concatenate(survivors)
 
 
-def augment(samples: list[Sample], cfg: ScenarioConfig) -> list[Sample]:
-    """Append ``num_shuffles`` copies of each sample with users shuffled
-    inside their labeled blocks; both matrices are permuted identically. A
-    shuffle inside blocks maps every block onto itself, so each copy keeps
-    the sample's canonical label."""
-    out: list[Sample] = []
-    for index, s in enumerate(samples):
-        out.append(s)
-        partition = Partition.from_key(s.label)
-        rng = np.random.default_rng((cfg.seed, index, _SALT_AUGMENT))
-        n = s.H_true.shape[1]
-        for _ in range(cfg.num_shuffles):
-            perm = np.arange(n)
-            for cols in partition.layout.columns:
+def augment(records: Records, rows, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, user order)`` of each augmented sample: every record of ``rows``
+    as drawn, then ``num_shuffles`` copies with its users shuffled inside its
+    labeled blocks.
+
+    A shuffle inside blocks maps every block onto itself, so each copy keeps
+    the record's canonical label. The k-th of ``rows`` draws its shuffles
+    from the stream ``(seed, k, _SALT_AUGMENT)``.
+    """
+    copies = 1 + cfg.num_shuffles
+    orders = np.tile(np.arange(records.assignments.shape[1]), (len(rows) * copies, 1))
+    for position, row in enumerate(rows.tolist()):
+        columns = Partition.from_key(records.labels[records.ids[row]]).layout.columns
+        rng = np.random.default_rng((cfg.seed, position, _SALT_AUGMENT))
+        for perm in orders[position * copies + 1 : (position + 1) * copies]:
+            for cols in columns:
                 perm[cols] = rng.permutation(perm[cols])
-            out.append(
-                Sample(
-                    s.H_true[:, perm],
-                    s.H_hat[:, perm],
-                    s.label,
-                    s.label_rate,
-                    tuple(int(s.cov_assignment[p]) for p in perm),
-                )
-            )
-    return out
+    return np.repeat(rows, copies), orders
 
 
-def split(samples: list[Sample], seed: int) -> tuple[list[Sample], list[Sample], list[Sample], dict[str, int]]:
-    """Stratified 80/10/10 split; every class lands in the training set."""
-    by_class: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_class.setdefault(s.label, []).append(i)
-    labels = sorted(by_class)
-    for label in labels:
-        if len(by_class[label]) < 3:
-            raise StratificationError(
-                f"class {label!r} has only {len(by_class[label])} samples, need >= 3"
-            )
+def split(records: Records, rows, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
+    """Stratified 80/10/10 split of the records ``rows``; every class lands in
+    the training set.
+
+    Returns the train, validation and test positions in ``rows``, each
+    ascending, and the class index, which numbers the labels in sorted order.
+    """
+    ids = records.ids[rows]
+    by_label = {records.labels[ids[members[0]]]: members for members in _classes(ids)}
+    labels = sorted(by_label)
     rng = np.random.default_rng((seed, _SALT_SPLIT))
-    train_idx, val_idx, test_idx = [], [], []
+    part = np.zeros(len(rows), dtype=np.int8)  # 0 train, 1 validation, 2 test
     for label in labels:
-        idx = np.array(by_class[label])
+        idx = by_label[label]
+        if len(idx) < 3:
+            raise StratificationError(f"class {label!r} has only {len(idx)} samples, need >= 3")
         rng.shuffle(idx)
-        n = len(idx)
-        n_val = max(1, n // 10)
-        n_test = max(1, n // 10)
-        val_idx.extend(idx[:n_val])
-        test_idx.extend(idx[n_val : n_val + n_test])
-        train_idx.extend(idx[n_val + n_test :])
-    class_index = {label: i for i, label in enumerate(labels)}
-    return (
-        [samples[i] for i in sorted(train_idx)],
-        [samples[i] for i in sorted(val_idx)],
-        [samples[i] for i in sorted(test_idx)],
-        class_index,
-    )
+        n_val = n_test = max(1, len(idx) // 10)
+        part[idx[:n_val]] = 1
+        part[idx[n_val : n_val + n_test]] = 2
+    train, val, test = (np.flatnonzero(part == k) for k in range(3))
+    return train, val, test, {label: i for i, label in enumerate(labels)}
 
 
 def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
-    """Full pipeline: generate, balance, augment, stratify."""
+    """Full pipeline: generate, then balance, augment and stratify as index maps
+    over the generation store, from which each split's records are taken once."""
     raw = generate_samples(cfg, threads=threads)
-    balanced = balance(raw, cfg)
-    augmented = augment(balanced, cfg)
-    train, val, test, class_index = split(augmented, cfg.seed)
-    return DatasetSplit(train, val, test, class_index, cfg)
+    rows, orders = augment(raw, balance(raw, cfg), cfg)
+    *picks, class_index = split(raw, rows, cfg.seed)
+    # the generation store, its ids numbered as in class_index; a class balancing dropped reads -1 and is never taken
+    named = Records(raw.matrices, class_ids(raw, class_index), tuple(class_index), raw.rates, raw.assignments)
+    return DatasetSplit(*(named.take(rows[pick], orders[pick]) for pick in picks), class_index, cfg)
 
 
 def serialize(dataset: DatasetSplit, path) -> None:
     """Write the dataset container; byte-exact and reloadable.
 
-    Every sample is checked before the file is opened; then the matrices are
-    streamed to it, a loaded split's in one part from its columns and a list's
-    one record at a time, followed by the record columns.
+    Every split is checked before the file is opened; then each split's
+    matrices are written as one part straight from its store, followed by
+    the record columns.
     """
     cfg = dataset.config
-    parts = [part for _, part in dataset.parts()]
-    columns = [_columns(part, cfg.antennas, cfg.users) for part in parts]
-    ids = np.concatenate([class_ids(part, dataset.class_index) for part in parts])
-    if (ids < 0).any():
-        label = next(islice(chain.from_iterable(parts), int(np.argmax(ids < 0)), None)).label
-        raise DataFormatError(f"sample label {label!r} is not a key of class_index")
-    matrices, rates, assignments = zip(*columns)
-    rates, assignments = np.concatenate(rates), np.concatenate(assignments)
+    matrices, ids, rates, assignments = zip(*(_columns(part, dataset.class_index, cfg.antennas, cfg.users)
+                                              for _, part in dataset.parts()))
+    ids, rates, assignments = np.concatenate(ids), np.concatenate(rates), np.concatenate(assignments)
     _check_columns("sample", ids, rates, assignments, len(dataset.class_index), cfg.num_covs)
     header = {
         "format_version": DATASET_VERSION,
         "config": cfg.to_dict(),
         "class_index": dataset.class_index,
-        "split_sizes": [len(part) for part in parts],
+        "split_sizes": [len(part) for _, part in dataset.parts()],
     }
     tail = (ids.astype("<i4").tobytes(), rates.astype("<f8").tobytes(), assignments.astype("<i4").tobytes())
-    _binio.write_container(path, DATASET_MAGIC, header, chain(*matrices, tail))
+    _binio.write_container(path, DATASET_MAGIC, header, chain(matrices, tail))
 
 
-def _columns(samples, m: int, n: int):
-    """``(matrix bytes in storage order, as parts, label rates, (S, n) covariance
-    indices)`` of one split, refused unless its matrices are m x n and every
-    record has n covariance indices."""
-    loaded = isinstance(samples, Records)
-    shapes = ([(samples.matrices.shape[2:], samples.assignments.shape[1])] if loaded
-              else ((h.shape, len(s.cov_assignment)) for s in samples for h in (s.H_true, s.H_hat)))
-    for shape, count in shapes:
-        if shape != (m, n) or count != n:
-            raise DataFormatError(f"sample matrices have shape {shape} and {count} "
-                                  f"covariance indices, expected {(m, n)} and {n}")
-    if loaded:  # the blob's bytes: each matrix stored transposed, in C order
-        return (np.ascontiguousarray(samples.matrices.transpose(0, 1, 3, 2)),), samples.rates, samples.assignments
-    matrices = (np.asfortranarray(h, dtype="<c16").tobytes(order="F") for s in samples for h in (s.H_true, s.H_hat))
-    rates = np.array([s.label_rate for s in samples], dtype="<f8")
-    return matrices, rates, np.array([s.cov_assignment for s in samples], dtype=np.int64).reshape(len(samples), n)
+def _columns(records: Records, class_index: dict[str, int], m: int, n: int):
+    """``(matrices laid out as in the blob, class_index ids, label rates, (S, n)
+    covariance indices)`` of one split, refused unless its matrices are m x n,
+    every record has n covariance indices and every label is in
+    ``class_index``."""
+    shape, count = records.matrices.shape[2:], records.assignments.shape[1]
+    if shape != (m, n) or count != n:
+        raise DataFormatError(f"sample matrices have shape {shape} and {count} "
+                              f"covariance indices, expected {(m, n)} and {n}")
+    ids = class_ids(records, class_index)
+    if (ids < 0).any():
+        label = records.labels[records.ids[np.argmax(ids < 0)]]
+        raise DataFormatError(f"sample label {label!r} is not a key of class_index")
+    # the blob's bytes: each matrix stored transposed, in C order; a store already is
+    matrices = np.ascontiguousarray(records.matrices.transpose(0, 1, 3, 2), dtype="<c16")
+    return matrices, ids, records.rates, records.assignments
 
 
 def load(path, splits=SPLITS) -> DatasetSplit:
-    """Read a dataset container, viewing the records of ``splits`` only as ``Records``; the others are ``[]``.
+    """Read a dataset container, viewing the records of ``splits`` as ``Records``;
+    the others are zero-row ``Records``.
 
     Every byte is CRC-checked and every record column checked with one array
     predicate; the matrices of records before the first wanted split are read
@@ -454,11 +449,9 @@ def load(path, splits=SPLITS) -> DatasetSplit:
     rates = np.frombuffer(kept, "<f8", count, count * (span + 4) - base)
     assignments = np.frombuffer(kept, "<i4", count * n, count * (span + 12) - base).reshape(count, n)
     _check_columns(f"{path}: record", ids, rates, assignments, len(labels), cfg.num_covs)
-    parts = [
-        Records(matrices[lo - first : hi - first], ids[lo:hi], labels, rates[lo:hi], assignments[lo:hi])
-        if name in splits else []
-        for name, lo, hi in zip(SPLITS, bounds, bounds[1:])
-    ]
+    ranges = [(lo, hi) if name in splits else (first, first) for name, lo, hi in zip(SPLITS, bounds, bounds[1:])]
+    parts = [Records(matrices[lo - first : hi - first], ids[lo:hi], labels, rates[lo:hi], assignments[lo:hi])
+             for lo, hi in ranges]
     return DatasetSplit(*parts, class_index, cfg)
 
 
@@ -513,5 +506,5 @@ def export_labels_csv(dataset: DatasetSplit, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["label", "rate", "scenario", "split"])
         for split_name, part in dataset.parts():
-            for s in part:
-                writer.writerow([s.label, repr(s.label_rate), dataset.config.name, split_name])
+            writer.writerows([part.labels[i], repr(rate), dataset.config.name, split_name]
+                             for i, rate in zip(part.ids.tolist(), part.rates.tolist()))

@@ -13,10 +13,9 @@ is plain numpy so training is bit-reproducible for a fixed seed and
 platform. ``evaluate_topk`` is the one top-k rule: k is capped at the class
 count and an empty sample list reads NaN.
 
-A split is a list of ``data.Sample`` or, once loaded, a ``data.Records``
-of column views; ``data.h_hat_stack`` and ``data.class_ids`` read the
-estimates and the class ids of either, so every function here has one code
-path and both forms give the same bits.
+A split is a ``data.Records``; ``data.h_hat_stack`` and ``data.class_ids``
+read its estimates and its class ids. ``predict_labels`` also takes a list
+of ``data.Sample``, as the benchmark's one-record decisions pass it.
 
 Working memory does not scale with whole-split temporaries. ``_features``
 fills its output ``ROW_BLOCK`` rows at a time, from one C-contiguous stack
@@ -37,7 +36,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _binio
-from .data import DatasetSplit, Sample, class_ids, h_hat_stack
+from .data import DatasetSplit, class_ids, h_hat_stack
 from .errors import ConfigurationError, DataFormatError, NumericalConsistencyError
 from .partitions import is_canonical_key
 
@@ -84,18 +83,6 @@ def feature_count(users: int, antennas: int) -> int:
     return 2 * users * antennas + users * (users - 1) // 2
 
 
-def raw_features(sample: Sample) -> np.ndarray:
-    """Interleaved (re, im) column-major flattening of the channel estimate.
-
-    Only the estimate enters the classifier; the true channel is never read.
-    """
-    flat = np.asarray(sample.H_hat).flatten(order="F")
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out
-
-
 @lru_cache(maxsize=None)
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (i, j), i < j, index arrays; cached, as building them costs
@@ -126,8 +113,9 @@ def pair_similarities(h_hat: np.ndarray) -> np.ndarray:
 def _features(samples) -> np.ndarray:
     """Unstandardized classifier inputs, one row per sample.
 
-    Each row holds ``raw_features`` of the sample, then its pair
-    similarities; ``ROW_BLOCK`` samples at a time are computed in stacked
+    Each row holds the estimate's entries, column-major with (re, im)
+    interleaved, then its pair similarities; only the estimate enters the
+    classifier. ``ROW_BLOCK`` samples at a time are computed in stacked
     array operations.
     """
     m, n = np.shape(samples[0].H_hat)

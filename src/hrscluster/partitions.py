@@ -104,12 +104,6 @@ class Partition:
         columns = tuple(order[a : a + len(b)] for a, b in zip(starts, self.blocks))
         return Layout(columns, order, table[3, :g_count], table[1], table[2])
 
-    def relabeled(self, perm: np.ndarray) -> "Partition":
-        """Partition after renaming user ``u`` to ``perm[u-1] + 1``."""
-        return Partition.from_blocks(
-            [[int(perm[u - 1]) + 1 for u in b] for b in self.blocks]
-        )
-
     def __str__(self) -> str:
         return self.key()
 
@@ -125,19 +119,6 @@ def is_canonical_key(key: str, users: int) -> bool:
     return len(named) == users and named == list(range(1, users + 1)) and sorted(map(sorted, blocks)) == blocks
 
 
-def bell_number(n: int) -> int:
-    """Number of set partitions of n elements (Bell triangle recurrence)."""
-    if n == 0:
-        return 1
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
-
-
 def enumerate_partitions(n: int) -> list[Partition]:
     """All set partitions of ``{1..n}`` in canonical order.
 
@@ -150,7 +131,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     if n > MAX_ENUMERATION_SIZE:
         raise ResourceLimitError(
             f"refusing to enumerate partitions of {n} users "
-            f"(limit {MAX_ENUMERATION_SIZE}, Bell({MAX_ENUMERATION_SIZE}) = {bell_number(MAX_ENUMERATION_SIZE)})"
+            f"(limit {MAX_ENUMERATION_SIZE}, Bell({MAX_ENUMERATION_SIZE}) = 115975)"
         )
     out: list[Partition] = []
     assignment = [0] * n

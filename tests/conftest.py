@@ -86,3 +86,19 @@ def outer_precoders(groups):
     one-group candidate)."""
     dominant = hrs._dominant_bases(groups) if len(groups) > 1 else None
     return hrs.compute_outer_precoders([groups], [dominant])[0]
+
+
+def as_records(samples):
+    """``samples`` (a list of ``data.Sample``) as one ``data.Records``, the
+    matrices in a store laid out as in the dataset blob; an empty list gives
+    zero records of the 8 x 4 matrices of ``tiny_config``."""
+    m, n = samples[0].H_true.shape if samples else (8, 4)
+    store = np.empty((len(samples), 2, n, m), dtype=complex)
+    for row, s in zip(store, samples):
+        row[0], row[1] = s.H_true.T, s.H_hat.T
+    labels = tuple(dict.fromkeys(s.label for s in samples))
+    ids = np.array([labels.index(s.label) for s in samples], dtype=np.int64)
+    rates = np.array([s.label_rate for s in samples], dtype=float)
+    assignments = np.array([s.cov_assignment for s in samples], dtype=np.int64)
+    assignments = assignments.reshape(len(samples), -1 if samples else n)
+    return data.Records(store.transpose(0, 1, 3, 2), ids, labels, rates, assignments)

@@ -22,7 +22,6 @@ from hrscluster.clustering import (
     calibrate_similarity,
     exhaustive_best,
     pf_similarity,
-    projection_matrix,
 )
 from hrscluster.errors import DataFormatError
 from hrscluster.hrs import (
@@ -31,6 +30,7 @@ from hrscluster.hrs import (
     split_power,
 )
 from hrscluster.partitions import Partition
+from reference import projection_matrix
 
 
 def _report(ok: bool, message: str) -> None:

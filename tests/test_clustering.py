@@ -9,13 +9,12 @@ from hrscluster.clustering import (
     best_partition,
     calibrate_similarity,
     exhaustive_best,
-    normalized_similarity,
     pf_similarity,
-    projection_matrix,
 )
 from hrscluster.errors import CalibrationError, DegenerateInputError, ResourceLimitError
 from hrscluster.hrs import HrsConfig, evaluate_partition
 from hrscluster.partitions import Partition, enumerate_partitions
+from reference import normalized_similarity, projection_matrix
 
 
 def complex_gaussian(rng, shape):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from conftest import as_records
 from hrscluster import _binio, data, mlp
 from hrscluster.clustering import agglomerate, best_partition
 from hrscluster.errors import ConfigurationError, DataFormatError, StratificationError
@@ -21,6 +22,23 @@ def make_sample(label, rate, n=4, m=8, seed=0):
     h = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     return data.Sample(h, g, label, rate, (0,) * n)
+
+
+def balanced(samples, cfg):
+    """The samples ``data.balance`` keeps, in its order."""
+    return [samples[i] for i in data.balance(as_records(samples), cfg)]
+
+
+def augmented(samples, cfg):
+    """``data.augment`` of every one of ``samples``, as a list of ``data.Sample``."""
+    records = as_records(samples)
+    return list(records.take(*data.augment(records, np.arange(len(records)), cfg)))
+
+
+def split_samples(samples, seed):
+    """``data.split`` of every one of ``samples``, its three parts as lists of ``data.Sample``."""
+    *picks, index = data.split(as_records(samples), np.arange(len(samples)), seed)
+    return (*([samples[i] for i in pick] for pick in picks), index)
 
 
 # --------------------------------------------------------------------- config
@@ -364,7 +382,7 @@ def test_label_rate_reproducible_from_stored_channels(tiny_dataset):
 def test_balance_caps_class_size():
     cfg = data.ScenarioConfig(users=4, antennas=8, max_class_samples=200)
     samples = [make_sample("1,2|3,4", 10.0, seed=i) for i in range(300)]
-    out = data.balance(samples, cfg)
+    out = balanced(samples, cfg)
     assert len(out) == 200
 
 
@@ -372,7 +390,7 @@ def test_balance_keeps_small_strong_class():
     cfg = data.ScenarioConfig(users=4, antennas=8)
     strong = [make_sample("1|2|3|4", 10.0, seed=i) for i in range(60)]
     bulk = [make_sample("1,2,3,4", 10.0, seed=100 + i) for i in range(100)]
-    out = data.balance(strong + bulk, cfg)
+    out = balanced(strong + bulk, cfg)
     assert sum(1 for s in out if s.label == "1|2|3|4") == 60
 
 
@@ -381,7 +399,7 @@ def test_balance_drops_weak_rare_class_only():
     bulk = [make_sample("1,2,3,4", 10.0, seed=i) for i in range(100)]
     weak_rare = [make_sample("1|2|3|4", 0.1, seed=200 + i) for i in range(10)]
     weak_common = [make_sample("1,2|3,4", 0.1, seed=300 + i) for i in range(60)]
-    out = data.balance(bulk + weak_rare + weak_common, cfg)
+    out = balanced(bulk + weak_rare + weak_common, cfg)
     labels = {s.label for s in out}
     assert "1|2|3|4" not in labels  # below both thresholds
     assert "1,2|3,4" in labels  # rare condition not met
@@ -391,14 +409,14 @@ def test_balance_drops_weak_rare_class_only():
 def test_balance_noop_on_uniform_classes():
     cfg = data.ScenarioConfig(users=4, antennas=8)
     samples = [make_sample("1,2,3,4", 5.0, seed=i) for i in range(100)]
-    out = data.balance(samples, cfg)
+    out = balanced(samples, cfg)
     assert len(out) == 100
 
 
 def test_balance_rejects_empty():
     cfg = data.ScenarioConfig(users=4, antennas=8)
     with pytest.raises(ConfigurationError):
-        data.balance([], cfg)
+        data.balance(as_records([]), cfg)
 
 
 # --------------------------------------------------------------- augmentation
@@ -406,7 +424,7 @@ def test_balance_rejects_empty():
 
 def test_augment_counts_and_label_invariance(tiny_config):
     samples = [make_sample("1,3|2,4", 5.0, seed=1), make_sample("1|2|3|4", 4.0, seed=2)]
-    out = data.augment(samples, tiny_config)
+    out = augmented(samples, tiny_config)
     assert len(out) == 2 * (1 + tiny_config.num_shuffles)
     assert all(s.label in ("1,3|2,4", "1|2|3|4") for s in out)
     for original, copies in ((samples[0], out[1:11]), (samples[1], out[12:])):
@@ -417,14 +435,14 @@ def test_augment_counts_and_label_invariance(tiny_config):
 
 def test_augment_singleton_label_copies_identical(tiny_config):
     s = make_sample("1|2|3|4", 4.0, seed=3)
-    out = data.augment([s], tiny_config)
+    out = augmented([s], tiny_config)
     for c in out:
         assert c.H_true.tobytes() == s.H_true.tobytes()
 
 
 def test_augment_permutes_within_blocks_only(tiny_config):
     s = make_sample("1,2|3,4", 4.0, seed=4)
-    out = data.augment([s], tiny_config)
+    out = augmented([s], tiny_config)
 
     def column_set(h, cols):
         return {np.ascontiguousarray(h[:, c]).tobytes() for c in cols}
@@ -456,7 +474,7 @@ def test_augmented_sample_rate_matches_on_reevaluation(tiny_dataset):
 
 def test_split_proportions_single_class():
     samples = [make_sample("1,2,3,4", 5.0, seed=i) for i in range(100)]
-    train, val, test, index = data.split(samples, seed=1)
+    train, val, test, index = split_samples(samples, seed=1)
     assert (len(train), len(val), len(test)) == (80, 10, 10)
     assert index == {"1,2,3,4": 0}
 
@@ -465,7 +483,7 @@ def test_split_stratification_and_coverage():
     samples = [make_sample("1,2,3,4", 5.0, seed=i) for i in range(40)] + [
         make_sample("1|2|3|4", 5.0, seed=100 + i) for i in range(10)
     ]
-    train, val, test, index = data.split(samples, seed=2)
+    train, val, test, index = split_samples(samples, seed=2)
     train_labels = {s.label for s in train}
     assert {s.label for s in test} <= train_labels
     assert set(index) == {"1,2,3,4", "1|2|3|4"}
@@ -473,11 +491,12 @@ def test_split_stratification_and_coverage():
 
 
 def test_split_seed_changes_membership_not_proportions():
-    samples = [make_sample("1,2,3,4", 5.0, seed=i) for i in range(50)]
-    t1, v1, s1, _ = data.split(samples, seed=1)
-    t2, v2, s2, _ = data.split(samples, seed=2)
+    records = as_records([make_sample("1,2,3,4", 5.0, seed=i) for i in range(50)])
+    rows = np.arange(len(records))
+    t1, v1, s1, _ = data.split(records, rows, seed=1)
+    t2, v2, s2, _ = data.split(records, rows, seed=2)
     assert (len(t1), len(v1), len(s1)) == (len(t2), len(v2), len(s2))
-    assert {id(x) for x in v1} != {id(x) for x in v2}
+    assert set(v1.tolist()) != set(v2.tolist())
 
 
 def test_split_rejects_tiny_class():
@@ -485,16 +504,17 @@ def test_split_rejects_tiny_class():
         make_sample("1|2|3|4", 5.0, seed=50)
     ]
     with pytest.raises(StratificationError, match=r"1\|2\|3\|4"):
-        data.split(samples, seed=3)
+        split_samples(samples, seed=3)
 
 
-def test_split_union_is_disjoint_partition(tiny_dataset):
-    ids = [id(s) for s in tiny_dataset.all_samples()]
-    assert len(ids) == len(set(ids))
-    assert len(ids) == len(tiny_dataset.train) + len(tiny_dataset.validation) + len(
-        tiny_dataset.test
-    )
-    assert all(s.label in tiny_dataset.class_index for s in tiny_dataset.all_samples())
+def test_split_union_is_disjoint_partition(tiny_config):
+    raw = data.generate_samples(tiny_config)
+    rows, _ = data.augment(raw, data.balance(raw, tiny_config), tiny_config)
+    train, val, test, class_index = data.split(raw, rows, tiny_config.seed)
+    # every augmented row lands in exactly one split, and each split lists its rows ascending
+    assert np.array_equal(np.sort(np.concatenate([train, val, test])), np.arange(len(rows)))
+    assert all(np.all(np.diff(part) > 0) for part in (train, val, test))
+    assert {raw.labels[i] for i in raw.ids[rows].tolist()} == set(class_index)
 
 
 # ------------------------------------------------------------- serialization
@@ -556,7 +576,8 @@ def test_serialize_peak_memory_stays_below_twice_the_file(tmp_path):
     rng = np.random.default_rng(0)
     h = rng.standard_normal((cfg.samples, 2, 8, 4)) + 1j * rng.standard_normal((cfg.samples, 2, 8, 4))
     samples = [data.Sample(h[i, 0], h[i, 1], "1,2,3,4", float(i), (0, 1, 2, 3)) for i in range(cfg.samples)]
-    dataset = data.DatasetSplit(samples, [], [], {"1,2,3,4": 0}, cfg)
+    train = as_records(samples)
+    dataset = data.DatasetSplit(train, train[:0], train[:0], {"1,2,3,4": 0}, cfg)
     path = tmp_path / "big.hrsdat"
     tracemalloc.start()
     try:
@@ -570,7 +591,8 @@ def test_serialize_peak_memory_stays_below_twice_the_file(tmp_path):
 def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_path):
     good = tiny_dataset.test[0]
     bad = data.Sample(good.H_true[:, :-1], good.H_hat[:, :-1], good.label, good.label_rate, good.cov_assignment)
-    dataset = data.DatasetSplit(tiny_dataset.train, [], [bad], tiny_dataset.class_index, tiny_dataset.config)
+    dataset = data.DatasetSplit(tiny_dataset.train, tiny_dataset.validation[:0], as_records([bad]),
+                                tiny_dataset.class_index, tiny_dataset.config)
     path = tmp_path / "bad.hrsdat"
     with pytest.raises(DataFormatError, match="shape"):
         data.serialize(dataset, path)
@@ -592,7 +614,8 @@ def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_p
 def test_serialize_rejects_a_non_finite_label_rate_before_writing(tiny_dataset, tmp_path, field, value, message):
     # a label or covariance indices that the record columns cannot hold are refused the same way
     bad = dataclasses.replace(tiny_dataset.test[0], **{field: value})
-    dataset = data.DatasetSplit(tiny_dataset.train, [], [bad], tiny_dataset.class_index, tiny_dataset.config)
+    dataset = data.DatasetSplit(tiny_dataset.train, tiny_dataset.validation[:0], as_records([bad]),
+                                tiny_dataset.class_index, tiny_dataset.config)
     path = tmp_path / "bad.hrsdat"
     with pytest.raises(DataFormatError, match=message):
         data.serialize(dataset, path)
@@ -620,7 +643,7 @@ def test_validation_and_test_load_equals_the_full_load(tiny_dataset, tmp_path):
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
     full, subset = data.load(path), data.load(path, VAL_TEST)
-    assert subset.train == [] and full.train
+    assert len(subset.train) == 0 and full.train
     assert subset.config == full.config and subset.class_index == full.class_index
     for part in VAL_TEST:
         assert len(getattr(subset, part)) == len(getattr(full, part)) > 0
@@ -690,10 +713,11 @@ def test_validation_and_test_load_of_a_train_heavy_file_holds_a_fraction_of_it(t
     rng = np.random.default_rng(0)
     h = rng.standard_normal((4000, 2, 8, 8)) + 1j * rng.standard_normal((4000, 2, 8, 8))
     samples = [data.Sample(h[i, 0], h[i, 1], "1,2,3,4,5,6,7,8", float(i), (0,) * 8) for i in range(len(h))]
-    dataset = data.DatasetSplit(samples[:3800], samples[3800:3900], samples[3900:], {"1,2,3,4,5,6,7,8": 0}, cfg)
+    records = as_records(samples)
+    dataset = data.DatasetSplit(records[:3800], records[3800:3900], records[3900:], {"1,2,3,4,5,6,7,8": 0}, cfg)
     path = tmp_path / "big.hrsdat"
     data.serialize(dataset, path)
-    del h, samples, dataset
+    del h, samples, records, dataset
     tracemalloc.start()
     try:
         loaded = data.load(path, VAL_TEST)
@@ -713,7 +737,8 @@ def _synthetic_dataset(n_train, n_val=40, n_test=40, seed=0):
     labels = ("1,2,3,4", "1|2|3|4")
     samples = [data.Sample(h[i, 0], h[i, 1], labels[i % 2], float(rng.uniform(1, 9)),
                            tuple(int(c) for c in rng.integers(0, 4, 4))) for i in range(count)]
-    parts = samples[:n_train], samples[n_train : n_train + n_val], samples[n_train + n_val :]
+    records = as_records(samples)
+    parts = records[:n_train], records[n_train : n_train + n_val], records[n_train + n_val :]
     return data.DatasetSplit(*parts, {label: i for i, label in enumerate(labels)}, cfg)
 
 
@@ -775,10 +800,11 @@ def test_loaded_split_is_a_read_only_column_backed_sequence(tmp_path):
     assert mlp._features(part).tobytes() == mlp._features(list(part)).tobytes()
     assert np.array_equal(data.class_ids(train, dataset.class_index),
                           [dataset.class_index[s.label] for s in written])
-    # a strided slice writes the bytes its samples write
-    for name, split in (("records", part), ("list", list(part))):
-        data.serialize(data.DatasetSplit(split, [], [], dataset.class_index, dataset.config), tmp_path / name)
-    assert (tmp_path / "records").read_bytes() == (tmp_path / "list").read_bytes()
+    # a strided slice writes the bytes its samples write, gathered into a store of their own
+    for name, split in (("records", part), ("store", as_records(list(part)))):
+        data.serialize(data.DatasetSplit(split, split[:0], split[:0], dataset.class_index, dataset.config),
+                       tmp_path / name)
+    assert (tmp_path / "records").read_bytes() == (tmp_path / "store").read_bytes()
 
 
 def test_serialize_refuses_loaded_records_that_do_not_fit_the_dataset(tmp_path):
@@ -787,8 +813,9 @@ def test_serialize_refuses_loaded_records_that_do_not_fit_the_dataset(tmp_path):
     loaded = data.load(path)
     narrow = dataclasses.replace(loaded.config, antennas=4)
     cases = [
-        (data.DatasetSplit(loaded.train, [], [], loaded.class_index, narrow), "shape"),
-        (data.DatasetSplit(loaded.train, [], [], {"1,2,3,4": 0}, loaded.config), "'1|2|3|4' is not a key"),
+        (data.DatasetSplit(loaded.train, loaded.train[:0], loaded.train[:0], loaded.class_index, narrow), "shape"),
+        (data.DatasetSplit(loaded.train, loaded.train[:0], loaded.train[:0], {"1,2,3,4": 0}, loaded.config),
+         "'1|2|3|4' is not a key"),
     ]
     for dataset, message in cases:
         with pytest.raises(DataFormatError, match=message):
@@ -798,7 +825,7 @@ def test_serialize_refuses_loaded_records_that_do_not_fit_the_dataset(tmp_path):
 
 def test_empty_dataset_round_trip(tmp_path):
     cfg = data.ScenarioConfig(users=4, antennas=8, samples=1)
-    empty = data.DatasetSplit([], [], [], {}, cfg)
+    empty = data.DatasetSplit(as_records([]), as_records([]), as_records([]), {}, cfg)
     path = tmp_path / "empty.hrsdat"
     data.serialize(empty, path)
     loaded = data.load(path)

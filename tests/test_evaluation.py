@@ -6,6 +6,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from conftest import as_records
 from hrscluster import data, evaluation, hrs, mlp
 from hrscluster.clustering import agglomerate
 from hrscluster.errors import ConfigurationError
@@ -80,7 +81,8 @@ def test_singleton_baseline_zero_when_users_exceed_antennas(tiny_model):
     for _ in range(6):
         h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         samples.append(data.Sample(h, h, "1,2,3,4", 1.0, (0,) * 4))
-    ds = data.DatasetSplit(samples[:4], samples[4:5], samples[5:], {"1,2,3,4": 0}, cfg)
+    records = as_records(samples)
+    ds = data.DatasetSplit(records[:4], records[4:5], records[5:], {"1,2,3,4": 0}, cfg)
     stats = mlp.FeatureStats(np.zeros(22), np.ones(22))
     rng2 = np.random.default_rng(1)
     model = mlp.init_model(22, (4,), ("1,2,3,4",), stats, rng2)

@@ -21,6 +21,7 @@ from hrscluster.hrs import (
     split_power,
 )
 from hrscluster.partitions import Partition, enumerate_partitions
+from reference import relabeled
 
 
 def complex_gaussian(rng, shape):
@@ -569,6 +570,5 @@ def test_permutation_equivariance(rng):
     perm = rng.permutation(5)
     inv = np.empty(5, dtype=int)
     inv[perm] = np.arange(5)
-    relabeled = partition.relabeled(inv)
-    out = evaluate_partition(channels.H_true[:, perm], channels.H_hat[:, perm], relabeled, cfg)
+    out = evaluate_partition(channels.H_true[:, perm], channels.H_hat[:, perm], relabeled(partition, inv), cfg)
     assert out.R_total == pytest.approx(base.R_total, abs=1e-9)

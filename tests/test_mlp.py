@@ -8,7 +8,8 @@ from hrscluster.clustering import pf_similarity
 from hrscluster.errors import ConfigurationError, DataFormatError
 
 
-from conftest import finite_difference_grads, kink_free_batch
+from conftest import as_records, finite_difference_grads, kink_free_batch
+from reference import raw_features
 
 
 def toy_model(dims, seed=0, labels=None):
@@ -24,7 +25,7 @@ def toy_model(dims, seed=0, labels=None):
 def test_raw_features_interleave_column_major():
     h = np.array([[1 + 2j, 5 + 6j], [3 + 4j, 7 + 8j]])
     s = data.Sample(np.zeros_like(h), h, "1,2", 1.0, (0, 0))
-    assert np.allclose(mlp.raw_features(s), [1, 2, 3, 4, 5, 6, 7, 8])
+    assert np.allclose(raw_features(s), [1, 2, 3, 4, 5, 6, 7, 8])
 
 
 def test_featurize_standardizes_training_set(tiny_dataset, tiny_model):
@@ -44,7 +45,7 @@ def test_true_channel_never_read():
     h_hat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = data.Sample(np.zeros((2, 2), complex), h_hat, "1,2", 1.0, (0, 0))
     b = data.Sample(np.full((2, 2), 9 + 9j), h_hat, "1,2", 1.0, (0, 0))
-    assert np.array_equal(mlp.raw_features(a), mlp.raw_features(b))
+    assert np.array_equal(raw_features(a), raw_features(b))
     stats = mlp.FeatureStats(np.zeros(9), np.ones(9))
     assert np.array_equal(mlp.featurize_all([a], stats)[0], mlp.featurize_all([b], stats)[0])
 
@@ -111,7 +112,7 @@ def test_features_start_with_raw_entries(rng):
     x = mlp.featurize_all(samples, _unit_stats(3, 5))
     assert x.shape == (4, 2 * 3 * 5 + 10)
     for s, row in zip(samples, x):
-        assert np.array_equal(row[: 2 * 3 * 5], mlp.raw_features(s))
+        assert np.array_equal(row[: 2 * 3 * 5], raw_features(s))
 
 
 def test_features_are_blind_to_row_blocks(rng, monkeypatch):
@@ -123,7 +124,7 @@ def test_features_are_blind_to_row_blocks(rng, monkeypatch):
     rows, cols = np.triu_indices(n, 1)
     for s, row in zip(samples, blocked):
         assert row.tobytes() == mlp._features([s])[0].tobytes()
-        assert row[: 2 * m * n].tobytes() == mlp.raw_features(s).tobytes()
+        assert row[: 2 * m * n].tobytes() == raw_features(s).tobytes()
         want = [pf_similarity(s.H_hat[:, [i]], s.H_hat[:, [j]]) for i, j in zip(rows, cols)]
         assert np.abs(row[2 * m * n :] - want).max() <= 1e-12
 
@@ -296,8 +297,8 @@ def _toy_split(n=60, seed=12):
         h = (rng.standard_normal((1, 2)) + shift) + 1j * (rng.standard_normal((1, 2)) + shift)
         samples.append(data.Sample(np.zeros((1, 2), complex), h, label, 1.0, (0, 0)))
     cfg = data.ScenarioConfig(users=2, antennas=1, samples=n, seed=seed)
-    train, val, test, index = data.split(samples, seed)
-    return data.DatasetSplit(train, val, test, index, cfg)
+    *picks, index = data.split(as_records(samples), np.arange(n), seed)
+    return data.DatasetSplit(*(as_records([samples[i] for i in pick]) for pick in picks), index, cfg)
 
 
 def test_training_learns_separable_toy_problem():
@@ -345,15 +346,17 @@ def test_training_deterministic(tiny_dataset):
         assert a.tobytes() == b.tobytes()
 
 
-def test_training_from_loaded_records_and_from_lists_writes_the_same_checkpoint(tiny_dataset, tmp_path):
+def test_training_from_generated_and_from_loaded_records_writes_the_same_checkpoint(tiny_dataset, tmp_path):
+    # generation owns int64 class ids; a load views the blob's <i4 ids and <f8 columns
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
     loaded = data.load(path)
-    assert all(isinstance(part, data.Records) for _, part in loaded.parts())
-    as_lists = data.DatasetSplit(*(list(part) for _, part in loaded.parts()), loaded.class_index, loaded.config)
+    assert all(isinstance(part, data.Records) for _, part in (*tiny_dataset.parts(), *loaded.parts()))
+    assert tiny_dataset.train.ids.dtype == np.int64 and loaded.train.ids.dtype == np.dtype("<i4")
+    assert not loaded.train.ids.flags.writeable and tiny_dataset.train.ids.flags.owndata
     hyper = mlp.TrainingHyper(hidden=(16, 8), epochs=2, seed=5)
     written = []
-    for dataset in (loaded, as_lists):
+    for dataset in (tiny_dataset, loaded):
         model, report = mlp.train(dataset, hyper)
         written.append(tmp_path / f"model{len(written)}.hrsmlp")
         mlp.save_model(model, written[-1])
@@ -406,7 +409,7 @@ def test_topk_tie_breaks_toward_lower_class_index():
         w[:] = 0.0  # uniform probabilities: ties everywhere
     samples = [data.Sample(np.zeros((1, 1), complex), np.zeros((1, 1), complex), lab, 1.0, (0,)) for lab in ("a", "b", "c")]
     model.feature_stats = mlp.FeatureStats(np.zeros(2), np.ones(2))
-    out = mlp.evaluate_topk(model, samples, (1, 2))
+    out = mlp.evaluate_topk(model, as_records(samples), (1, 2))
     assert out[1] == pytest.approx(1 / 3)  # only class index 0 wins ties
     assert out[2] == pytest.approx(2 / 3)
 
@@ -424,7 +427,7 @@ def test_topk_ranks_row_blocks_like_one_full_ranking(rng):
     truth = np.array([model.class_labels.index(s.label) for s in samples])
     ks = (1, 2, 3, 7)
     want = {k: float((ranking[:, :k] == truth[:, None]).any(axis=1).mean()) for k in ks}
-    assert mlp.evaluate_topk(model, samples, ks) == want
+    assert mlp.evaluate_topk(model, as_records(samples), ks) == want
 
 
 def test_class_permutation_leaves_accuracy_unchanged(tiny_dataset, tiny_model):
