@@ -8,11 +8,12 @@ Layout (little-endian):
     ...       payload blob (layout described by the header)
     4 bytes   uint32 CRC32 of every preceding byte
 
-``read_container`` refuses a header that is not a JSON object or holds
-another ``format_version`` than the reader's; ``require`` checks the JSON
-type of each field a reader declares, so readers check only what a JSON type
-cannot express. Per-record values live in the blob as fixed-width columns,
-never in the header.
+``read_container`` refuses a file it cannot open (missing, a directory) as a
+configuration error, as a missing config is, and a header that is not a
+JSON object or holds another ``format_version`` than the reader's;
+``require`` checks the JSON type of each field a reader declares, so readers
+check only what a JSON type cannot express. Per-record values live in the
+blob as fixed-width columns, never in the header.
 
 Reads are streamed too: ``read_container`` reads the header, lets the caller
 check it and name the blob offset from which it wants the bytes, reads past
@@ -37,7 +38,7 @@ import struct
 import zlib
 from itertools import chain
 
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
 
 MAGIC_LEN = 8
 _LEN_FMT = "<Q"
@@ -79,7 +80,11 @@ def read_container(path, magic: bytes, version: int, layout=_whole_blob) -> tupl
     from byte ``keep_from`` on. The default returns the header and the whole
     blob.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot open {path}: {exc.strerror}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _PREFIX_LEN + _CRC_LEN:
             raise DataFormatError(f"{path}: file truncated ({size} bytes)")

@@ -146,11 +146,12 @@ def build_covariance(geometry: ArrayGeometry, azimuth: float, spread: float) -> 
 def sample_channels(
     covs: list[CovarianceMatrix] | tuple[CovarianceMatrix, ...],
     assignment,
-    rng_seed: int,
+    rng_seed,
 ) -> ChannelSet:
     """Draw correlated channels; column k is colored from covariance
     ``covs[assignment[k]]``. The returned set has a perfect estimate
-    (tau = 0, H_hat is H_true)."""
+    (tau = 0, H_hat is H_true). ``rng_seed`` is anything
+    ``np.random.default_rng`` accepts; generation passes a tuple of ints."""
     covs = tuple(covs)
     if not covs:
         raise ConfigurationError("need at least one covariance")
@@ -167,11 +168,12 @@ def sample_channels(
     return ChannelSet(h, h, assignment, g, covs)
 
 
-def corrupt_csi(channels: ChannelSet, tau: float, rng_seed: int) -> ChannelSet:
+def corrupt_csi(channels: ChannelSet, tau: float, rng_seed) -> ChannelSet:
     """Replace the estimate with one of quality tau in [0, 1].
 
     Uses the stored innovations of the true channel plus fresh in-subspace
-    noise; the true channel is untouched.
+    noise; the true channel is untouched. ``rng_seed`` is anything
+    ``np.random.default_rng`` accepts, as for ``sample_channels``.
     """
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:

@@ -111,14 +111,19 @@ def _cmd_sweep(args) -> int:
     if not configs:
         raise ConfigurationError(f"no *.json configs under {config_dir}")
     out_root = Path(args.out)
-    rows = []
+    scenarios = {}  # name -> (config file, config); every config is checked before anything is written
     for cfg_path in configs:
         cfg = _apply_overrides(data.ScenarioConfig.from_file(cfg_path), args)
+        if cfg.name in scenarios:
+            raise ConfigurationError(f"{scenarios[cfg.name][0]} and {cfg_path} both name the scenario {cfg.name!r}")
+        scenarios[cfg.name] = cfg_path, cfg
+    rows = []
+    for _, cfg in scenarios.values():
         scdir = out_root / cfg.name
         scdir.mkdir(parents=True, exist_ok=True)
         dataset = data.build_dataset(cfg, threads=args.threads)
         data.serialize(dataset, scdir / "dataset.hrsdat")
-        hyper = mlp.TrainingHyper(seed=args.seed if args.seed is not None else cfg.seed)
+        hyper = mlp.TrainingHyper(seed=cfg.seed)  # cfg carries the --seed override
         model, rep = mlp.train(dataset, hyper)
         mlp.save_model(model, scdir / "model.hrsmlp")
         rows.append(_evaluate(dataset, model, scdir))
@@ -150,24 +155,16 @@ def _check_compatible(dataset: data.DatasetSplit, model: mlp.MlpModel) -> None:
     users = dataset.config.users
     expected = mlp.feature_count(users, dataset.config.antennas)
     if model.layer_dims[0] != expected:
-        raise ConfigurationError(
-            f"model expects {model.layer_dims[0]} features but the dataset "
-            f"provides {expected}; scenario/model mismatch"
-        )
+        raise ConfigurationError(f"model expects {model.layer_dims[0]} features but the dataset "
+                                 f"provides {expected}; scenario/model mismatch")
     # two scenarios can share an input width (n4m8 and n5m6 both give 70);
     # load_model has checked that every class partitions as many users as the first
     if Partition.from_key(model.class_labels[0]).num_users != users:
-        raise ConfigurationError(
-            f"model classes do not partition the dataset's {users} users; scenario/model mismatch"
-        )
+        raise ConfigurationError(f"model classes do not partition the dataset's {users} users; "
+                                 "scenario/model mismatch")
 
 
-_COMMANDS = {
-    "gen-dataset": _cmd_gen_dataset,
-    "train": _cmd_train,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
-}
+_COMMANDS = {"gen-dataset": _cmd_gen_dataset, "train": _cmd_train, "compare": _cmd_compare, "sweep": _cmd_sweep}
 
 
 def run(argv=None) -> int:

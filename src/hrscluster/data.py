@@ -8,7 +8,7 @@ blocks (the label is invariant to such reorderings); the stratified
 80/10/10 split keeps every surviving class represented in training.
 
 Datasets are stored in a binary container (magic ``HRSDAT01``, format
-version 4) whose header holds the generating configuration, the class index
+version 5) whose header holds the generating configuration, the class index
 and the three split sizes. Its blob holds every record's matrices back to
 back in storage order (train, validation, test), then the records' class
 ids, label rates and covariance indices as fixed-width columns. ``load``
@@ -53,9 +53,17 @@ from .hrs import HrsConfig
 from .partitions import Partition, is_canonical_key
 
 DATASET_MAGIC = b"HRSDAT01"
-DATASET_VERSION = 4
+DATASET_VERSION = 5
 
 REFERENCE_SCENARIOS = ((8, 4), (8, 8), (8, 12), (12, 6), (12, 12), (12, 16))
+# The default sector centres, -pi/2 + pi/3 * g for g = 0..3: one covariance each.
+REFERENCE_AZIMUTHS = tuple(-np.pi / 2 + np.pi / 3 * g for g in range(4))
+
+# The dataset recipe, fixed for every scenario: ``balance``'s thresholds and ``augment``'s shuffles per record.
+RATE_FLOOR_FRAC = 0.25
+MIN_CLASS_SAMPLES = 50
+MAX_CLASS_SAMPLES = 200
+NUM_SHUFFLES = 10
 
 # Salts keeping the per-stage random streams disjoint.
 _SALT_SAMPLE = 1
@@ -81,10 +89,6 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def default_azimuths(num_covs: int) -> tuple[float, ...]:
-    return tuple(-np.pi / 2 + np.pi / 3 * g for g in range(num_covs))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to regenerate one scenario deterministically."""
@@ -96,13 +100,8 @@ class ScenarioConfig:
     name: str = ""
     tau_sq: float = 0.4
     total_power: float = 100.0
-    num_covs: int = 4
-    azimuths: tuple[float, ...] = ()
+    azimuths: tuple[float, ...] = REFERENCE_AZIMUTHS
     spread: float = float(np.pi / 6)
-    rate_floor_frac: float = 0.25
-    min_class_samples: int = 50
-    max_class_samples: int = 200
-    num_shuffles: int = 10
 
     def __post_init__(self):
         for f in fields(self):
@@ -115,8 +114,7 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
         if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
             raise ConfigurationError(f"name must be a plain file name, got {self.name!r}")
-        for key in ("users", "antennas", "samples", "num_covs", "min_class_samples", "max_class_samples",
-                    "num_shuffles"):
+        for key in ("users", "antennas", "samples"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.seed < 0:
@@ -127,18 +125,18 @@ class ScenarioConfig:
             raise ConfigurationError("total power must be positive")
         if self.spread <= 0:
             raise ConfigurationError(f"spread must be positive, got {self.spread}")
-        if self.rate_floor_frac <= 0:
-            raise ConfigurationError(f"rate_floor_frac must be positive, got {self.rate_floor_frac}")
         if type(self.azimuths) is not tuple:
             raise ConfigurationError(f"azimuths must be a tuple of numbers, got {self.azimuths!r}")
         if not self.azimuths:
-            object.__setattr__(self, "azimuths", default_azimuths(self.num_covs))
-        if len(self.azimuths) != self.num_covs:
-            raise ConfigurationError("need one azimuth per covariance")
+            raise ConfigurationError("azimuths must name at least one sector, got none")
         if not all(_is_finite_real(az) for az in self.azimuths):
             raise ConfigurationError(f"azimuths must be finite real numbers, got {list(self.azimuths)}")
         if not self.name:
             object.__setattr__(self, "name", f"n{self.users}m{self.antennas}")
+
+    @property
+    def num_covs(self) -> int:
+        return len(self.azimuths)  # one covariance per azimuth
 
     @property
     def tau(self) -> float:
@@ -163,7 +161,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        azimuths = raw.get("azimuths", [])
+        azimuths = raw.get("azimuths", list(REFERENCE_AZIMUTHS))
         if not isinstance(azimuths, list):
             raise ConfigurationError(f"azimuths must be a list of numbers, got {azimuths!r}")
         # a missing or unknown key raises TypeError naming it
@@ -312,41 +310,41 @@ def _classes(ids) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(ids[order])) + 1) if len(ids) else []
 
 
-def balance(records: Records, cfg: ScenarioConfig) -> np.ndarray:
+def balance(records: Records) -> np.ndarray:
     """Drop classes that are both weak and rare, then cap class sizes;
     returns the surviving records' indices.
 
     A class is removed only when its mean rate falls below
-    ``rate_floor_frac`` of the scenario's overall mean rate AND it holds
-    fewer than ``min_class_samples`` samples; surviving classes, in the
-    order of their first record, keep their first ``max_class_samples``
-    records in generation order.
+    ``RATE_FLOOR_FRAC`` of the overall mean rate AND it holds fewer than
+    ``MIN_CLASS_SAMPLES`` samples; surviving classes, in the order of their
+    first record, keep their first ``MAX_CLASS_SAMPLES`` records in
+    generation order.
     """
     if not len(records):
         raise ConfigurationError("cannot balance an empty sample list")
-    floor = cfg.rate_floor_frac * float(np.mean(records.rates))
-    survivors = [members[: cfg.max_class_samples]
+    floor = RATE_FLOOR_FRAC * float(np.mean(records.rates))
+    survivors = [members[:MAX_CLASS_SAMPLES]
                  for members in sorted(_classes(records.ids), key=lambda members: members[0])
-                 if not (float(np.mean(records.rates[members])) < floor and len(members) < cfg.min_class_samples)]
+                 if not (float(np.mean(records.rates[members])) < floor and len(members) < MIN_CLASS_SAMPLES)]
     if not survivors:
         raise ConfigurationError("balancing removed every class; the scenario is degenerate")
     return np.concatenate(survivors)
 
 
-def augment(records: Records, rows, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+def augment(records: Records, rows, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(row, user order)`` of each augmented sample: every record of ``rows``
-    as drawn, then ``num_shuffles`` copies with its users shuffled inside its
+    as drawn, then ``NUM_SHUFFLES`` copies with its users shuffled inside its
     labeled blocks.
 
     A shuffle inside blocks maps every block onto itself, so each copy keeps
     the record's canonical label. The k-th of ``rows`` draws its shuffles
     from the stream ``(seed, k, _SALT_AUGMENT)``.
     """
-    copies = 1 + cfg.num_shuffles
+    copies = 1 + NUM_SHUFFLES
     orders = np.tile(np.arange(records.assignments.shape[1]), (len(rows) * copies, 1))
     for position, row in enumerate(rows.tolist()):
         columns = Partition.from_key(records.labels[records.ids[row]]).layout.columns
-        rng = np.random.default_rng((cfg.seed, position, _SALT_AUGMENT))
+        rng = np.random.default_rng((seed, position, _SALT_AUGMENT))
         for perm in orders[position * copies + 1 : (position + 1) * copies]:
             for cols in columns:
                 perm[cols] = rng.permutation(perm[cols])
@@ -381,7 +379,7 @@ def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
     """Full pipeline: generate, then balance, augment and stratify as index maps
     over the generation store, from which each split's records are taken once."""
     raw = generate_samples(cfg, threads=threads)
-    rows, orders = augment(raw, balance(raw, cfg), cfg)
+    rows, orders = augment(raw, balance(raw), cfg.seed)
     *picks, class_index = split(raw, rows, cfg.seed)
     # the generation store, its ids numbered as in class_index; a class balancing dropped reads -1 and is never taken
     named = Records(raw.matrices, class_ids(raw, class_index), tuple(class_index), raw.rates, raw.assignments)

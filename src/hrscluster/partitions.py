@@ -104,9 +104,6 @@ class Partition:
         columns = tuple(order[a : a + len(b)] for a, b in zip(starts, self.blocks))
         return Layout(columns, order, table[3, :g_count], table[1], table[2])
 
-    def __str__(self) -> str:
-        return self.key()
-
 
 def is_canonical_key(key: str, users: int) -> bool:
     """Whether ``key`` is the canonical key of a partition of ``users`` users:

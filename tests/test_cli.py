@@ -124,6 +124,13 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"min_class_samples": 0}, id="zero-min-class-samples"),
         pytest.param({"max_class_samples": -1}, id="negative-max-class-samples"),
         pytest.param({"rate_floor_frac": 0}, id="zero-rate-floor-frac"),
+        pytest.param({"azimuths": []}, id="no-azimuths"),
+        # the dataset recipe is fixed and num_covs is len(azimuths): keys the config no longer has
+        pytest.param({"rate_floor_frac": 0.25}, id="removed-rate-floor-frac"),
+        pytest.param({"min_class_samples": 50}, id="removed-min-class-samples"),
+        pytest.param({"max_class_samples": 200}, id="removed-max-class-samples"),
+        pytest.param({"num_shuffles": 10}, id="removed-num-shuffles"),
+        pytest.param({"num_covs": 4}, id="removed-num-covs"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, bad_keys):
@@ -162,6 +169,21 @@ def test_non_finite_power_flag_exits_2(workdir, tmp_path, capsys, power):
 def test_missing_config_exits_2(tmp_path):
     rc = cli.run(["gen-dataset", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--data"), ("compare", "--data"), ("compare", "--model")],
+)
+def test_missing_input_file_exits_2(workdir, tmp_path, capsys, command, flag):
+    inputs = {"--data": str(workdir / "data.hrsdat"), "--model": str(workdir / "model.hrsmlp")}
+    inputs[flag] = str(tmp_path / "nope")
+    argv = [command, "--data", inputs["--data"], "--out", str(tmp_path / "out")]
+    if command == "compare":
+        argv += ["--model", inputs["--model"]]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot open {tmp_path / 'nope'}: No such file or directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -224,11 +246,12 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_version_one_dataset_exits_3(workdir, tmp_path, capsys, version):
     # a version-1 dataset was labelled with Monte Carlo similarity constants
     # and its config carried their draw count; version 2 kept its records in
-    # the header; version 3's config carried the sweep grid and quadrature sizes
+    # the header; version 3's config carried the sweep grid and quadrature sizes;
+    # version 4's config carried the dataset recipe and num_covs
     path = tmp_path / "old.hrsdat"
     header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION)
     header["format_version"] = version
@@ -512,6 +535,19 @@ def test_sweep_runs_all_configs(tmp_path):
         per_scenario = (out / name / f"{name}_summary.csv").read_text().splitlines()
         assert per_scenario[0] == summary[0]
         assert row == per_scenario[1]
+
+
+def test_sweep_refuses_two_configs_of_one_name_before_writing(tmp_path, capsys):
+    # neither config names its scenario, so both resolve to n4m8 and would share one output directory
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    for seed in (11, 12):
+        (cfg_dir / f"s{seed}.json").write_text(json.dumps({"users": 4, "antennas": 8, "samples": 30, "seed": seed}))
+    out = tmp_path / "out"
+    assert cli.run(["sweep", "--configs", str(cfg_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_dir / "s11.json") in err and str(cfg_dir / "s12.json") in err and "'n4m8'" in err
+    assert not out.exists()
 
 
 def test_threads_flag_preserves_determinism(workdir, tmp_path):

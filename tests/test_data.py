@@ -24,15 +24,15 @@ def make_sample(label, rate, n=4, m=8, seed=0):
     return data.Sample(h, g, label, rate, (0,) * n)
 
 
-def balanced(samples, cfg):
+def balanced(samples):
     """The samples ``data.balance`` keeps, in its order."""
-    return [samples[i] for i in data.balance(as_records(samples), cfg)]
+    return [samples[i] for i in data.balance(as_records(samples))]
 
 
 def augmented(samples, cfg):
-    """``data.augment`` of every one of ``samples``, as a list of ``data.Sample``."""
+    """``data.augment`` of every one of ``samples`` under ``cfg``'s seed, as a list of ``data.Sample``."""
     records = as_records(samples)
-    return list(records.take(*data.augment(records, np.arange(len(records)), cfg)))
+    return list(records.take(*data.augment(records, np.arange(len(records)), cfg.seed)))
 
 
 def split_samples(samples, seed):
@@ -72,6 +72,19 @@ def test_config_round_trip_and_validation(tmp_path):
         data.ScenarioConfig.from_dict({"users": 4, "antennas": 8, "bogus": 1})
 
 
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    schema = readme.split("### Scenario config schema", 1)[1]
+    example = schema.split("```json\n", 1)[1].split("```", 1)[0]
+    import json
+
+    raw = json.loads(example)
+    # the example lists every setting, and only settings the config has
+    assert set(raw) == {f.name for f in dataclasses.fields(data.ScenarioConfig)}
+    cfg = data.ScenarioConfig.from_dict(raw)
+    assert (cfg.name, cfg.users, cfg.antennas, cfg.num_covs) == ("n8m8", 8, 8, 4)
+
+
 def test_alpha_beta_grids():
     assert len(ALPHA_GRID) == 11
     assert ALPHA_GRID[0] == pytest.approx(1e-3)
@@ -81,10 +94,8 @@ def test_alpha_beta_grids():
     assert all(0.0 < v <= 1.0 for v in ALPHA_GRID + BETA_GRID)
 
 
-INT_FIELDS = (
-    "users", "antennas", "samples", "seed", "num_covs", "min_class_samples", "max_class_samples", "num_shuffles",
-)
-FLOAT_FIELDS = ("tau_sq", "total_power", "spread", "rate_floor_frac")
+INT_FIELDS = ("users", "antennas", "samples", "seed")
+FLOAT_FIELDS = ("tau_sq", "total_power", "spread")
 
 
 @pytest.mark.parametrize("name", INT_FIELDS)
@@ -117,7 +128,7 @@ def test_config_rejects_azimuths_that_are_not_a_tuple(value):
 
 
 def test_config_accepts_integers_in_float_fields():
-    cfg = data.ScenarioConfig(users=4, antennas=8, total_power=50, spread=1, tau_sq=0, rate_floor_frac=1)
+    cfg = data.ScenarioConfig(users=4, antennas=8, total_power=50, spread=1, tau_sq=0)
     assert cfg.hrs_config().total_power == 50
 
 
@@ -380,26 +391,23 @@ def test_label_rate_reproducible_from_stored_channels(tiny_dataset):
 
 
 def test_balance_caps_class_size():
-    cfg = data.ScenarioConfig(users=4, antennas=8, max_class_samples=200)
     samples = [make_sample("1,2|3,4", 10.0, seed=i) for i in range(300)]
-    out = balanced(samples, cfg)
+    out = balanced(samples)
     assert len(out) == 200
 
 
 def test_balance_keeps_small_strong_class():
-    cfg = data.ScenarioConfig(users=4, antennas=8)
     strong = [make_sample("1|2|3|4", 10.0, seed=i) for i in range(60)]
     bulk = [make_sample("1,2,3,4", 10.0, seed=100 + i) for i in range(100)]
-    out = balanced(strong + bulk, cfg)
+    out = balanced(strong + bulk)
     assert sum(1 for s in out if s.label == "1|2|3|4") == 60
 
 
 def test_balance_drops_weak_rare_class_only():
-    cfg = data.ScenarioConfig(users=4, antennas=8)
     bulk = [make_sample("1,2,3,4", 10.0, seed=i) for i in range(100)]
     weak_rare = [make_sample("1|2|3|4", 0.1, seed=200 + i) for i in range(10)]
     weak_common = [make_sample("1,2|3,4", 0.1, seed=300 + i) for i in range(60)]
-    out = balanced(bulk + weak_rare + weak_common, cfg)
+    out = balanced(bulk + weak_rare + weak_common)
     labels = {s.label for s in out}
     assert "1|2|3|4" not in labels  # below both thresholds
     assert "1,2|3,4" in labels  # rare condition not met
@@ -407,16 +415,14 @@ def test_balance_drops_weak_rare_class_only():
 
 
 def test_balance_noop_on_uniform_classes():
-    cfg = data.ScenarioConfig(users=4, antennas=8)
     samples = [make_sample("1,2,3,4", 5.0, seed=i) for i in range(100)]
-    out = balanced(samples, cfg)
+    out = balanced(samples)
     assert len(out) == 100
 
 
 def test_balance_rejects_empty():
-    cfg = data.ScenarioConfig(users=4, antennas=8)
     with pytest.raises(ConfigurationError):
-        data.balance(as_records([]), cfg)
+        data.balance(as_records([]))
 
 
 # --------------------------------------------------------------- augmentation
@@ -425,7 +431,7 @@ def test_balance_rejects_empty():
 def test_augment_counts_and_label_invariance(tiny_config):
     samples = [make_sample("1,3|2,4", 5.0, seed=1), make_sample("1|2|3|4", 4.0, seed=2)]
     out = augmented(samples, tiny_config)
-    assert len(out) == 2 * (1 + tiny_config.num_shuffles)
+    assert len(out) == 2 * (1 + data.NUM_SHUFFLES)
     assert all(s.label in ("1,3|2,4", "1|2|3|4") for s in out)
     for original, copies in ((samples[0], out[1:11]), (samples[1], out[12:])):
         for c in copies:
@@ -509,7 +515,7 @@ def test_split_rejects_tiny_class():
 
 def test_split_union_is_disjoint_partition(tiny_config):
     raw = data.generate_samples(tiny_config)
-    rows, _ = data.augment(raw, data.balance(raw, tiny_config), tiny_config)
+    rows, _ = data.augment(raw, data.balance(raw), tiny_config.seed)
     train, val, test, class_index = data.split(raw, rows, tiny_config.seed)
     # every augmented row lands in exactly one split, and each split lists its rows ascending
     assert np.array_equal(np.sort(np.concatenate([train, val, test])), np.arange(len(rows)))
