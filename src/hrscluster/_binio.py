@@ -15,14 +15,12 @@ JSON object or holds another ``format_version`` than the reader's;
 check only what a JSON type cannot express. Per-record values live in the
 blob as fixed-width columns, never in the header.
 
-Reads are streamed too: ``read_container`` reads the header, lets the caller
-check it and name the blob offset from which it wants the bytes, reads past
-the bytes before that offset a bounded chunk at a time, and reads the rest
-straight into one immutable buffer, carrying one CRC over all of them. So
-every byte is CRC-checked, and a reader that needs the last records of a
-large file never holds the others. A CRC mismatch is refused before anything
-is returned, and ahead of any refusal of the header itself, so a corrupted
-file always reads as corrupted.
+Reads are one pass: ``read_container`` reads the header, lets the caller
+check it against the size of the blob, and reads the whole blob into one
+immutable buffer, carrying one CRC over every byte of the file. A CRC
+mismatch is refused before anything is returned, and ahead of any refusal
+of the header itself (the rest of the file is then read past a bounded
+chunk at a time), so a corrupted file always reads as corrupted.
 
 Writes are streamed: ``write_container`` takes the blob as an iterable of
 bytes-like parts and writes each as it comes, carrying the CRC along, so the
@@ -45,7 +43,7 @@ _LEN_FMT = "<Q"
 _CRC_FMT = "<I"
 _PREFIX_LEN = MAGIC_LEN + struct.calcsize(_LEN_FMT)
 _CRC_LEN = struct.calcsize(_CRC_FMT)
-# Bytes read per step of the streamed read; bounds what the skipped blob costs in memory.
+# Bytes read per step when a refused file is read past to check its CRC.
 _CHUNK = 1 << 20
 
 # The Python types a JSON value of each type decodes to: a number written
@@ -67,18 +65,17 @@ def write_container(path, magic: bytes, header: dict, parts) -> None:
         fh.write(struct.pack(_CRC_FMT, crc & 0xFFFFFFFF))
 
 
-def _whole_blob(header: dict, blob_size: int) -> tuple[dict, int]:
-    return header, 0
+def _header(header: dict, blob_size: int) -> dict:
+    return header
 
 
-def read_container(path, magic: bytes, version: int, layout=_whole_blob) -> tuple:
-    """Read a container of format ``version`` in one streamed, CRC-checked pass.
+def read_container(path, magic: bytes, version: int, layout=_header) -> tuple:
+    """Read a container of format ``version`` in one CRC-checked pass.
 
     ``layout(header, blob_size)`` checks the header against the size of the
-    blob the file holds, raising DataFormatError, and returns ``(value,
-    keep_from)``; the read returns ``value`` and a read-only view of the blob
-    from byte ``keep_from`` on. The default returns the header and the whole
-    blob.
+    blob the file holds, raising DataFormatError, and returns a value; the
+    read returns that value and a read-only view of the whole blob. The
+    default returns the header.
     """
     try:
         fh = open(path, "rb")
@@ -97,15 +94,14 @@ def read_container(path, magic: bytes, version: int, layout=_whole_blob) -> tupl
             if blob_size < 0:
                 raise DataFormatError(f"{path}: header length exceeds file size")
             header, crc = _read(fh, header_end - _PREFIX_LEN, crc, path)
-            value, keep_from = layout(_parse_header(header, version, path), blob_size)
+            value = layout(_parse_header(header, version, path), blob_size)
         except DataFormatError:
             # a corrupted file is refused as corrupted, whatever the damage did to its header
             _check_crc(fh, _skip(fh, size - _CRC_LEN - fh.tell(), crc, path), path)
             raise
-        crc = _skip(fh, keep_from, crc, path)
-        kept, crc = _read(fh, blob_size - keep_from, crc, path)
+        blob, crc = _read(fh, blob_size, crc, path)
         _check_crc(fh, crc, path)
-    return value, memoryview(kept)
+    return value, memoryview(blob)
 
 
 def _parse_header(raw: bytes, version: int, path) -> dict:

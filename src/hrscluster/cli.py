@@ -96,8 +96,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    # compare scores the validation and test records; the train records are only CRC-checked
-    dataset = data.load(args.data, ("validation", "test"))
+    dataset = data.load(args.data)
     model = mlp.load_model(args.model)
     _check_compatible(dataset, model)
     _evaluate(dataset, model, args.out)

@@ -7,26 +7,24 @@ then caps class sizes; augmentation shuffles users within their labeled
 blocks (the label is invariant to such reorderings); the stratified
 80/10/10 split keeps every surviving class represented in training.
 
-Datasets are stored in a binary container (magic ``HRSDAT01``, format
-version 5) whose header holds the generating configuration, the class index
-and the three split sizes. Its blob holds every record's matrices back to
-back in storage order (train, validation, test), then the records' class
-ids, label rates and covariance indices as fixed-width columns. ``load``
-reads the file in one streamed pass that CRC-checks every byte, keeps the
-blob from the first wanted split's matrices on in one read-only buffer,
-checks every record's columns with one array predicate each, and views the
-kept matrices in one strided array over that buffer, copying none.
-``compare`` asks for the validation and test splits alone, so the train
-matrices, most of the file, are read past a chunk at a time and never held.
+Every split, generated or loaded, is one ``Records``: index columns over a
+``Store`` that holds each draw once (its matrices, laid out as in the blob,
+its label rate and its covariance indices). A record names its draw, the
+order of its users and its class id. Generation fills the store; balancing,
+augmentation and the split are index maps over it, which ``build_dataset``
+composes into each split's columns, copying no matrix. Indexing or
+iterating ``Records`` gathers the record's ``Sample``: its draw's matrices
+and covariance indices with the users in the record's order.
 
-Every split, generated or loaded, is one ``Records``: columns of its
-records (the matrices, the class ids with their labels, the rates and the
-covariance indices), with no Python object per record. Generation fills one
-store laid out as in the blob; balancing, augmentation and the split map
-indices into it, and ``build_dataset`` gathers each split's matrices from
-it once, in the augmented user orders. A loaded split views the blob,
-read-only. Indexing or iterating ``Records`` yields a ``Sample`` of the
-same values and scalar types.
+Datasets are stored in a binary container (magic ``HRSDAT01``, format
+version 6) whose header holds the generating configuration, the class
+index, the number of stored draws and the three split sizes. Its blob holds
+the store, every draw a record uses once (matrices, then label rates, then
+covariance indices), then each record's draw, user order and class id, in
+storage order (train, validation, test); every column is fixed-width.
+``load`` reads and CRC-checks the whole file in one pass, checks every
+column with one array predicate each, and views the store and the record
+columns in the blob, read-only, copying nothing.
 """
 
 from __future__ import annotations
@@ -36,12 +34,14 @@ import json
 import math
 import numbers
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from multiprocessing import Pool
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .hrs import HrsConfig
 from .partitions import Partition, is_canonical_key
 
 DATASET_MAGIC = b"HRSDAT01"
-DATASET_VERSION = 5
+DATASET_VERSION = 6
 
 REFERENCE_SCENARIOS = ((8, 4), (8, 8), (8, 12), (12, 6), (12, 12), (12, 16))
 # The default sector centres, -pi/2 + pi/3 * g for g = 0..3: one covariance each.
@@ -75,7 +75,7 @@ _SALT_SPLIT = 4
 SPLITS = ("train", "validation", "test")
 
 # JSON types of the dataset header's fields.
-_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "split_sizes": (list, int)}
+_HEADER_FIELDS = {"config": dict, "class_index": (dict, int), "draws": int, "split_sizes": (list, int)}
 
 # Draws per task of the generation pool; workers beyond the task count would idle.
 _GEN_CHUNK = 8
@@ -173,11 +173,11 @@ class ScenarioConfig:
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
         try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+            raw = json.loads(Path(path).read_bytes())
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigurationError(f"cannot open config file {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError("config file must contain a JSON object")
         return ScenarioConfig.from_dict(raw)
@@ -192,50 +192,66 @@ class Sample:
     cov_assignment: tuple[int, ...]
 
 
-class Records(Sequence):
-    """A split as columns of its records, owned (generation, ``take``) or viewed read-only in the blob (``load``).
+class Store(NamedTuple):
+    """Draws, each held once and laid out as in the blob: ``matrices`` is (D, 2,
+    N, M), each draw's ``H_true`` then ``H_hat``, transposed; ``rates`` the
+    draws' label rates; ``assignments`` their (D, N) covariance indices, in
+    each draw's own user order."""
 
-    ``matrices`` is (S, 2, M, N), each record's ``H_true`` then ``H_hat``, a
-    view of an (S, 2, N, M) store laid out as in the blob; ``ids`` the class
-    ids, which name their labels in ``labels``; ``rates`` the label rates;
-    ``assignments`` the (S, N) covariance indices. An integer index yields
-    the record's ``Sample``, a slice the ``Records`` of the slice's records.
+    matrices: np.ndarray
+    rates: np.ndarray
+    assignments: np.ndarray
+
+
+class Records(Sequence):
+    """A split as index columns over a ``Store``; both are owned (generation,
+    ``take``) or viewed read-only in the blob (``load``).
+
+    Record r is draw ``draws[r]`` of ``store`` with its users in the order
+    ``orders[r]`` (its user j is the draw's user ``orders[r, j]``); its class
+    id ``ids[r]`` names its label in ``labels``. An integer index yields the
+    record's ``Sample``, gathered from the store; a slice the ``Records`` of
+    the slice's records, over the same store.
     """
 
-    def __init__(self, matrices, ids, labels: tuple[str, ...], rates, assignments):
-        self.matrices, self.ids, self.labels, self.rates, self.assignments = matrices, ids, labels, rates, assignments
-        self.H_true, self.H_hat = matrices[:, 0], matrices[:, 1]
+    def __init__(self, store: Store, draws, orders, ids, labels: tuple[str, ...]):
+        self.store, self.draws, self.orders, self.ids, self.labels = store, draws, orders, ids, labels
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Records(self.matrices[index], self.ids[index], self.labels, self.rates[index],
-                           self.assignments[index])
+            return Records(self.store, self.draws[index], self.orders[index], self.ids[index], self.labels)
         index = operator.index(index)
-        return Sample(self.H_true[index], self.H_hat[index], self.labels[self.ids[index]],
-                      float(self.rates[index]), tuple(self.assignments[index].tolist()))
+        draw, order = self.draws[index], self.orders[index]
+        pair = self.store.matrices[draw].take(order, axis=1)  # (2, N, M), C-contiguous
+        pair.flags.writeable = False
+        h_true, h_hat = pair.transpose(0, 2, 1)  # (M, N) each, column-major: strides (16, 16 M)
+        return Sample(h_true, h_hat, self.labels[self.ids[index]], float(self.store.rates[draw]),
+                      tuple(self.store.assignments[draw, order].tolist()))
 
     def __iter__(self):
-        return map(Sample, self.H_true, self.H_hat, [self.labels[i] for i in self.ids.tolist()],
-                   self.rates.tolist(), map(tuple, self.assignments.tolist()))
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Each record's label rate, its draw's."""
+        return self.store.rates[self.draws]
 
     def take(self, rows, orders) -> "Records":
-        """The records ``rows``, the users of each in the order of its row of
-        ``orders`` (matrices and covariance indices alike); the matrices are
-        gathered into a store laid out as in the blob, in one indexing pass."""
-        store = self.matrices.transpose(0, 1, 3, 2)
-        matrices = store[rows[:, None, None], np.arange(2)[:, None], orders[:, None, :]]
-        return Records(matrices.transpose(0, 1, 3, 2), self.ids[rows], self.labels, self.rates[rows],
-                       self.assignments[rows[:, None], orders])
+        """The records ``rows``, the users of each reordered by its row of
+        ``orders``; the index maps are composed, no matrix is copied."""
+        return Records(self.store, self.draws[rows], np.take_along_axis(self.orders[rows], orders, axis=1),
+                       self.ids[rows], self.labels)
 
 
 def h_hat_stack(samples) -> np.ndarray:
     """The estimates of ``samples`` as one C-contiguous (S, M, N) complex array; ``samples``
     is a ``Records``, or a list of ``Sample`` as ``predict_labels(model, [records[j]])`` passes."""
     if isinstance(samples, Records):
-        return np.ascontiguousarray(samples.H_hat, dtype=complex)
+        gathered = samples.store.matrices[samples.draws[:, None], 1, samples.orders]  # (S, N, M)
+        return np.ascontiguousarray(gathered.transpose(0, 2, 1))
     return np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples])
 
 
@@ -284,8 +300,9 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
     """Draw ``cfg.samples`` labeled realizations; deterministic per seed.
 
     Every sample owns a child seed derived from (master seed, index), so the
-    result is identical whether generated serially or across workers. The
-    draws fill one store laid out as in the blob; labels are numbered in the
+    result is identical whether generated serially or across workers, of
+    which at most ``os.cpu_count()`` are started. The draws fill one store,
+    each record its draw with its users as drawn; labels are numbered in the
     order they are first drawn.
     """
     one = partial(_generate_one, cfg, cfg.covariances(), cfg.hrs_config())
@@ -293,15 +310,16 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
     if threads <= 1:
         draws = map(one, indices)
     else:
-        with Pool(min(threads, -(-cfg.samples // _GEN_CHUNK))) as pool:
+        with Pool(min(threads, os.cpu_count() or 1, -(-cfg.samples // _GEN_CHUNK))) as pool:
             draws = pool.map(one, indices, chunksize=_GEN_CHUNK)
-    store = np.empty((cfg.samples, 2, cfg.users, cfg.antennas), dtype=complex)
+    store = Store(np.empty((cfg.samples, 2, cfg.users, cfg.antennas), dtype=complex), np.empty(cfg.samples),
+                  np.empty((cfg.samples, cfg.users), dtype=np.int64))
     ids, labels = np.empty(cfg.samples, dtype=np.int64), {}
-    rates, assignments = np.empty(cfg.samples), np.empty((cfg.samples, cfg.users), dtype=np.int64)
     for i, (h_true, h_hat, label, rate, assignment) in enumerate(draws):
-        store[i, 0], store[i, 1] = h_true.T, h_hat.T
-        ids[i], rates[i], assignments[i] = labels.setdefault(label, len(labels)), rate, assignment
-    return Records(store.transpose(0, 1, 3, 2), ids, tuple(labels), rates, assignments)
+        store.matrices[i, 0], store.matrices[i, 1] = h_true.T, h_hat.T
+        ids[i], store.rates[i], store.assignments[i] = labels.setdefault(label, len(labels)), rate, assignment
+    orders = np.tile(np.arange(cfg.users), (cfg.samples, 1))
+    return Records(store, np.arange(cfg.samples), orders, ids, tuple(labels))
 
 
 def _classes(ids) -> list[np.ndarray]:
@@ -341,7 +359,7 @@ def augment(records: Records, rows, seed: int) -> tuple[np.ndarray, np.ndarray]:
     from the stream ``(seed, k, _SALT_AUGMENT)``.
     """
     copies = 1 + NUM_SHUFFLES
-    orders = np.tile(np.arange(records.assignments.shape[1]), (len(rows) * copies, 1))
+    orders = np.tile(np.arange(records.orders.shape[1]), (len(rows) * copies, 1))
     for position, row in enumerate(rows.tolist()):
         columns = Partition.from_key(records.labels[records.ids[row]]).layout.columns
         rng = np.random.default_rng((seed, position, _SALT_AUGMENT))
@@ -377,85 +395,104 @@ def split(records: Records, rows, seed: int) -> tuple[np.ndarray, np.ndarray, np
 
 def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
     """Full pipeline: generate, then balance, augment and stratify as index maps
-    over the generation store, from which each split's records are taken once."""
+    over the generation store, which every split's records index."""
     raw = generate_samples(cfg, threads=threads)
     rows, orders = augment(raw, balance(raw), cfg.seed)
     *picks, class_index = split(raw, rows, cfg.seed)
-    # the generation store, its ids numbered as in class_index; a class balancing dropped reads -1 and is never taken
-    named = Records(raw.matrices, class_ids(raw, class_index), tuple(class_index), raw.rates, raw.assignments)
+    # the generation records, ids numbered as in class_index; a class balancing dropped reads -1 and is never taken
+    named = Records(raw.store, raw.draws, raw.orders, class_ids(raw, class_index), tuple(class_index))
     return DatasetSplit(*(named.take(rows[pick], orders[pick]) for pick in picks), class_index, cfg)
+
+
+def _blob_layout(draws: int, records: int, m: int, n: int) -> tuple:
+    """``(dtype, shape)`` of each blob column in blob order: per draw its
+    matrices, label rate and covariance indices, then per record its draw,
+    user order and class id."""
+    return (("<c16", (draws, 2, n, m)), ("<f8", (draws,)), ("<i4", (draws, n)),
+            ("<i4", (records,)), ("<i4", (records, n)), ("<i4", (records,)))
+
+
+def _nbytes(column) -> int:
+    dtype, shape = column
+    return np.dtype(dtype).itemsize * math.prod(shape)
 
 
 def serialize(dataset: DatasetSplit, path) -> None:
     """Write the dataset container; byte-exact and reloadable.
 
-    Every split is checked before the file is opened; then each split's
-    matrices are written as one part straight from its store, followed by
-    the record columns.
+    Every split is checked before the file is opened. The store written holds
+    each draw some record uses once, in the order of the splits' stores and
+    of the draws in each, so a loaded dataset writes its own bytes again.
     """
-    cfg = dataset.config
-    matrices, ids, rates, assignments = zip(*(_columns(part, dataset.class_index, cfg.antennas, cfg.users)
-                                              for _, part in dataset.parts()))
-    ids, rates, assignments = np.concatenate(ids), np.concatenate(rates), np.concatenate(assignments)
-    _check_columns("sample", ids, rates, assignments, len(dataset.class_index), cfg.num_covs)
+    cfg, parts = dataset.config, [part for _, part in dataset.parts()]
+    ids = [_columns(f"{name} split: ", part, dataset.class_index, cfg) for name, part in dataset.parts()]
+    store, draws = _stored(parts)
     header = {
         "format_version": DATASET_VERSION,
         "config": cfg.to_dict(),
         "class_index": dataset.class_index,
-        "split_sizes": [len(part) for _, part in dataset.parts()],
+        "draws": len(store.rates),
+        "split_sizes": [len(part) for part in parts],
     }
-    tail = (ids.astype("<i4").tobytes(), rates.astype("<f8").tobytes(), assignments.astype("<i4").tobytes())
-    _binio.write_container(path, DATASET_MAGIC, header, chain(matrices, tail))
+    columns = (*store, draws, np.concatenate([part.orders for part in parts]), np.concatenate(ids))
+    layout = _blob_layout(len(store.rates), len(draws), cfg.antennas, cfg.users)
+    _binio.write_container(path, DATASET_MAGIC, header,
+                           (np.ascontiguousarray(column, dtype) for column, (dtype, _) in zip(columns, layout)))
 
 
-def _columns(records: Records, class_index: dict[str, int], m: int, n: int):
-    """``(matrices laid out as in the blob, class_index ids, label rates, (S, n)
-    covariance indices)`` of one split, refused unless its matrices are m x n,
-    every record has n covariance indices and every label is in
-    ``class_index``."""
-    shape, count = records.matrices.shape[2:], records.assignments.shape[1]
-    if shape != (m, n) or count != n:
-        raise DataFormatError(f"sample matrices have shape {shape} and {count} "
-                              f"covariance indices, expected {(m, n)} and {n}")
+def _columns(where: str, records: Records, class_index: dict[str, int], cfg: ScenarioConfig) -> np.ndarray:
+    """The ``class_index`` id of each of ``records``, refused unless its
+    matrices are M x N, its draws have N covariance indices and its records
+    N users, every label is in ``class_index`` and its columns pass
+    ``_check_columns``."""
+    m, n, store = cfg.antennas, cfg.users, records.store
+    shape, count, users = store.matrices.shape[:1:-1], store.assignments.shape[1], records.orders.shape[1]
+    if (shape, count, users) != ((m, n), n, n):
+        raise DataFormatError(f"sample matrices have shape {shape}, {count} covariance indices and {users} "
+                              f"users, expected {(m, n)}, {n} and {n}")
     ids = class_ids(records, class_index)
     if (ids < 0).any():
         label = records.labels[records.ids[np.argmax(ids < 0)]]
         raise DataFormatError(f"sample label {label!r} is not a key of class_index")
-    # the blob's bytes: each matrix stored transposed, in C order; a store already is
-    matrices = np.ascontiguousarray(records.matrices.transpose(0, 1, 3, 2), dtype="<c16")
-    return matrices, ids, records.rates, records.assignments
+    _check_columns(where, store, records.draws, records.orders, ids, len(class_index), cfg.num_covs)
+    return ids
 
 
-def load(path, splits=SPLITS) -> DatasetSplit:
-    """Read a dataset container, viewing the records of ``splits`` as ``Records``;
-    the others are zero-row ``Records``.
+def _stored(parts) -> tuple[Store, np.ndarray]:
+    """One store of the draws the records of ``parts`` use, each once, in the
+    order of their stores and of the draws in each, and each record's draw in it."""
+    stores = list({id(part.store): part.store for part in parts}.values())
+    starts = dict(zip(map(id, stores), accumulate((len(store.rates) for store in stores), initial=0)))
+    store = stores[0] if len(stores) == 1 else Store(*map(np.concatenate, zip(*stores)))
+    used, draws = np.unique(np.concatenate([part.draws + starts[id(part.store)] for part in parts]),
+                            return_inverse=True)
+    if len(used) < len(store.rates):
+        store = Store(*(column[used] for column in store))
+    return store, draws
 
-    Every byte is CRC-checked and every record column checked with one array
-    predicate; the matrices of records before the first wanted split are read
-    past, never held.
+
+def load(path) -> DatasetSplit:
+    """Read a dataset container, viewing its store and record columns in the blob.
+
+    Every byte is CRC-checked and every column checked with one array
+    predicate; nothing is copied.
     """
-    if not set(splits) <= set(SPLITS):
-        raise ValueError(f"splits must be among {SPLITS}, got {splits!r}")
-    (cfg, class_index, labels, bounds, first), kept = _binio.read_container(
-        path, DATASET_MAGIC, DATASET_VERSION, partial(_layout, path, splits))
-    m, n, count = cfg.antennas, cfg.users, bounds[-1]
-    span = 2 * m * n * 16
-    # the kept bytes run from record ``first``'s matrices to the end of the blob
-    base = first * span
-    matrices = np.frombuffer(kept, "<c16", (count - first) * 2 * m * n).reshape(-1, 2, n, m).transpose(0, 1, 3, 2)
-    ids = np.frombuffer(kept, "<i4", count, count * span - base)
-    rates = np.frombuffer(kept, "<f8", count, count * (span + 4) - base)
-    assignments = np.frombuffer(kept, "<i4", count * n, count * (span + 12) - base).reshape(count, n)
-    _check_columns(f"{path}: record", ids, rates, assignments, len(labels), cfg.num_covs)
-    ranges = [(lo, hi) if name in splits else (first, first) for name, lo, hi in zip(SPLITS, bounds, bounds[1:])]
-    parts = [Records(matrices[lo - first : hi - first], ids[lo:hi], labels, rates[lo:hi], assignments[lo:hi])
-             for lo, hi in ranges]
+    (cfg, class_index, labels, sizes, layout), blob = _binio.read_container(
+        path, DATASET_MAGIC, DATASET_VERSION, partial(_layout, path))
+    offsets = accumulate(map(_nbytes, layout), initial=0)
+    matrices, rates, assignments, draws, orders, ids = (
+        np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
+        for (dtype, shape), offset in zip(layout, offsets))
+    store = Store(matrices, rates, assignments)
+    _check_columns(f"{path}: ", store, draws, orders, ids, len(labels), cfg.num_covs)
+    bounds = list(accumulate(sizes, initial=0))
+    parts = [Records(store, draws[lo:hi], orders[lo:hi], ids[lo:hi], labels) for lo, hi in zip(bounds, bounds[1:])]
     return DatasetSplit(*parts, class_index, cfg)
 
 
-def _layout(path, splits, header: dict, blob_size: int):
-    """Check a dataset header against its blob's size; returns ``((config, class_index,
-    its labels in id order, split bounds, first wanted record), blob offset of that record)``."""
+def _layout(path, header: dict, blob_size: int):
+    """Check a dataset header against its blob's size; returns ``(config,
+    class_index, its labels in id order, split sizes, blob layout)``."""
     _binio.require(header, _HEADER_FIELDS, path)
     try:
         cfg = ScenarioConfig.from_dict(header["config"])
@@ -469,33 +506,39 @@ def _layout(path, splits, header: dict, blob_size: int):
         if not is_canonical_key(label, cfg.users):
             raise DataFormatError(f"{path}: class_index key {label!r} is not a canonical partition key "
                                   f"of {cfg.users} users")
-    sizes = header["split_sizes"]
+    sizes, draws = header["split_sizes"], header["draws"]
     if len(sizes) != len(SPLITS) or min(sizes) < 0:
         raise DataFormatError(f"{path}: split_sizes {sizes} is not {len(SPLITS)} record counts, each >= 0")
-    bounds = list(accumulate(sizes, initial=0))
-    span, count = 2 * cfg.antennas * cfg.users * 16, bounds[-1]
-    # per record: two <c16 matrices, then a <i4 class id, a <f8 rate and n <i4 covariance indices
-    record = span + 12 + 4 * cfg.users
-    if blob_size != count * record:
-        raise DataFormatError(f"{path}: blob holds {blob_size} bytes, not the {count} x {record} "
-                              f"of its {count} records")
-    first = min((bounds[SPLITS.index(name)] for name in splits), default=count)
-    return (cfg, class_index, labels, bounds, first), first * span
+    if draws < 0:
+        raise DataFormatError(f"{path}: draws {draws} is not a count >= 0")
+    layout = _blob_layout(draws, sum(sizes), cfg.antennas, cfg.users)
+    expected = sum(map(_nbytes, layout))
+    if blob_size != expected:
+        raise DataFormatError(f"{path}: blob holds {blob_size} bytes, not the {expected} of its {draws} draws "
+                              f"and {sum(sizes)} records")
+    return cfg, class_index, labels, sizes, layout
 
 
-def _check_columns(where: str, ids, rates, assignments, num_classes: int, num_covs: int) -> None:
-    """Refuse, naming the first bad record, a class id outside [0, num_classes),
-    a rate that is not finite, or a covariance index outside [0, num_covs)."""
+def _check_columns(where: str, store: Store, draws, orders, ids, num_classes: int, num_covs: int) -> None:
+    """Refuse, naming the first bad draw or record, a label rate that is not
+    finite, a covariance index outside [0, num_covs), a record's draw outside
+    the store, a user order that is no permutation, or a class id outside
+    [0, num_classes)."""
+    count, n = len(store.rates), orders.shape[1]
+    assignments = store.assignments
     checks = (
-        ("label id", ids, (ids < 0) | (ids >= num_classes), f"in [0, {num_classes}), the ids of class_index"),
-        ("label_rate", rates, ~np.isfinite(rates), "a finite number"),
-        ("cov_assignment", assignments, ((assignments < 0) | (assignments >= num_covs)).any(axis=1),
-         f"{assignments.shape[1]} indices in [0, {num_covs})"),
+        ("draw", "label_rate", store.rates, ~np.isfinite(store.rates), "a finite number"),
+        ("draw", "cov_assignment", assignments, ((assignments < 0) | (assignments >= num_covs)).any(axis=1),
+         f"{n} indices in [0, {num_covs})"),
+        ("record", "draw", draws, (draws < 0) | (draws >= count), f"in [0, {count}), the stored draws"),
+        ("record", "order", orders, (np.sort(orders, axis=1) != np.arange(n)).any(axis=1),
+         f"a permutation of 0..{n - 1}"),
+        ("record", "label id", ids, (ids < 0) | (ids >= num_classes), f"in [0, {num_classes}), the ids of class_index"),
     )
-    for name, column, bad, rule in checks:
+    for unit, name, column, bad, rule in checks:
         if bad.any():
             i = np.flatnonzero(bad)[0]
-            raise DataFormatError(f"{where} {i} has {name} {column[i].tolist()!r}, which is not {rule}")
+            raise DataFormatError(f"{where}{unit} {i} has {name} {column[i].tolist()!r}, which is not {rule}")
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:

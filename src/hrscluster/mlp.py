@@ -405,8 +405,8 @@ def load_model(path) -> MlpModel:
 
 
 def _layout(path, header: dict, blob_size: int):
-    """Check a checkpoint header against its blob's size; returns ``((layer_dims,
-    feature statistics, class labels), 0)``."""
+    """Check a checkpoint header against its blob's size; returns ``(layer_dims,
+    feature statistics, class labels)``."""
     _binio.require(header, _HEADER_FIELDS, path)
     dims = header["layer_dims"]
     if len(dims) < 2 or min(dims) < 1:
@@ -438,4 +438,4 @@ def _layout(path, header: dict, blob_size: int):
             raise DataFormatError(f"{path}: {key}[{i}] is {values[i].tolist()!r}, which is not a finite number"
                                   + (f" >= STD_FLOOR ({STD_FLOOR})" if key == "feature_std" else ""))
         constants.append(values)
-    return (dims, FeatureStats(*constants), tuple(labels)), 0
+    return dims, FeatureStats(*constants), tuple(labels)

@@ -89,16 +89,18 @@ def outer_precoders(groups):
 
 
 def as_records(samples):
-    """``samples`` (a list of ``data.Sample``) as one ``data.Records``, the
-    matrices in a store laid out as in the dataset blob; an empty list gives
-    zero records of the 8 x 4 matrices of ``tiny_config``."""
+    """``samples`` (a list of ``data.Sample``) as one ``data.Records``, each
+    sample its own draw of a store laid out as in the dataset blob, its users
+    in the drawn order; an empty list gives zero records of the 8 x 4
+    matrices of ``tiny_config``."""
     m, n = samples[0].H_true.shape if samples else (8, 4)
-    store = np.empty((len(samples), 2, n, m), dtype=complex)
-    for row, s in zip(store, samples):
+    matrices = np.empty((len(samples), 2, n, m), dtype=complex)
+    for row, s in zip(matrices, samples):
         row[0], row[1] = s.H_true.T, s.H_hat.T
     labels = tuple(dict.fromkeys(s.label for s in samples))
     ids = np.array([labels.index(s.label) for s in samples], dtype=np.int64)
     rates = np.array([s.label_rate for s in samples], dtype=float)
     assignments = np.array([s.cov_assignment for s in samples], dtype=np.int64)
     assignments = assignments.reshape(len(samples), -1 if samples else n)
-    return data.Records(store.transpose(0, 1, 3, 2), ids, labels, rates, assignments)
+    orders = np.tile(np.arange(n), (len(samples), 1))
+    return data.Records(data.Store(matrices, rates, assignments), np.arange(len(samples)), orders, ids, labels)

@@ -246,12 +246,13 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_version_one_dataset_exits_3(workdir, tmp_path, capsys, version):
     # a version-1 dataset was labelled with Monte Carlo similarity constants
     # and its config carried their draw count; version 2 kept its records in
     # the header; version 3's config carried the sweep grid and quadrature sizes;
-    # version 4's config carried the dataset recipe and num_covs
+    # version 4's config carried the dataset recipe and num_covs; version 5
+    # stored every record's matrices, each augmented copy of a draw again
     path = tmp_path / "old.hrsdat"
     header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION)
     header["format_version"] = version
@@ -260,7 +261,8 @@ def test_version_one_dataset_exits_3(workdir, tmp_path, capsys, version):
     _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
     rc = cli.run(["train", "--data", str(path), "--out", str(tmp_path / "m")])
     assert rc == 3
-    assert f"version {version}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"version {version}" in err and "regenerate" in err
 
 
 def _shorter_blob(header, blob):
@@ -278,14 +280,18 @@ def _no_layer_dims(header, blob):
 
 
 def _record_columns(header, blob):
-    """A writable copy of a dataset blob, and views of its label id, rate and covariance columns."""
-    cfg, count = header["config"], sum(header["split_sizes"])
+    """A writable copy of a dataset blob, and views of its per-draw rate and
+    covariance columns and its per-record draw, user order and label id columns."""
+    cfg, draws, count = header["config"], header["draws"], sum(header["split_sizes"])
     blob, n = bytearray(blob), cfg["users"]
-    start = count * 2 * cfg["antennas"] * n * 16
+    start = draws * 2 * cfg["antennas"] * n * 16
+    records = start + draws * (8 + 4 * n)
     return blob, {
-        "label": np.frombuffer(blob, "<i4", count, start),
-        "label_rate": np.frombuffer(blob, "<f8", count, start + 4 * count),
-        "cov_assignment": np.frombuffer(blob, "<i4", count * n, start + 12 * count).reshape(count, n),
+        "label_rate": np.frombuffer(blob, "<f8", draws, start),
+        "cov_assignment": np.frombuffer(blob, "<i4", draws * n, start + 8 * draws).reshape(draws, n),
+        "draw": np.frombuffer(blob, "<i4", count, records),
+        "order": np.frombuffer(blob, "<i4", count * n, records + 4 * count).reshape(count, n),
+        "label": np.frombuffer(blob, "<i4", count, records + 4 * (n + 1) * count),
     }
 
 
@@ -304,19 +310,25 @@ def _header_as_list(header, blob):
     return [header], blob
 
 
-def _set_first_record(key, value):
+def _set_record(key, row, value):
+    """An edit that sets entry ``row`` of the blob column ``key``; the value
+    ``"draws"`` stands for the header's draw count."""
     def edit(header, blob):
         blob, columns = _record_columns(header, blob)
-        columns[key][0] = value
+        columns[key][row] = header["draws"] if value == "draws" else value
         return header, blob
 
+    return edit
+
+
+def _set_first_record(key, value):
+    edit = _set_record(key, 0, value)
     edit.__name__ = f"_{key}_{json.dumps(value)}"
     return edit
 
 
 def _one_record_short(header, blob):
-    users = header["config"]["users"]
-    record = 2 * header["config"]["antennas"] * users * 16 + 4 + 8 + 4 * users
+    record = 4 + 4 * header["config"]["users"] + 4  # its draw, user order and label id
     return header, blob[:-record]
 
 
@@ -494,7 +506,7 @@ def test_compare_refuses_a_fault_in_the_train_records_it_does_not_score(workdir,
     assert data.load(source).train  # so record 0, the one spoilt below, is a train record
     if fault == "flipped byte":
         raw = bytearray(source.read_bytes())
-        raw[16 + int.from_bytes(raw[8:16], "little") + 100] ^= 0xFF  # inside record 0's H_true
+        raw[16 + int.from_bytes(raw[8:16], "little") + 100] ^= 0xFF  # inside draw 0's H_true
         path.write_bytes(bytes(raw))
     else:
         header, blob = _label_outside_class_index(
@@ -503,6 +515,58 @@ def test_compare_refuses_a_fault_in_the_train_records_it_does_not_score(workdir,
     argv = ["compare", "--data", str(path), "--model", str(workdir / "model.hrsmlp"), "--out", str(tmp_path / "r")]
     assert cli.run(argv) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set_record("draw", 3, "draws"), "record 3 has draw ", id="draw-past-the-store"),
+        pytest.param(_set_record("draw", 3, -1), "record 3 has draw -1,", id="negative-draw"),
+        pytest.param(_set_record("order", 3, [0, 0, 2, 3]), "record 3 has order [0, 0, 2, 3],", id="order-repeats"),
+        pytest.param(_set_record("order", 3, [1, 2, 3, 4]), "record 3 has order [1, 2, 3, 4],", id="order-past-n"),
+        pytest.param(_set_record("cov_assignment", 2, [0, 1, 2, 4]), "draw 2 has cov_assignment [0, 1, 2, 4],",
+                     id="cov-assignment-out-of-range"),
+        pytest.param(_set_record("label_rate", 2, float("nan")), "draw 2 has label_rate nan,", id="nan-rate"),
+        pytest.param(_set_record("label_rate", 2, float("inf")), "draw 2 has label_rate inf,", id="inf-rate"),
+    ],
+)
+def test_bad_draw_or_record_column_exits_3_naming_it(workdir, tmp_path, capsys, edit, message):
+    # each column is checked with one array predicate; the message names the field and the first bad entry
+    header, blob = edit(*_binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION))
+    path = tmp_path / "data.hrsdat"
+    _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
+    for argv in (["train", "--data", str(path), "--out", str(tmp_path / "m")],
+                 ["compare", "--data", str(path), "--model", str(workdir / "model.hrsmlp"),
+                  "--out", str(tmp_path / "r")]):
+        assert cli.run(argv) == 3
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists() and not (tmp_path / "r").exists()
+
+
+def _directory(path):
+    path.mkdir()
+
+
+def _latin1(path):
+    path.write_bytes('{"users": 4, "antennas": 8, "name": "caf\xe9"}'.encode("latin-1"))
+
+
+@pytest.mark.parametrize("make, message", [(_directory, "cannot open config file"), (_latin1, "UTF-8")])
+@pytest.mark.parametrize("command", ["gen-dataset", "sweep"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make, message, command):
+    # a directory named like a config, or a config that is not UTF-8, is refused as a missing one is
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    make(configs / "bad.json")
+    out = tmp_path / "out"
+    if command == "gen-dataset":
+        argv = ["gen-dataset", "--config", str(configs / "bad.json"), "--out", str(out)]
+    else:
+        argv = ["sweep", "--configs", str(configs), "--out", str(out)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(configs / "bad.json") in err
+    assert not out.exists()
 
 
 def test_seed_override_changes_dataset(workdir, tmp_path):

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
@@ -33,6 +32,12 @@ def augmented(samples, cfg):
     """``data.augment`` of every one of ``samples`` under ``cfg``'s seed, as a list of ``data.Sample``."""
     records = as_records(samples)
     return list(records.take(*data.augment(records, np.arange(len(records)), cfg.seed)))
+
+
+def stored_values(samples):
+    """Every stored value of ``samples``, with the Python type of each scalar."""
+    return [(s.H_true.tobytes(), s.H_hat.tobytes(), s.label, s.label_rate, type(s.label_rate),
+             s.cov_assignment, tuple(map(type, s.cov_assignment))) for s in samples]
 
 
 def split_samples(samples, seed):
@@ -174,9 +179,14 @@ def test_generation_starts_no_more_workers_than_chunks(monkeypatch, samples, thr
 
     monkeypatch.setattr(data, "Pool", RecordingPool)
     cfg = data.ScenarioConfig(users=4, antennas=8, samples=samples, seed=6)
-    pooled = data.generate_samples(cfg, threads=threads)
-    assert started == [workers]
-    assert [s.label for s in pooled] == [s.label for s in data.generate_samples(cfg)]
+    serial = [s.label for s in data.generate_samples(cfg)]
+    # nor more than the host has CPUs; an unknown CPU count reads as one
+    for cpus in (64, 2, None):
+        monkeypatch.setattr(data.os, "cpu_count", lambda: cpus)
+        started.clear()
+        pooled = data.generate_samples(cfg, threads=threads)
+        assert started == [min(workers, cpus or 1)]
+        assert [s.label for s in pooled] == serial
 
 
 # (label, label_rate) of draws 0..29 at seed 20240801, recorded from the
@@ -629,37 +639,52 @@ def test_serialize_rejects_a_non_finite_label_rate_before_writing(tiny_dataset, 
 
 
 def test_loaded_matrices_are_read_only_column_major_views_of_one_buffer(tiny_dataset, tmp_path):
+    # every split indexes one store, and the store and every record column view the blob: the load copies nothing
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
-    samples = data.load(path).all_samples()
-    m = tiny_dataset.config.antennas
-    for s in samples:
-        for h in (s.H_true, s.H_hat):
-            assert h.strides == (16, 16 * m)
-            assert not h.flags.writeable
-    # the load copies no matrix: the first and the last record view one buffer
-    buffer = samples[0].H_true.base
-    assert np.shares_memory(buffer, samples[0].H_true) and np.shares_memory(buffer, samples[-1].H_hat)
+    loaded = data.load(path)
+    store = loaded.train.store
+    assert loaded.validation.store is store and loaded.test.store is store
+    columns = (*store, *(getattr(part, name) for _, part in loaded.parts() for name in ("draws", "orders", "ids")))
+    assert all(not column.flags.writeable for column in columns)
+    blob = _binio.read_container(path, data.DATASET_MAGIC, data.DATASET_VERSION)[1]
+
+    def owner(array):
+        """The object whose memory ``array`` views."""
+        while isinstance(array, np.ndarray):
+            array = array.base
+        return array.obj if isinstance(array, memoryview) else array
+
+    assert len({id(owner(column)) for column in columns}) == 1
+    assert len(owner(store.matrices)) == len(blob)
+    assert store.matrices.tobytes() == bytes(blob[: store.matrices.nbytes])
+    m, n = tiny_dataset.config.antennas, tiny_dataset.config.users
+    assert store.matrices.shape == (len(store.rates), 2, n, m)
 
 
-VAL_TEST = ("validation", "test")
-
-
-def test_validation_and_test_load_equals_the_full_load(tiny_dataset, tmp_path):
+def test_records_gather_their_draw_with_the_users_in_their_order(tiny_dataset, tmp_path):
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
-    full, subset = data.load(path), data.load(path, VAL_TEST)
-    assert len(subset.train) == 0 and full.train
-    assert subset.config == full.config and subset.class_index == full.class_index
-    for part in VAL_TEST:
-        assert len(getattr(subset, part)) == len(getattr(full, part)) > 0
-        for a, b in zip(getattr(full, part), getattr(subset, part)):
-            for g, h in ((a.H_true, b.H_true), (a.H_hat, b.H_hat)):
-                assert g.tobytes() == h.tobytes() and g.strides == h.strides and not h.flags.writeable
-            assert (a.label, a.label_rate, a.cov_assignment) == (b.label, b.label_rate, b.cov_assignment)
-            assert type(b.label_rate) is float and all(type(c) is int for c in b.cov_assignment)
-    # the kept records view one buffer
-    assert np.shares_memory(subset.validation[0].H_true.base, subset.test[-1].H_hat)
+    loaded = data.load(path)
+    store, m = loaded.train.store, tiny_dataset.config.antennas
+    copies = {}
+    for (_, written), (_, part) in zip(tiny_dataset.parts(), loaded.parts()):
+        for r, (sample, draw, order) in enumerate(zip(part, part.draws.tolist(), part.orders)):
+            # the oracle: the draw's stored matrices, (N, M) each, their user rows taken in the record's order
+            h_true, h_hat = (np.array(store.matrices[draw, k])[order].T for k in range(2))
+            assert sample.H_true.tobytes() == h_true.tobytes() and sample.H_hat.tobytes() == h_hat.tobytes()
+            for h in (sample.H_true, sample.H_hat):
+                assert h.strides == (16, 16 * m) and not h.flags.writeable
+            # and every value the in-memory record holds, with its scalar types
+            assert stored_values([sample]) == stored_values([written[r]])
+            copies.setdefault(draw, []).append((sample, order))
+    # the augmented copies of a draw share its rate and label, each with its covariance indices in its own user order
+    assert max(map(len, copies.values())) == 1 + data.NUM_SHUFFLES
+    for draw, group in copies.items():
+        assert {(s.label, s.label_rate) for s, _ in group} == {(group[0][0].label, float(store.rates[draw]))}
+        for s, order in group:
+            assert s.cov_assignment == tuple(store.assignments[draw][order].tolist())
+    assert sorted(copies) == list(range(len(store.rates)))  # the file stores each draw a record uses, once
 
 
 def _flip_train_matrix_byte(raw, header_end):
@@ -678,7 +703,6 @@ def _truncate(raw, header_end):
     del raw[40:]
 
 
-@pytest.mark.parametrize("splits", [data.SPLITS, VAL_TEST])
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -688,8 +712,7 @@ def _truncate(raw, header_end):
         (_truncate, "CRC mismatch"),
     ],
 )
-def test_every_load_refuses_a_corrupted_file(tiny_dataset, tmp_path, splits, edit, message):
-    # the validation and test load reads past the train matrices, but CRC-checks them
+def test_every_load_refuses_a_corrupted_file(tiny_dataset, tmp_path, edit, message):
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
     raw = bytearray(path.read_bytes())
@@ -697,41 +720,7 @@ def test_every_load_refuses_a_corrupted_file(tiny_dataset, tmp_path, splits, edi
     edit(raw, header_end)
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match=message):
-        data.load(path, splits)
-
-
-def test_validation_and_test_load_checks_the_train_columns(tiny_dataset, tmp_path):
-    path = tmp_path / "ds.hrsdat"
-    data.serialize(tiny_dataset, path)
-    header, blob = _binio.read_container(path, data.DATASET_MAGIC, data.DATASET_VERSION)
-    blob = bytearray(blob)
-    cfg, count = tiny_dataset.config, sum(header["split_sizes"])
-    assert tiny_dataset.train  # so record 0 is a train record
-    np.frombuffer(blob, "<i4", 1, count * 2 * cfg.antennas * cfg.users * 16)[:] = 9999  # its class id
-    _binio.write_container(path, data.DATASET_MAGIC, header, (blob,))
-    with pytest.raises(DataFormatError, match="record 0 has label id 9999"):
-        data.load(path, VAL_TEST)
-
-
-def test_validation_and_test_load_of_a_train_heavy_file_holds_a_fraction_of_it(tmp_path):
-    # the train matrices are read past a chunk at a time; only the records after them are kept
-    cfg = data.ScenarioConfig(users=8, antennas=8, samples=1)
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal((4000, 2, 8, 8)) + 1j * rng.standard_normal((4000, 2, 8, 8))
-    samples = [data.Sample(h[i, 0], h[i, 1], "1,2,3,4,5,6,7,8", float(i), (0,) * 8) for i in range(len(h))]
-    records = as_records(samples)
-    dataset = data.DatasetSplit(records[:3800], records[3800:3900], records[3900:], {"1,2,3,4,5,6,7,8": 0}, cfg)
-    path = tmp_path / "big.hrsdat"
-    data.serialize(dataset, path)
-    del h, samples, records, dataset
-    tracemalloc.start()
-    try:
-        loaded = data.load(path, VAL_TEST)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(loaded.validation) == len(loaded.test) == 100
-    assert peak < path.stat().st_size / 4
+        data.load(path)
 
 
 def _synthetic_dataset(n_train, n_val=40, n_test=40, seed=0):
@@ -746,14 +735,6 @@ def _synthetic_dataset(n_train, n_val=40, n_test=40, seed=0):
     records = as_records(samples)
     parts = records[:n_train], records[n_train : n_train + n_val], records[n_train + n_val :]
     return data.DatasetSplit(*parts, {label: i for i, label in enumerate(labels)}, cfg)
-
-
-def _output_digests():
-    path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
-    spec = importlib.util.spec_from_file_location("output_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_load_allocates_no_object_per_record(tmp_path):
@@ -780,14 +761,13 @@ def test_loaded_split_is_a_read_only_column_backed_sequence(tmp_path):
     for name, written in dataset.parts():
         records = getattr(loaded, name)
         assert isinstance(records, data.Records) and len(records) == len(written)
-        for column in (records.H_true, records.H_hat, records.ids, records.rates, records.assignments):
+        for column in (*records.store, records.draws, records.orders, records.ids):
             assert not column.flags.writeable
     train, written = loaded.train, dataset.train
-    digests = _output_digests()
     # every stored value and the Python type of every scalar, field by field
-    assert digests._records(train) == digests._records(written)
-    assert digests._records([train[0], train[-1]]) == digests._records([written[0], written[-1]])
-    assert digests._records([train[-len(train)]]) == digests._records([written[0]])
+    assert stored_values(train) == stored_values(written)
+    assert stored_values([train[0], train[-1]]) == stored_values([written[0], written[-1]])
+    assert stored_values([train[-len(train)]]) == stored_values([written[0]])
     for index in (len(train), -len(train) - 1):
         with pytest.raises(IndexError):
             train[index]
@@ -795,8 +775,8 @@ def test_loaded_split_is_a_read_only_column_backed_sequence(tmp_path):
         train[1.0]
     part = train[5:700:3]
     assert isinstance(part, data.Records) and len(part) == len(written[5:700:3])
-    assert digests._records(part) == digests._records(written[5:700:3])
-    assert digests._records(list(iter(train))) == digests._records(written)
+    assert stored_values(part) == stored_values(written[5:700:3])
+    assert stored_values(list(iter(train))) == stored_values(written)
     sample = train[7]
     assert type(sample) is data.Sample and not sample.H_true.flags.writeable and not sample.H_hat.flags.writeable
     assert type(sample.label_rate) is float and all(type(c) is int for c in sample.cov_assignment)

@@ -20,10 +20,7 @@ it was.
 Each dataset and model is also read back with ``data.load`` and
 ``mlp.load_model`` and written again; the script exits non-zero unless the
 second write gives the same bytes, so the readers accept every file the
-writers produce. Each dataset is read again with only its validation and
-test splits, as ``compare`` reads it, and once per split with that split
-alone; the script exits non-zero unless every such read's records equal the
-full read's and its other splits are empty.
+writers produce.
 """
 
 from __future__ import annotations
@@ -44,30 +41,16 @@ def _sha256(data: bytes) -> str:
 
 
 def check_round_trip(path: Path) -> None:
-    """Exit unless ``path`` reads back and writes again to the same bytes, and,
-    for a dataset, unless its validation and test splits read alone, and each
-    split read alone, equal the full read's."""
+    """Exit unless ``path`` reads back and writes again to the same bytes."""
     from hrscluster import data, mlp
 
     again = path.with_name("again-" + path.name)
     if path.suffix == ".hrsmlp":
         mlp.save_model(mlp.load_model(path), again)
     else:
-        full = data.load(path)
-        data.serialize(full, again)
-        for splits in (("validation", "test"), *((name,) for name in data.SPLITS)):
-            subset = data.load(path, splits)
-            if any(_records(getattr(subset, part)) != (_records(getattr(full, part)) if part in splits else [])
-                   for part in data.SPLITS):
-                raise SystemExit(f"{path.name}: a read of {' and '.join(splits)} alone differs from the full read")
+        data.serialize(data.load(path), again)
     if again.read_bytes() != path.read_bytes():
         raise SystemExit(f"{path.name} does not read back to the same bytes")
-
-
-def _records(samples) -> list:
-    """Every stored value of ``samples``, with the Python type of each scalar."""
-    return [(s.H_true.tobytes(), s.H_hat.tobytes(), s.label, s.label_rate, type(s.label_rate),
-             s.cov_assignment, tuple(map(type, s.cov_assignment))) for s in samples]
 
 
 def digests(work: Path) -> dict:
