@@ -7,9 +7,10 @@ Subcommands:
     compare     --data D --model M [--out R]  accuracy, relative rate and baselines
     sweep       --configs DIR --out R  full pipeline for every config file
 
-Global flags: ``--seed`` overrides the config seed, ``--threads`` sets the
-generation worker count.
-Exit codes: 0 success, 2 configuration error, 3 data-format error,
+Global flags: ``--seed`` overrides the config seed, ``--threads`` (at least 1)
+sets the generation worker count.
+Exit codes: 0 success, 2 configuration error (an input that cannot be read
+or an output that cannot be written among them), 3 data-format error,
 4 numerical-consistency error.
 """
 
@@ -44,9 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--out", required=True, help="output model checkpoint")
     p.add_argument("--report", default=None, help="optional JSON training report")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=mlp.TrainingHyper.epochs)
 
     p = sub.add_parser("compare", help="accuracy, relative rate and the four clustering baselines")
     p.add_argument("--data", required=True)
@@ -78,12 +77,8 @@ def _cmd_gen_dataset(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = data.load(args.data)
-    hyper = mlp.TrainingHyper(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed if args.seed is not None else dataset.config.seed,
-    )
+    seed = args.seed if args.seed is not None else dataset.config.seed
+    hyper = mlp.TrainingHyper(epochs=args.epochs, seed=seed)
     model, rep = mlp.train(dataset, hyper)
     mlp.save_model(model, args.out)
     if args.report:
@@ -169,10 +164,17 @@ _COMMANDS = {"gen-dataset": _cmd_gen_dataset, "train": _cmd_train, "compare": _c
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
+    except OSError as exc:  # an output that cannot be written; the readers refuse their inputs themselves
+        if exc.filename is None:
+            raise
+        error = ConfigurationError(f"cannot open {exc.filename}: {exc.strerror}")
     except HrsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 def main() -> None:

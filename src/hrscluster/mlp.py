@@ -7,11 +7,11 @@ the partition classes. The pair similarities are the quantities
 agglomeration starts from; they are phase-invariant fourth-order functions
 of the estimate that the network would otherwise have to learn from the
 draws. Standardization is fitted on the training split, which is featurized
-once. Trained with mini-batch Adam (fixed beta1, beta2 and eps; only the
-learning rate is a knob) on the mean categorical cross entropy. Everything
-is plain numpy so training is bit-reproducible for a fixed seed and
-platform. ``evaluate_topk`` is the one top-k rule: k is capped at the class
-count and an empty sample list reads NaN.
+once. Trained with mini-batch Adam on the mean categorical cross entropy; the
+recipe (``HIDDEN``, ``BATCH_SIZE``, ``LEARNING_RATE``, Adam's betas and eps)
+has no knob, a run sets its epochs and seed. All plain numpy, so training is
+bit-reproducible for a fixed seed and platform. ``evaluate_topk`` is the one
+top-k rule: k is capped at the class count and an empty sample list reads NaN.
 
 A split is a ``data.Records``; ``data.h_hat_stack`` and ``data.class_ids``
 read its estimates and its class ids. ``predict_labels`` also takes a list
@@ -46,6 +46,10 @@ MODEL_VERSION = 2  # 2: inputs gained the user-pair similarities
 STD_FLOOR = 1e-8
 PROB_FLOOR = 1e-12
 
+# The training recipe.
+HIDDEN = (256, 128)
+BATCH_SIZE = 128
+LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -243,17 +247,16 @@ def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Learning rate, step count, and the moments m[i], v[i] of (weights + biases)[i]."""
+    """Step count, and the moments m[i], v[i] of (weights + biases)[i]."""
 
-    lr: float = 1e-3
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
-    def for_model(model: MlpModel, lr: float = 1e-3) -> "AdamState":
+    def for_model(model: MlpModel) -> "AdamState":
         params = model.weights + model.biases
-        return AdamState(lr=lr, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+        return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
@@ -267,25 +270,18 @@ def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        p -= LEARNING_RATE * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return model
 
 
 @dataclass(frozen=True)
 class TrainingHyper:
-    hidden: tuple[int, ...] = (256, 128)
-    learning_rate: float = 1e-3
     epochs: int = 50
-    batch_size: int = 128
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch size must be at least 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
@@ -312,16 +308,16 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
     y_val = class_ids(dataset.validation, dataset.class_index)
 
     rng = np.random.default_rng(hyper.seed)
-    model = init_model(x_train.shape[1], hyper.hidden, labels_sorted, stats, rng)
-    state = AdamState.for_model(model, hyper.learning_rate)
+    model = init_model(x_train.shape[1], HIDDEN, labels_sorted, stats, rng)
+    state = AdamState.for_model(model)
 
     n = len(x_train)
     epoch_losses, epoch_val = [], []
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             xb, yb = x_train[idx], y_train[idx]
             grads, batch_loss = backward(model, xb, yb)
             total += batch_loss * len(idx)

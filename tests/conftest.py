@@ -74,9 +74,9 @@ def tiny_dataset(tiny_config):
 
 @pytest.fixture(scope="session")
 def tiny_model(tiny_dataset):
-    model, report = mlp.train(
-        tiny_dataset, mlp.TrainingHyper(hidden=(32, 16), epochs=10, seed=3)
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlp, "HIDDEN", (32, 16))
+        model, report = mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=10, seed=3))
     return model
 
 

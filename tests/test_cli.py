@@ -186,16 +186,55 @@ def test_missing_input_file_exits_2(workdir, tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [("--epochs", "0", "epochs"), ("--batch-size", "0", "batch size"), ("--learning-rate", "0", "learning rate")],
-)
+@pytest.mark.parametrize("flag, value, message", [("--epochs", "0", "epochs")])
 def test_bad_training_hyperparameters_exit_2(workdir, tmp_path, capsys, flag, value, message):
     model = tmp_path / "m.hrsmlp"
     rc = cli.run(["train", "--data", str(workdir / "data.hrsdat"), "--out", str(model), flag, value])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--batch-size", "64"), ("--learning-rate", "0.01")])
+def test_removed_training_flags_exit_2(workdir, tmp_path, capsys, flag, value):
+    # the batch size and learning rate are mlp constants, so the parser
+    # refuses the flags as unknown arguments
+    model = tmp_path / "m.hrsmlp"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["train", "--data", str(workdir / "data.hrsdat"), "--out", str(model), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-dataset", "--config", "{cfg}", "--out", "{missing}"],
+        ["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{missing}"],
+        ["train", "--data", "{data}", "--out", "{missing}", "--epochs", "1"],
+        ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{missing}"],
+        # compare writes into a directory, which cannot be made over a file
+        ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}"],
+    ],
+    ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "compare--out"],
+)
+def test_unwritable_output_exits_2(workdir, tmp_path, capsys, argv):
+    paths = {"cfg": workdir / "cfg.json", "data": workdir / "data.hrsdat", "model": workdir / "model.hrsmlp",
+             "out": tmp_path / "out", "missing": tmp_path / "missing" / "out", "file": tmp_path / "a-file"}
+    paths["file"].write_text("")
+    assert cli.run([arg.format(**paths) for arg in argv]) == 2
+    bad, reason = (paths["file"], "File exists") if "{file}" in argv else (paths["missing"], "No such file or directory")
+    assert capsys.readouterr().err == f"error: cannot open {bad}: {reason}\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exits_2(workdir, tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    rc = cli.run(["--threads", threads, "gen-dataset", "--config", str(workdir / "cfg.json"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
 
 
 def test_corrupt_dataset_exits_3(workdir, tmp_path):

@@ -201,9 +201,10 @@ def test_topk_saturates_at_class_count_as_in_training():
     assert metrics["test_top5"] == 1.0
 
 
-def test_empty_test_split_reads_nan_in_train_and_compare(tiny_dataset):
+def test_empty_test_split_reads_nan_in_train_and_compare(tiny_dataset, monkeypatch):
     empty = dataclasses.replace(tiny_dataset, test=[])
-    model, report = mlp.train(empty, mlp.TrainingHyper(hidden=(8,), epochs=1, seed=2))
+    monkeypatch.setattr(mlp, "HIDDEN", (8,))
+    model, report = mlp.train(empty, mlp.TrainingHyper(epochs=1, seed=2))
     metrics = evaluation.accuracy_metrics(empty, model)
     for key in ("test_top1", "test_top3", "test_top5"):
         assert np.isnan(getattr(report, key))

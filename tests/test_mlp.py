@@ -260,13 +260,13 @@ def test_adam_zero_gradient_keeps_parameters():
 def test_adam_first_step_is_signed_learning_rate():
     model = toy_model([2, 2, 2], seed=10)
     before = [w.copy() for w in model.weights]
-    state = mlp.AdamState.for_model(model, lr=1e-3)
+    state = mlp.AdamState.for_model(model)
     grads_w = [np.full_like(w, 0.5) * np.sign(np.arange(w.size).reshape(w.shape) - 1.5 + 1e-9) for w in model.weights]
     grads_b = [np.zeros_like(b) for b in model.biases]
     mlp.adam_step(model, state, (grads_w, grads_b))
     for w, prev, g in zip(model.weights, before, grads_w):
         step = prev - w
-        assert np.allclose(step, 1e-3 * np.sign(g), atol=1e-7)
+        assert np.allclose(step, mlp.LEARNING_RATE * np.sign(g), atol=1e-7)
 
 
 def test_adam_deterministic_over_steps():
@@ -301,12 +301,12 @@ def _toy_split(n=60, seed=12):
     return data.DatasetSplit(*(as_records([samples[i] for i in pick]) for pick in picks), index, cfg)
 
 
-def test_training_learns_separable_toy_problem():
+def test_training_learns_separable_toy_problem(monkeypatch):
     split = _toy_split()
-    hyper = mlp.TrainingHyper(
-        hidden=(8, 4), epochs=100, batch_size=8, learning_rate=1e-2, seed=13
-    )
-    model, report = mlp.train(split, hyper)
+    monkeypatch.setattr(mlp, "HIDDEN", (8, 4))
+    monkeypatch.setattr(mlp, "BATCH_SIZE", 8)
+    monkeypatch.setattr(mlp, "LEARNING_RATE", 1e-2)
+    model, report = mlp.train(split, mlp.TrainingHyper(epochs=100, seed=13))
     x = mlp.featurize_all(split.train, model.feature_stats)
     y = np.array([split.class_index[s.label] for s in split.train])
     acc = float((mlp.forward(model, x).argmax(axis=1) == y).mean())
@@ -314,13 +314,12 @@ def test_training_learns_separable_toy_problem():
     assert report.train_loss[-1] < report.train_loss[0]
 
 
-def test_training_beats_chance_on_validation(tiny_dataset, tiny_model):
+def test_training_beats_chance_on_validation(tiny_dataset, tiny_model, monkeypatch):
     chance = 1.0 / tiny_dataset.num_classes
     n_val = len(tiny_dataset.validation)
     sigma = np.sqrt(chance * (1 - chance) / n_val)
-    _, report = mlp.train(
-        tiny_dataset, mlp.TrainingHyper(hidden=(32, 16), epochs=10, seed=3)
-    )
+    monkeypatch.setattr(mlp, "HIDDEN", (32, 16))
+    _, report = mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=10, seed=3))
     assert report.val_top1[-1] >= chance - 3 * sigma
 
 
@@ -333,12 +332,14 @@ def test_training_featurizes_each_split_once(tiny_dataset, monkeypatch):
         return real(samples)
 
     monkeypatch.setattr(mlp, "_features", counting)
-    mlp.train(tiny_dataset, mlp.TrainingHyper(hidden=(8,), epochs=1, seed=2))
+    monkeypatch.setattr(mlp, "HIDDEN", (8,))
+    mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=1, seed=2))
     assert featurized == [len(part) for _, part in tiny_dataset.parts()]
 
 
-def test_training_deterministic(tiny_dataset):
-    hyper = mlp.TrainingHyper(hidden=(16, 8), epochs=3, seed=21)
+def test_training_deterministic(tiny_dataset, monkeypatch):
+    monkeypatch.setattr(mlp, "HIDDEN", (16, 8))
+    hyper = mlp.TrainingHyper(epochs=3, seed=21)
     m1, r1 = mlp.train(tiny_dataset, hyper)
     m2, r2 = mlp.train(tiny_dataset, hyper)
     assert r1.train_loss == r2.train_loss
@@ -346,7 +347,8 @@ def test_training_deterministic(tiny_dataset):
         assert a.tobytes() == b.tobytes()
 
 
-def test_training_from_generated_and_from_loaded_records_writes_the_same_checkpoint(tiny_dataset, tmp_path):
+def test_training_from_generated_and_from_loaded_records_writes_the_same_checkpoint(tiny_dataset, tmp_path,
+                                                                                   monkeypatch):
     # generation owns int64 class ids; a load views the blob's <i4 ids and <f8 columns
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
@@ -354,7 +356,8 @@ def test_training_from_generated_and_from_loaded_records_writes_the_same_checkpo
     assert all(isinstance(part, data.Records) for _, part in (*tiny_dataset.parts(), *loaded.parts()))
     assert tiny_dataset.train.ids.dtype == np.int64 and loaded.train.ids.dtype == np.dtype("<i4")
     assert not loaded.train.ids.flags.writeable and tiny_dataset.train.ids.flags.owndata
-    hyper = mlp.TrainingHyper(hidden=(16, 8), epochs=2, seed=5)
+    monkeypatch.setattr(mlp, "HIDDEN", (16, 8))
+    hyper = mlp.TrainingHyper(epochs=2, seed=5)
     written = []
     for dataset in (tiny_dataset, loaded):
         model, report = mlp.train(dataset, hyper)
