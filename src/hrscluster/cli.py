@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -62,7 +65,20 @@ def _apply_overrides(cfg: data.ScenarioConfig, args) -> data.ScenarioConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
+def _check_outputs(*paths) -> None:
+    """Raise, before any work, the ``OSError`` that writing each output file
+    would meet at its directory; ``None`` names no output."""
+    for path in filter(None, paths):
+        try:
+            is_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        if not is_dir:
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _cmd_gen_dataset(args) -> int:
+    _check_outputs(args.out, args.csv)
     cfg = _apply_overrides(data.ScenarioConfig.from_file(args.config), args)
     dataset = data.build_dataset(cfg, threads=args.threads)
     data.serialize(dataset, args.out)
@@ -76,6 +92,7 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_outputs(args.out, args.report)
     dataset = data.load(args.data)
     seed = args.seed if args.seed is not None else dataset.config.seed
     hyper = mlp.TrainingHyper(epochs=args.epochs, seed=seed)

@@ -303,11 +303,13 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
     result is identical whether generated serially or across workers, of
     which at most ``os.cpu_count()`` are started. The draws fill one store,
     each record its draw with its users as drawn; labels are numbered in the
-    order they are first drawn.
+    order they are first drawn. ``threads`` must be at least 1.
     """
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     one = partial(_generate_one, cfg, cfg.covariances(), cfg.hrs_config())
     indices = range(cfg.samples)
-    if threads <= 1:
+    if threads == 1:
         draws = map(one, indices)
     else:
         with Pool(min(threads, os.cpu_count() or 1, -(-cfg.samples // _GEN_CHUNK))) as pool:

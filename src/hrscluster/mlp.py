@@ -20,9 +20,11 @@ of ``data.Sample``, as the benchmark's one-record decisions pass it.
 Working memory does not scale with whole-split temporaries. ``_features``
 fills its output ``ROW_BLOCK`` rows at a time, from one C-contiguous stack
 of each block's estimates; every row goes through the same operations as in
-one stacked call, so the numbers are bit-identical.
-``evaluate_topk`` ranks in place on the probability matrix, one ``argmax``
-pass per rank.
+one stacked call, so the numbers are bit-identical. ``FeatureStats.fit``
+sums the squared deviations ``ROW_BLOCK`` rows at a time, in row order.
+The inference passes (``_top1``, ``predict_labels``, ``evaluate_topk``) run
+``forward`` on ``BATCH_SIZE`` rows at a time, so no probability matrix holds
+more rows than a training batch.
 The forward pass works in place on each layer's pre-activation (bias, ReLU,
 exp and normalization), and ``backward`` turns the probabilities into the
 output delta in place.
@@ -54,7 +56,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Rows per block of featurization.
+# Rows per block of featurization and of the feature statistics.
 ROW_BLOCK = 512
 
 # JSON types of the checkpoint header's fields.
@@ -71,9 +73,20 @@ class FeatureStats:
 
     @staticmethod
     def fit(features: np.ndarray) -> "FeatureStats":
+        """Column means and standard deviations, floored at ``STD_FLOOR``.
+
+        The squared deviations are summed down the rows in order, a block's
+        sum starting from the previous block's, as ``features.std(axis=0)``
+        sums a C-ordered array; so the result is bit for bit its floor,
+        without its whole-split temporary.
+        """
         mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        return FeatureStats(mean, np.maximum(std, STD_FLOOR))
+        total = np.zeros_like(mean)
+        for start in range(0, len(features), ROW_BLOCK):
+            squares = np.square(features[start : start + ROW_BLOCK] - mean)
+            squares[0] += total
+            total = squares.sum(axis=0)
+        return FeatureStats(mean, np.maximum(np.sqrt(total / len(features)), STD_FLOOR))
 
     def standardize(self, features: np.ndarray) -> np.ndarray:
         """Standardize unstandardized features in place; returns them."""
@@ -329,15 +342,31 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
     return model, TrainReport(epoch_losses, epoch_val, topk[1], topk[3], topk[5])
 
 
+def _ranking(model: MlpModel, x: np.ndarray, depth: int) -> np.ndarray:
+    """The ``depth`` most probable class indices of each row of ``x``, most
+    probable first, ties toward the smaller index; ``forward`` runs on
+    ``BATCH_SIZE`` rows at a time. Each rank is one pass over a block's
+    probabilities: every row's ``argmax`` (the first of tied maxima), which
+    is then overwritten with -inf."""
+    ranking = np.empty((len(x), depth), dtype=np.intp)
+    for start in range(0, len(x), BATCH_SIZE):
+        probs = forward(model, x[start : start + BATCH_SIZE])
+        rows = np.arange(len(probs))
+        for best in ranking[start : start + len(probs)].T:
+            best[:] = probs.argmax(axis=1)
+            probs[rows, best] = -np.inf
+        del probs  # before the next block's are allocated
+    return ranking
+
+
 def _top1(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    return float((forward(model, x).argmax(axis=1) == y).mean())
+    return float((_ranking(model, x, 1)[:, 0] == y).mean())
 
 
 def predict_labels(model: MlpModel, samples) -> list[str]:
     """Most probable partition key per sample."""
     x = featurize_all(samples, model.feature_stats)
-    best = forward(model, x).argmax(axis=1)
-    return [model.class_labels[i] for i in best]
+    return [model.class_labels[i] for i in _ranking(model, x, 1)[:, 0]]
 
 
 def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
@@ -349,9 +378,7 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     top-C, which is 1.0 up to samples labeled outside the model's classes.
     Probability ties resolve toward the smaller class index. Classes a model
     never saw cannot be credited; a sample labeled outside the model's
-    classes counts as a miss. Ranking costs K = min(max(k), C) passes over
-    the probabilities: each pass takes every row's ``argmax`` (the first of
-    tied maxima) and overwrites it with -inf.
+    classes counts as a miss.
     """
     k_list = tuple(int(k) for k in k_list)
     if not k_list or min(k_list) < 1:
@@ -359,12 +386,7 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
     if not samples:
         return {k: float("nan") for k in k_list}
     x = featurize_all(samples, model.feature_stats)
-    probs = forward(model, x)
-    rows = np.arange(len(probs))
-    ranking = np.empty((len(probs), min(max(k_list), probs.shape[1])), dtype=np.intp)
-    for rank in range(ranking.shape[1]):
-        ranking[:, rank] = best = probs.argmax(axis=1)
-        probs[rows, best] = -np.inf
+    ranking = _ranking(model, x, min(max(k_list), model.num_classes))
     out = {}
     truth = class_ids(samples, {label: i for i, label in enumerate(model.class_labels)})
     for k in k_list:

@@ -219,13 +219,17 @@ def test_removed_training_flags_exit_2(workdir, tmp_path, capsys, flag, value):
     ],
     ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "compare--out"],
 )
-def test_unwritable_output_exits_2(workdir, tmp_path, capsys, argv):
+def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv):
     paths = {"cfg": workdir / "cfg.json", "data": workdir / "data.hrsdat", "model": workdir / "model.hrsmlp",
              "out": tmp_path / "out", "missing": tmp_path / "missing" / "out", "file": tmp_path / "a-file"}
     paths["file"].write_text("")
+    if argv[0] != "compare":  # a file output is refused before any generation or training
+        monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
+        monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
     assert cli.run([arg.format(**paths) for arg in argv]) == 2
     bad, reason = (paths["file"], "File exists") if "{file}" in argv else (paths["missing"], "No such file or directory")
     assert capsys.readouterr().err == f"error: cannot open {bad}: {reason}\n"
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])

@@ -189,6 +189,15 @@ def test_generation_starts_no_more_workers_than_chunks(monkeypatch, samples, thr
         assert [s.label for s in pooled] == serial
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_generation_refuses_threads_below_one(monkeypatch, threads):
+    monkeypatch.setattr(data, "_generate_one", lambda *args: pytest.fail("a draw was made"))
+    cfg = data.ScenarioConfig(users=4, antennas=8, samples=2, seed=6)
+    for build in (data.generate_samples, data.build_dataset):
+        with pytest.raises(ConfigurationError, match=f"threads must be at least 1, got {threads}"):
+            build(cfg, threads=threads)
+
+
 # (label, label_rate) of draws 0..29 at seed 20240801, recorded from the
 # unoptimized HC path: every cluster pair rescored from its stacked columns at
 # every merge, and the power grid built one (alpha, beta) point at a time.

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,6 +128,51 @@ def test_features_are_blind_to_row_blocks(rng, monkeypatch):
         assert row[: 2 * m * n].tobytes() == raw_features(s).tobytes()
         want = [pf_similarity(s.H_hat[:, [i]], s.H_hat[:, [j]]) for i, j in zip(rows, cols)]
         assert np.abs(row[2 * m * n :] - want).max() <= 1e-12
+
+
+def test_feature_stats_are_blind_to_row_blocks(rng):
+    x = rng.standard_normal((2 * mlp.ROW_BLOCK + 3, 6)) * [1e-3, 1.0, 1e3, 1.0, 7.0, 1.0] + [0, 5, -2e4, 3, 0, 1]
+    x[:, 3] = 3.0  # a constant column, whose std is floored
+    stats = mlp.FeatureStats.fit(x)
+    assert stats.mean.tobytes() == x.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == np.maximum(x.std(axis=0), mlp.STD_FLOOR).tobytes()
+    assert stats.std[3] == mlp.STD_FLOOR
+
+
+def test_inference_is_blind_to_row_blocks(rng, monkeypatch):
+    m, n = 2, 3
+    model = toy_model([mlp.feature_count(n, m), 8, 6], seed=17)
+    model.weights[-1][:, 2] = model.weights[-1][:, 0]  # classes 0 and 2 tie on every row
+    records = as_records([data.Sample(s.H_true, s.H_hat, model.class_labels[i % 6], 1.0, s.cov_assignment)
+                          for i, s in enumerate(_estimates(rng, 2 * mlp.BATCH_SIZE + 3, m, n))])
+    y = data.class_ids(records, {label: i for i, label in enumerate(model.class_labels)})
+    results = []
+    for block in (1, len(records)):
+        monkeypatch.setattr(mlp, "BATCH_SIZE", block)
+        monkeypatch.setattr(mlp, "ROW_BLOCK", block)
+        x = mlp.featurize_all(records, model.feature_stats)
+        results.append((mlp._top1(model, x, y), mlp.predict_labels(model, records),
+                        mlp.evaluate_topk(model, records, (1, 2, 3, 7))))
+    assert results[0] == results[1]
+    top1, predicted, topk = results[0]
+    assert top1 == topk[1]
+    assert predicted.count(model.class_labels[2]) == 0  # its ties go to class 0
+
+
+def test_inference_memory_is_one_block_not_the_split(rng):
+    classes = 4000
+    model = toy_model([2, 4, classes], seed=18)
+    samples = [data.Sample(np.zeros((1, 1), complex), h, "c0", 1.0, (0,))
+               for h in rng.standard_normal((8 * mlp.BATCH_SIZE, 1, 1)) + 0j]
+    records = as_records(samples)
+    block = mlp.BATCH_SIZE * classes * np.dtype(float).itemsize  # bytes of one block's probabilities
+    tracemalloc.start()
+    try:
+        mlp.evaluate_topk(model, records, (1, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block  # the split's probabilities alone would take 8 blocks
 
 
 def test_featurize_rejects_width_mismatch():
