@@ -77,6 +77,15 @@ def _check_outputs(*paths) -> None:
             raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
+def _check_out_dir(path) -> None:
+    """Raise, before any work, the ``OSError`` that making directory ``path``
+    and its parents would meet at an existing file."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == Path(path) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_gen_dataset(args) -> int:
     _check_outputs(args.out, args.csv)
     cfg = _apply_overrides(data.ScenarioConfig.from_file(args.config), args)
@@ -108,6 +117,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_out_dir(args.out)
     dataset = data.load(args.data)
     model = mlp.load_model(args.model)
     _check_compatible(dataset, model)

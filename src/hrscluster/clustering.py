@@ -21,10 +21,10 @@ stacked SVD and each merged cluster but the universal one takes its own, so
 a draw makes N - 1 SVD calls for its 2N - 2 bases.
 The dendrogram keeps those bases, and the level sweep designs its precoders
 on them instead of decomposing the blocks again (see ``hrs``).
-``best_partition(H_true, H_hat, dendrogram, config)`` picks the level with
-the best achievable rate as the clustering decision; for small N
-``exhaustive_best(H_true, H_hat, config)`` sweeps all set partitions as the
-optimality reference. Both keep the highest rate, then the fewest groups,
+``best_partition(H_true, H_hat, dendrogram, total_power)`` picks the level
+with the best achievable rate as the clustering decision; for small N
+``exhaustive_best(H_true, H_hat, total_power)`` sweeps all set partitions as
+the optimality reference. Both keep the highest rate, then the fewest groups,
 and each evaluates all its candidates in one ``hrs.evaluate_partitions``
 pass: at N = M = 12 the level sweep makes about 35 stacked SVD calls per
 draw, on top of the agglomeration's 11.
@@ -46,7 +46,7 @@ from .errors import (
 )
 # evaluate_partition stays bound here for the callers that look it up on this
 # module (perfbench wraps it on clustering as on evaluation)
-from .hrs import HrsConfig, RateBreakdown, evaluate_partition, evaluate_partitions, norm  # noqa: F401
+from .hrs import RateBreakdown, evaluate_partition, evaluate_partitions, norm  # noqa: F401
 from .partitions import Partition, enumerate_partitions
 
 CONDITION_LIMIT = 1e12
@@ -188,26 +188,24 @@ def agglomerate(H_hat: np.ndarray) -> Dendrogram:
 
 
 def best_partition(
-    H_true: np.ndarray, H_hat: np.ndarray, dendrogram: Dendrogram, config: HrsConfig
+    H_true: np.ndarray, H_hat: np.ndarray, dendrogram: Dendrogram, total_power: float
 ) -> tuple[Partition, RateBreakdown]:
     """Best-rate dendrogram level; ties prefer fewer groups."""
     levels = reversed(dendrogram.levels)  # universal first
-    return _best_feasible(H_true, H_hat, levels, config, dendrogram.bases)
+    return _best_feasible(H_true, H_hat, levels, total_power, dendrogram.bases)
 
 
-def exhaustive_best(
-    H_true: np.ndarray, H_hat: np.ndarray, config: HrsConfig
-) -> tuple[Partition, RateBreakdown]:
+def exhaustive_best(H_true: np.ndarray, H_hat: np.ndarray, total_power: float) -> tuple[Partition, RateBreakdown]:
     """Global best partition by full enumeration (small N only)."""
     n = H_hat.shape[1]
     if n > EXHAUSTIVE_USER_LIMIT:
         raise ResourceLimitError(
             f"exhaustive search is guarded at {EXHAUSTIVE_USER_LIMIT} users, got {n}"
         )
-    return _best_feasible(H_true, H_hat, enumerate_partitions(n), config, None)
+    return _best_feasible(H_true, H_hat, enumerate_partitions(n), total_power, None)
 
 
-def _best_feasible(H_true, H_hat, partitions, config: HrsConfig, bases) -> tuple[Partition, RateBreakdown]:
+def _best_feasible(H_true, H_hat, partitions, total_power: float, bases) -> tuple[Partition, RateBreakdown]:
     """Highest R_total; on a tie fewer groups, then the earlier partition.
 
     Every candidate is evaluated in one ``evaluate_partitions`` pass, so each
@@ -216,7 +214,7 @@ def _best_feasible(H_true, H_hat, partitions, config: HrsConfig, bases) -> tuple
     """
     partitions = list(partitions)
     best: tuple[Partition, RateBreakdown] | None = None
-    for partition, result in zip(partitions, evaluate_partitions(H_true, H_hat, partitions, config, bases)):
+    for partition, result in zip(partitions, evaluate_partitions(H_true, H_hat, partitions, total_power, bases)):
         if not result.feasible:
             continue
         if (

@@ -49,7 +49,6 @@ from . import _binio
 from .channel import ArrayGeometry, CovarianceMatrix, build_covariance, corrupt_csi, sample_channels
 from .clustering import agglomerate, best_partition, calibrate_similarity
 from .errors import ConfigurationError, DataFormatError, StratificationError
-from .hrs import HrsConfig
 from .partitions import Partition, is_canonical_key
 
 DATASET_MAGIC = b"HRSDAT01"
@@ -120,9 +119,9 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.tau_sq <= 1.0:
-            raise ConfigurationError("tau_sq must lie in [0, 1]")
+            raise ConfigurationError(f"tau_sq must lie in [0, 1], got {self.tau_sq}")
         if self.total_power <= 0:
-            raise ConfigurationError("total power must be positive")
+            raise ConfigurationError(f"total_power must be positive, got {self.total_power}")
         if self.spread <= 0:
             raise ConfigurationError(f"spread must be positive, got {self.spread}")
         if type(self.azimuths) is not tuple:
@@ -141,9 +140,6 @@ class ScenarioConfig:
     @property
     def tau(self) -> float:
         return float(np.sqrt(self.tau_sq))
-
-    def hrs_config(self) -> HrsConfig:
-        return HrsConfig(self.total_power)
 
     def covariances(self) -> tuple[CovarianceMatrix, ...]:
         geometry = ArrayGeometry.uca(self.antennas)
@@ -286,13 +282,13 @@ def draw_assignment(cfg: ScenarioConfig, index: int) -> tuple[int, ...]:
     return tuple(int(a) for a in rng.integers(0, cfg.num_covs, cfg.users))
 
 
-def _generate_one(cfg: ScenarioConfig, covariances: tuple[CovarianceMatrix, ...], hrs: HrsConfig, index: int):
+def _generate_one(cfg: ScenarioConfig, covariances: tuple[CovarianceMatrix, ...], index: int):
     """``(H_true, H_hat, label, label rate, covariance indices)`` of draw ``index``."""
     assignment = draw_assignment(cfg, index)
     channels = sample_channels(covariances, assignment, (cfg.seed, index, _SALT_SAMPLE, 1))
     channels = corrupt_csi(channels, cfg.tau, (cfg.seed, index, _SALT_CSI))
     dendrogram = agglomerate(channels.H_hat)
-    partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, hrs)
+    partition, rate = best_partition(channels.H_true, channels.H_hat, dendrogram, cfg.total_power)
     return channels.H_true, channels.H_hat, partition.key(), rate.R_total, assignment
 
 
@@ -307,7 +303,7 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be at least 1, got {threads}")
-    one = partial(_generate_one, cfg, cfg.covariances(), cfg.hrs_config())
+    one = partial(_generate_one, cfg, cfg.covariances())
     indices = range(cfg.samples)
     if threads == 1:
         draws = map(one, indices)

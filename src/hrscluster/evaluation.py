@@ -74,7 +74,7 @@ def run_baselines(dataset: DatasetSplit, model: MlpModel) -> list[MethodResult]:
     if not samples:
         empty = BoxplotSummary(0.0, 0.0, 0.0, 0.0, 0.0, ())
         return [MethodResult(m, [], empty) for m in METHODS]
-    cfg = dataset.config.hrs_config()
+    power = dataset.config.total_power
     n = dataset.config.users
     predicted = predict_labels(model, samples)
     # one Partition per distinct key, so each builds its layout once
@@ -83,9 +83,9 @@ def run_baselines(dataset: DatasetSplit, model: MlpModel) -> list[MethodResult]:
     rates = {m: [] for m in METHODS}
     for s, pred in zip(samples, predicted):
         rates["HC"].append(s.label_rate)
-        rates["NN"].append(evaluate_partition(s.H_true, s.H_hat, nn[pred], cfg).R_total)
-        rates["UNI"].append(evaluate_partition(s.H_true, s.H_hat, universal, cfg).R_total)
-        rates["SING"].append(evaluate_partition(s.H_true, s.H_hat, singletons, cfg).R_total)
+        rates["NN"].append(evaluate_partition(s.H_true, s.H_hat, nn[pred], power).R_total)
+        rates["UNI"].append(evaluate_partition(s.H_true, s.H_hat, universal, power).R_total)
+        rates["SING"].append(evaluate_partition(s.H_true, s.H_hat, singletons, power).R_total)
     return [MethodResult(m, rates[m], boxplot_stats(rates[m])) for m in METHODS]
 
 

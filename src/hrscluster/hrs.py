@@ -18,8 +18,8 @@ Power is controlled by two fractions alpha, beta in (0, 1]:
     p_gk   = (1 - alpha) * (1 - beta) * P / (G * N_g)   (private, per user)
 
 so the three layers always sum to P. ``evaluate_partitions(H_true, H_hat,
-partitions, config)`` takes rates against the true channel H_true while every
-precoder is designed from the (possibly imperfect) estimate H_hat; a
+partitions, total_power)`` takes rates against the true channel H_true while
+every precoder is designed from the (possibly imperfect) estimate H_hat; a
 brute-force sweep over the fixed grid ALPHA_GRID x BETA_GRID, as in Dai et
 al. 2016, picks the best split per candidate. ``evaluate_partition`` is its
 one-candidate call.
@@ -76,23 +76,6 @@ def _pairs(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
 # pinned at the grid minimum (see ``evaluate_partitions``).
 _SPLITS = _pairs(ALPHA_GRID)
 _ONE_GROUP_SPLITS = _pairs(ALPHA_GRID[:1])
-
-
-@dataclass(frozen=True)
-class HrsConfig:
-    """Total transmit power.
-
-    Precoder dimensions are fixed by the JSDM rule: with G groups on M
-    antennas every group gets d = floor(M / G) reduced dimensions and nulls d
-    dominant directions of every other group, so a partition can be served
-    exactly when G <= M.
-    """
-
-    total_power: float = 100.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.total_power) or self.total_power <= 0:
-            raise FeasibilityError(f"total power must be finite and positive, got {self.total_power!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +231,7 @@ def compute_outer_precoders(grouped, dominant) -> list[list[np.ndarray]]:
     return outer
 
 
-def compute_inner_precoders(B, grouped, config: HrsConfig) -> list[PrecoderSet]:
+def compute_inner_precoders(B, grouped, total_power: float) -> list[PrecoderSet]:
     """Private RZF columns plus the two matched-beamforming common precoders,
     lifted to the full array, for every candidate partition: ``B`` and
     ``grouped`` hold one list of outer precoders and one of group channels
@@ -270,7 +253,7 @@ def compute_inner_precoders(B, grouped, config: HrsConfig) -> list[PrecoderSet]:
     for members in _classes((b.shape, h.shape) for b, h in zip(flat_b, flat_h)).values():
         b = _stacked(flat_b, members)
         h_eff = b.conj().transpose(0, 2, 1) @ _stacked(flat_h, members)  # (K, d, N_g)
-        eps = h_eff.shape[2] / config.total_power
+        eps = h_eff.shape[2] / total_power
         gram = h_eff @ h_eff.conj().transpose(0, 2, 1) + eps * _identity(h_eff.shape[1])
         w = np.linalg.solve(gram, h_eff)
         # np.linalg.norm(w, axis=1, keepdims=True), spelled out
@@ -356,16 +339,18 @@ def rate(
 
 
 def evaluate_partitions(
-    H_true: np.ndarray, H_hat: np.ndarray, partitions, config: HrsConfig, bases=None
+    H_true: np.ndarray, H_hat: np.ndarray, partitions, total_power: float, bases=None
 ) -> list[RateBreakdown]:
     """Best achievable rate of each candidate partition of one draw over the
     (alpha, beta) grid.
 
     Both matrices are (M, N). Precoders are designed from the estimate H_hat
-    with d = floor(M / G) dimensions per group and rates are taken against
-    H_true; the grid sweep only rescales powers. A partition with more
-    groups than antennas (G > M) cannot be served and gets a zero,
-    infeasible breakdown. A single group never benefits from the outer
+    by the JSDM rule, d = floor(M / G) reduced dimensions per group, each
+    nulling d dominant directions of every other group, and rates are taken
+    against H_true; the grid sweep only rescales powers. A partition with
+    more groups than antennas (G > M) cannot be served and gets a zero,
+    infeasible breakdown; a ``total_power`` that is not finite and positive
+    raises FeasibilityError. A single group never benefits from the outer
     common layer, so alpha is pinned at the grid minimum there.
 
     Every candidate is designed in one pass: the blocks' dominant SVDs, the
@@ -374,6 +359,8 @@ def evaluate_partitions(
     is an optional block -> thin-SVD basis dict of H_hat's column blocks
     (the dendrogram's); blocks found there are not decomposed again.
     """
+    if not math.isfinite(total_power) or total_power <= 0:
+        raise FeasibilityError(f"total power must be finite and positive, got {total_power!r}")
     partitions = list(partitions)
     feasible = [p for p in partitions if p.num_groups <= H_hat.shape[0]]
     columns = {}
@@ -388,9 +375,9 @@ def evaluate_partitions(
     missing = list(dict.fromkeys(b for p in feasible if p.num_groups > 1 for b in p.blocks if b not in bases))
     bases.update(zip(missing, _dominant_bases([columns[block] for block in missing])))
     dominant = [[bases[b] for b in p.blocks] if p.num_groups > 1 else None for p in feasible]
-    precoders = iter(compute_inner_precoders(compute_outer_precoders(grouped, dominant), grouped, config))
+    precoders = iter(compute_inner_precoders(compute_outer_precoders(grouped, dominant), grouped, total_power))
     return [
-        rate(H_true, p, next(precoders), *(_SPLITS if p.num_groups > 1 else _ONE_GROUP_SPLITS), config.total_power)
+        rate(H_true, p, next(precoders), *(_SPLITS if p.num_groups > 1 else _ONE_GROUP_SPLITS), total_power)
         if p.num_groups <= H_hat.shape[0]
         else RateBreakdown.infeasible()
         for p in partitions
@@ -398,7 +385,7 @@ def evaluate_partitions(
 
 
 def evaluate_partition(
-    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, config: HrsConfig
+    H_true: np.ndarray, H_hat: np.ndarray, partition: Partition, total_power: float
 ) -> RateBreakdown:
     """``evaluate_partitions`` of a single candidate."""
-    return evaluate_partitions(H_true, H_hat, [partition], config)[0]
+    return evaluate_partitions(H_true, H_hat, [partition], total_power)[0]

@@ -25,7 +25,6 @@ from hrscluster.clustering import (
 )
 from hrscluster.errors import DataFormatError
 from hrscluster.hrs import (
-    HrsConfig,
     compute_inner_precoders,
     split_power,
 )
@@ -88,14 +87,14 @@ def test_criterion_1_numerical_invariants():
         total = p_oc[0] + p_ic[0].sum() + p_priv[0].sum()
         assert abs(total - p_oc[0] / alpha) / (p_oc[0] / alpha) <= 1e-9
 
-    cfg = HrsConfig(total_power=60.0)
+    power = 60.0
     count = 0
     while count < 1000:  # precoder unit norms at <= 1e-9
         sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         m = 8
         groups = [_complex(rng, (m, s)) for s in sizes]
         b = outer_precoders(groups)
-        (pre,) = compute_inner_precoders([b], [groups], cfg)
+        (pre,) = compute_inner_precoders([b], [groups], power)
         for w in pre.private:
             for norm in np.linalg.norm(w, axis=0):
                 assert abs(norm - 1.0) <= 1e-9
@@ -179,15 +178,14 @@ def test_criterion_4_oracle_equivalence():
     start = time.time()
     cfg = data.ScenarioConfig(users=5, antennas=8, samples=100, seed=404)
     covs = cfg.covariances()
-    hrs = cfg.hrs_config()
     hc_rates, oracle_rates = [], []
     for i in range(100):
         assignment = data.draw_assignment(cfg, i)
         channels = sample_channels(covs, assignment, (cfg.seed, i, 1))
         channels = corrupt_csi(channels, cfg.tau, (cfg.seed, i, 2))
         dendro = agglomerate(channels.H_hat)
-        _, hc = best_partition(channels.H_true, channels.H_hat, dendro, hrs)
-        _, oracle = exhaustive_best(channels.H_true, channels.H_hat, hrs)
+        _, hc = best_partition(channels.H_true, channels.H_hat, dendro, cfg.total_power)
+        _, oracle = exhaustive_best(channels.H_true, channels.H_hat, cfg.total_power)
         assert oracle.R_total >= hc.R_total - 1e-12, f"instance {i}: oracle below dendrogram"
         hc_rates.append(hc.R_total)
         oracle_rates.append(oracle.R_total)
@@ -229,11 +227,10 @@ def test_criterion_6_method_ordering(n8m8_run, n8m4_samples):
     )
 
     cfg, samples = n8m4_samples
-    hrs = cfg.hrs_config()
     sing = Partition.singletons(cfg.users)
     sing_zero = True
     for s in samples:
-        out = evaluation.evaluate_partition(s.H_true, s.H_hat, sing, hrs)
+        out = evaluation.evaluate_partition(s.H_true, s.H_hat, sing, cfg.total_power)
         if out.feasible or out.R_total != 0.0:
             sing_zero = False
             break

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hrscluster import _binio, cli, data, mlp
+from hrscluster import _binio, cli, data, evaluation, mlp
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,8 @@ def test_csv_export_flag(workdir, tmp_path):
         pytest.param({"samples": True}, id="boolean-samples"),
         pytest.param({"spread": "x"}, id="non-numeric-spread"),
         pytest.param({"total_power": None}, id="null-power"),
+        pytest.param({"total_power": 0}, id="zero-power"),
+        pytest.param({"total_power": -5}, id="negative-power"),
         pytest.param({"num_alpha": -2}, id="negative-num-alpha"),
         pytest.param({"num_alpha": 0}, id="zero-num-alpha"),
         pytest.param({"num_beta": 0}, id="zero-num-beta"),
@@ -214,20 +216,26 @@ def test_removed_training_flags_exit_2(workdir, tmp_path, capsys, flag, value):
         ["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{missing}"],
         ["train", "--data", "{data}", "--out", "{missing}", "--epochs", "1"],
         ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{missing}"],
-        # compare writes into a directory, which cannot be made over a file
+        # compare writes into a directory, which cannot be made over a file or under one
         ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}"],
+        ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}/sub"],
     ],
-    ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "compare--out"],
+    ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "compare--out",
+         "compare--out-under-file"],
 )
 def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv):
     paths = {"cfg": workdir / "cfg.json", "data": workdir / "data.hrsdat", "model": workdir / "model.hrsmlp",
              "out": tmp_path / "out", "missing": tmp_path / "missing" / "out", "file": tmp_path / "a-file"}
     paths["file"].write_text("")
-    if argv[0] != "compare":  # a file output is refused before any generation or training
-        monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
-        monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
+    # an unwritable output is refused before any generation, training or scoring
+    monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
+    monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
+    monkeypatch.setattr(evaluation, "run_baselines", lambda *args, **kwargs: pytest.fail("run_baselines ran"))
     assert cli.run([arg.format(**paths) for arg in argv]) == 2
-    bad, reason = (paths["file"], "File exists") if "{file}" in argv else (paths["missing"], "No such file or directory")
+    bad, reason = {
+        "{file}": (paths["file"], "File exists"),
+        "{file}/sub": (paths["file"] / "sub", "Not a directory"),
+    }.get(argv[-1], (paths["missing"], "No such file or directory"))
     assert capsys.readouterr().err == f"error: cannot open {bad}: {reason}\n"
     assert not paths["out"].exists()
 

@@ -12,7 +12,7 @@ from hrscluster.clustering import (
     pf_similarity,
 )
 from hrscluster.errors import CalibrationError, DegenerateInputError, ResourceLimitError
-from hrscluster.hrs import HrsConfig, evaluate_partition
+from hrscluster.hrs import evaluate_partition
 from hrscluster.partitions import Partition, enumerate_partitions
 from reference import normalized_similarity, projection_matrix
 
@@ -294,36 +294,36 @@ def test_dendrogram_keeps_the_bases_of_every_non_universal_block():
 def test_single_user_best_partition():
     channels = random_channelset(4, 1, seed=35)
     d = agglomerate(channels.H_hat)
-    part, rate = best_partition(channels.H_true, channels.H_hat, d, HrsConfig(total_power=10.0))
+    part, rate = best_partition(channels.H_true, channels.H_hat, d, 10.0)
     assert part.key() == "1"
     assert rate.feasible and rate.R_total > 0
 
 
 def test_best_partition_dominates_universal():
-    cfg = HrsConfig(total_power=20.0)
+    power = 20.0
     for seed in range(36, 41):
         channels = random_channelset(8, 5, seed=seed, tau=0.6)
         d = agglomerate(channels.H_hat)
-        part, rate = best_partition(channels.H_true, channels.H_hat, d, cfg)
-        uni = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(5), cfg)
+        part, rate = best_partition(channels.H_true, channels.H_hat, d, power)
+        uni = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(5), power)
         assert rate.R_total >= uni.R_total - 1e-12
 
 
 def test_exhaustive_dominates_dendrogram_selection():
-    cfg = HrsConfig(total_power=20.0)
+    power = 20.0
     for seed in range(41, 51):
         channels = random_channelset(8, 4, seed=seed, tau=0.6)
         d = agglomerate(channels.H_hat)
-        _, hc = best_partition(channels.H_true, channels.H_hat, d, cfg)
-        _, oracle = exhaustive_best(channels.H_true, channels.H_hat, cfg)
+        _, hc = best_partition(channels.H_true, channels.H_hat, d, power)
+        _, oracle = exhaustive_best(channels.H_true, channels.H_hat, power)
         assert oracle.R_total >= hc.R_total - 1e-12
 
 
-def _enumerated_best(h_true, h_hat, cfg):
+def _enumerated_best(h_true, h_hat, total_power):
     """Every partition evaluated on its own, with no shared bases."""
     best = None
     for partition in enumerate_partitions(h_hat.shape[1]):
-        result = evaluate_partition(h_true, h_hat, partition, cfg)
+        result = evaluate_partition(h_true, h_hat, partition, total_power)
         if result.feasible and (
             best is None
             or result.R_total > best[1].R_total
@@ -334,11 +334,11 @@ def _enumerated_best(h_true, h_hat, cfg):
 
 
 def test_exhaustive_with_shared_bases_matches_independent_evaluations():
-    cfg = HrsConfig(total_power=20.0)
+    power = 20.0
     for seed in range(41, 51):
         channels = random_channelset(8, 4, seed=seed, tau=0.6)
-        assert exhaustive_best(channels.H_true, channels.H_hat, cfg) == _enumerated_best(
-            channels.H_true, channels.H_hat, cfg
+        assert exhaustive_best(channels.H_true, channels.H_hat, power) == _enumerated_best(
+            channels.H_true, channels.H_hat, power
         )
 
 
@@ -346,17 +346,17 @@ def test_aligned_channels_prefer_universal():
     # nearly parallel channels cannot be separated; single common stream wins
     base = np.array([1.0, 0.5 + 0.2j, -0.3j, 0.1], dtype=complex)
     h = np.stack([base, base * (1 + 1e-3), base * (1 - 1e-3)], axis=1)
-    part, _ = exhaustive_best(h, h, HrsConfig(total_power=10.0))
+    part, _ = exhaustive_best(h, h, 10.0)
     assert part == Partition.universal(3)
 
 
 def test_orthogonal_channels_prefer_singletons():
     h = np.eye(4, dtype=complex)[:, :2]
-    part, _ = exhaustive_best(h, h, HrsConfig(total_power=10.0))
+    part, _ = exhaustive_best(h, h, 10.0)
     assert part == Partition.singletons(2)
 
 
 def test_exhaustive_guard():
     channels = random_channelset(8, 7, seed=51)
     with pytest.raises(ResourceLimitError):
-        exhaustive_best(channels.H_true, channels.H_hat, HrsConfig())
+        exhaustive_best(channels.H_true, channels.H_hat, 100.0)

@@ -134,7 +134,7 @@ def test_config_rejects_azimuths_that_are_not_a_tuple(value):
 
 def test_config_accepts_integers_in_float_fields():
     cfg = data.ScenarioConfig(users=4, antennas=8, total_power=50, spread=1, tau_sq=0)
-    assert cfg.hrs_config().total_power == 50
+    assert cfg.total_power == 50
 
 
 # ----------------------------------------------------------------- generation
@@ -398,12 +398,21 @@ def test_covariance_assignment_uniformity():
 
 def test_label_rate_reproducible_from_stored_channels(tiny_dataset):
     cfg = tiny_dataset.config
-    hrs = cfg.hrs_config()
     for s in tiny_dataset.train[:3]:
         dendro = agglomerate(s.H_hat)
-        part, rate = best_partition(s.H_true, s.H_hat, dendro, hrs)
+        part, rate = best_partition(s.H_true, s.H_hat, dendro, cfg.total_power)
         assert part.key() == s.label
         assert rate.R_total == pytest.approx(s.label_rate, abs=1e-9)
+
+
+def test_label_rate_follows_the_scenario_power(tiny_config):
+    # a draw is labeled at its config's power, not at the default 100
+    cfg = dataclasses.replace(tiny_config, samples=5, total_power=10.0)
+    for s in data.generate_samples(cfg):
+        dendro = agglomerate(s.H_hat)
+        part, rate = best_partition(s.H_true, s.H_hat, dendro, 10.0)
+        assert (part.key(), rate.R_total) == (s.label, s.label_rate)
+        assert best_partition(s.H_true, s.H_hat, dendro, 100.0)[1].R_total != s.label_rate
 
 
 # ------------------------------------------------------------------ balancing
@@ -484,10 +493,9 @@ def test_augmented_sample_rate_matches_on_reevaluation(tiny_dataset):
     from hrscluster.hrs import evaluate_partition
 
     cfg = tiny_dataset.config
-    hrs = cfg.hrs_config()
     seen = 0
     for s in tiny_dataset.train:
-        out = evaluate_partition(s.H_true, s.H_hat, Partition.from_key(s.label), hrs)
+        out = evaluate_partition(s.H_true, s.H_hat, Partition.from_key(s.label), cfg.total_power)
         assert out.R_total == pytest.approx(s.label_rate, abs=1e-9)
         seen += 1
         if seen >= 6:

@@ -94,7 +94,7 @@ def test_singleton_baseline_zero_when_users_exceed_antennas(tiny_model):
 
 
 def test_baselines_match_fresh_partitions_in_three_calls_per_sample(tiny_dataset, tiny_model, monkeypatch):
-    cfg = tiny_dataset.config.hrs_config()
+    power = tiny_dataset.config.total_power
     n = tiny_dataset.config.users
     predicted = mlp.predict_labels(tiny_model, tiny_dataset.test)
     want = {"NN": [], "UNI": [], "SING": []}
@@ -102,7 +102,7 @@ def test_baselines_match_fresh_partitions_in_three_calls_per_sample(tiny_dataset
         for method, partition in (
             ("NN", Partition.from_key(pred)), ("UNI", Partition.universal(n)), ("SING", Partition.singletons(n))
         ):
-            want[method].append(hrs.evaluate_partition(s.H_true, s.H_hat, partition, cfg).R_total)
+            want[method].append(hrs.evaluate_partition(s.H_true, s.H_hat, partition, power).R_total)
     # the benchmark times each test sample as these three calls, looked up on evaluation
     calls = []
     original = evaluation.evaluate_partition
@@ -113,6 +113,18 @@ def test_baselines_match_fresh_partitions_in_three_calls_per_sample(tiny_dataset
     assert all(by[method] == rates for method, rates in want.items())
     fixed = (Partition.universal(n).key(), Partition.singletons(n).key())
     assert calls == [key for pred in predicted for key in (pred, *fixed)]
+
+
+def test_baselines_follow_the_scenario_power(tiny_config, tiny_model):
+    # UNI and SING are scored at the dataset's power, not at the default 100
+    dataset = data.build_dataset(dataclasses.replace(tiny_config, total_power=10.0))
+    by = {r.method: r.rates for r in evaluation.run_baselines(dataset, tiny_model)}
+    n = dataset.config.users
+    assert len(dataset.test) > 0
+    for method, partition in (("UNI", Partition.universal(n)), ("SING", Partition.singletons(n))):
+        for s, got in zip(dataset.test, by[method], strict=True):
+            assert got == hrs.evaluate_partition(s.H_true, s.H_hat, partition, 10.0).R_total
+            assert got != hrs.evaluate_partition(s.H_true, s.H_hat, partition, 100.0).R_total
 
 
 def test_relative_rate_consistent_with_raw_records(tiny_dataset, tiny_model, tmp_path):

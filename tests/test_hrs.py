@@ -10,7 +10,6 @@ from hrscluster.clustering import agglomerate, best_partition, exhaustive_best
 from hrscluster.errors import FeasibilityError
 from hrscluster.hrs import (
     RANK_TOL_REL,
-    HrsConfig,
     PrecoderSet,
     RateBreakdown,
     compute_inner_precoders,
@@ -63,10 +62,12 @@ def test_power_conservation_randomized(rng):
 
 
 def test_config_rejects_out_of_domain_power():
+    channels = random_channelset(2, 2, seed=20)
+    partition = Partition.universal(2)
     for power in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(FeasibilityError, match="total power"):
-            HrsConfig(total_power=power)
-    HrsConfig(total_power=1e-9)  # any finite positive power
+        with pytest.raises(FeasibilityError, match="total power must be finite and positive"):
+            evaluate_partition(channels.H_true, channels.H_hat, partition, power)
+    assert evaluate_partition(channels.H_true, channels.H_hat, partition, 1e-9).feasible  # any finite positive power
 
 
 # ------------------------------------------------------------ outer precoders
@@ -129,21 +130,21 @@ def test_feasibility_rules():
 
 
 def test_single_user_rzf_is_matched_filter():
-    cfg = HrsConfig(total_power=2.0)
+    power = 2.0
     b = [np.eye(2, dtype=complex)]
     h = [np.array([[1.0], [0.0]], dtype=complex)]
-    (pre,) = compute_inner_precoders([b], [h], cfg)
+    (pre,) = compute_inner_precoders([b], [h], power)
     assert np.allclose(pre.private[0][:, 0], [1.0, 0.0])
     assert np.allclose(pre.inner[0], [1.0, 0.0])
     assert np.allclose(pre.w_oc, [1.0, 0.0])
 
 
 def test_all_precoders_unit_norm(rng):
-    cfg = HrsConfig(total_power=50.0)
+    power = 50.0
     for _ in range(20):
         groups = [complex_gaussian(rng, (8, k)) for k in (2, 3)]
         b = outer_precoders(groups)
-        (pre,) = compute_inner_precoders([b], [groups], cfg)
+        (pre,) = compute_inner_precoders([b], [groups], power)
         for w in pre.private:
             assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-9
         for w in pre.inner:
@@ -152,10 +153,10 @@ def test_all_precoders_unit_norm(rng):
 
 
 def test_large_regularization_approaches_matched_filter(rng):
-    cfg = HrsConfig(total_power=3e-6)  # eps = N_g / P = 3 / 3e-6 = 1e6
+    power = 3e-6  # eps = N_g / P = 3 / 3e-6 = 1e6
     h = [complex_gaussian(rng, (4, 3))]
     b = [np.eye(4, dtype=complex)]
-    (pre,) = compute_inner_precoders([b], [h], cfg)
+    (pre,) = compute_inner_precoders([b], [h], power)
     mf = h[0] / np.linalg.norm(h[0], axis=0)
     assert np.abs(pre.private[0] - mf).max() < 1e-4
 
@@ -182,14 +183,14 @@ def _looped_outer(groups):
     return outer, ranks
 
 
-def _looped_inner(B, groups, config):
+def _looped_inner(B, groups, total_power):
     """The one-group-at-a-time inner design: (W, w_ic, w_oc), W and w_ic in
     the reduced space."""
     w_priv, w_ic = [], []
     w_oc = np.zeros(B[0].shape[0], dtype=complex)
     for b_g, h_g in zip(B, groups):
         h_eff = b_g.conj().T @ h_g
-        eps = h_eff.shape[1] / config.total_power
+        eps = h_eff.shape[1] / total_power
         gram = h_eff @ h_eff.conj().T + eps * np.eye(h_eff.shape[0])
         w = np.linalg.solve(gram, h_eff)
         w = w / np.linalg.norm(w, axis=0)
@@ -201,13 +202,13 @@ def _looped_inner(B, groups, config):
 
 
 def _assert_stacked_design_matches_loops(groups, dominant=None):
-    cfg = HrsConfig()
+    power = 100.0
     want_b, ranks = _looped_outer(groups)
     got_b = outer_precoders(groups) if dominant is None else compute_outer_precoders([groups], [dominant])[0]
     assert len(got_b) == len(want_b)
     assert all(np.array_equal(x, y) for x, y in zip(got_b, want_b))
-    want_w, want_ic, want_oc = _looped_inner(want_b, groups, cfg)
-    (got,) = compute_inner_precoders([got_b], [groups], cfg)
+    want_w, want_ic, want_oc = _looped_inner(want_b, groups, power)
+    (got,) = compute_inner_precoders([got_b], [groups], power)
     assert len(got.private) == len(want_w) and len(got.inner) == len(want_ic)
     # the lift to the full array, one group at a time
     assert all(np.array_equal(x, b @ w) for x, b, w in zip(got.private, want_b, want_w))
@@ -262,13 +263,13 @@ def _assert_same_breakdowns(got, want):
 
 
 def test_stacked_candidates_match_one_at_a_time_on_every_small_partition():
-    cfg = HrsConfig()
+    power = 100.0
     for m in (1, 2, 3, 4, 5, 6, 8):
         for n in range(1, 7):
             channels = random_channelset(m, n, seed=100 * m + n, tau=0.3)
             partitions = enumerate_partitions(n)
-            got = evaluate_partitions(channels.H_true, channels.H_hat, partitions, cfg)
-            want = [evaluate_partition(channels.H_true, channels.H_hat, p, cfg) for p in partitions]
+            got = evaluate_partitions(channels.H_true, channels.H_hat, partitions, power)
+            want = [evaluate_partition(channels.H_true, channels.H_hat, p, power) for p in partitions]
             _assert_same_breakdowns(got, want)
 
 
@@ -276,12 +277,11 @@ def test_stacked_candidates_match_one_at_a_time_on_every_small_partition():
 def test_stacked_candidates_match_one_at_a_time_on_dendrogram_levels(users, antennas):
     # the level sweep's path, on the dendrogram's bases, against fresh SVDs
     cfg = data.ScenarioConfig(users=users, antennas=antennas, samples=10, seed=3)
-    hrs_cfg = cfg.hrs_config()
     infeasible = 0
     for s in data.generate_samples(cfg):
         dendrogram = agglomerate(s.H_hat)
-        got = evaluate_partitions(s.H_true, s.H_hat, dendrogram.levels, hrs_cfg, dendrogram.bases)
-        want = [evaluate_partition(s.H_true, s.H_hat, p, hrs_cfg) for p in dendrogram.levels]
+        got = evaluate_partitions(s.H_true, s.H_hat, dendrogram.levels, cfg.total_power, dendrogram.bases)
+        want = [evaluate_partition(s.H_true, s.H_hat, p, cfg.total_power) for p in dendrogram.levels]
         _assert_same_breakdowns(got, want)
         infeasible += sum(not r.feasible for r in got)
     assert (infeasible > 0) == (users > antennas)
@@ -294,18 +294,18 @@ def test_searches_design_every_candidate_in_one_pass(monkeypatch):
     for name in ("compute_outer_precoders", "compute_inner_precoders"):
         original = getattr(hrs, name)
         monkeypatch.setattr(hrs, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    best_partition(s.H_true, s.H_hat, agglomerate(s.H_hat), cfg.hrs_config())
-    exhaustive_best(s.H_true, s.H_hat, cfg.hrs_config())
+    best_partition(s.H_true, s.H_hat, agglomerate(s.H_hat), cfg.total_power)
+    exhaustive_best(s.H_true, s.H_hat, cfg.total_power)
     assert calls == ["compute_outer_precoders", "compute_inner_precoders"] * 2
 
 
 # ------------------------------------------------------------------ SINR/rate
 
 
-def _precoders_for(H_hat, partition, cfg):
+def _precoders_for(H_hat, partition, total_power):
     groups = [H_hat[:, cols] for cols in partition.layout.columns]
     b = outer_precoders(groups)
-    return compute_inner_precoders([b], [groups], cfg)[0]
+    return compute_inner_precoders([b], [groups], total_power)[0]
 
 
 def _reference_split_power(alpha, beta, total_power, partition):
@@ -370,7 +370,7 @@ def _random_partitions(rng, n, count):
 
 def test_rate_matches_the_per_block_reference_bit_for_bit():
     rng = np.random.default_rng(41)
-    cfg = HrsConfig(total_power=30.0)
+    power = 30.0
     grids = [
         hrs._SPLITS,
         hrs._ONE_GROUP_SPLITS,
@@ -379,14 +379,14 @@ def test_rate_matches_the_per_block_reference_bit_for_bit():
     for n in range(1, 13):
         channels = random_channelset(12, n, seed=400 + n, tau=0.4)
         for partition in _random_partitions(rng, n, 4):
-            pre = _precoders_for(channels.H_hat, partition, cfg)
+            pre = _precoders_for(channels.H_hat, partition, power)
             for alpha, beta in grids:
-                got = rate(channels.H_true, partition, pre, alpha, beta, cfg.total_power)
-                want = _reference_rate(channels.H_true, partition, pre, alpha, beta, cfg.total_power)
+                got = rate(channels.H_true, partition, pre, alpha, beta, power)
+                want = _reference_rate(channels.H_true, partition, pre, alpha, beta, power)
                 for field in dataclasses.fields(RateBreakdown):
                     assert getattr(got, field.name) == getattr(want, field.name), (partition.key(), field.name)
-                ref = _reference_split_power(alpha, beta, cfg.total_power, partition)
-                for got_part, want_part in zip(split_power(alpha, beta, cfg.total_power, partition), ref):
+                ref = _reference_split_power(alpha, beta, power, partition)
+                for got_part, want_part in zip(split_power(alpha, beta, power, partition), ref):
                     assert np.array_equal(got_part, want_part)
 
 
@@ -414,8 +414,8 @@ def test_scalar_awgn_channel_rate():
 def test_rate_total_is_sum_of_layers(rng):
     channels = random_channelset(4, 4, seed=21)
     partition = Partition.from_blocks([[1, 2], [3, 4]])
-    cfg = HrsConfig(total_power=20.0)
-    pre = _precoders_for(channels.H_hat, partition, cfg)
+    power = 20.0
+    pre = _precoders_for(channels.H_hat, partition, power)
     out = rate(channels.H_true, partition, pre, [0.4], [0.6], 20.0)
     assert out.R_total == pytest.approx(out.R_oc + out.R_ic + out.R_p, abs=1e-9)
     assert min(out.R_oc, out.R_ic, out.R_p) >= 0.0
@@ -426,8 +426,8 @@ def test_two_orthogonal_users_hand_computed_private_rate():
     # each user gets p = 10/2 with zero leakage, so R_p = 2 log2(1 + 5)
     h = np.eye(2, dtype=complex)
     partition = Partition.singletons(2)
-    cfg = HrsConfig(total_power=10.0)
-    pre = _precoders_for(h, partition, cfg)
+    power = 10.0
+    pre = _precoders_for(h, partition, power)
     tiny = 1e-12
     out = rate(h, partition, pre, [tiny], [tiny], 10.0)
     assert out.R_p == pytest.approx(2 * np.log2(1 + 5.0), abs=1e-9)
@@ -437,8 +437,8 @@ def test_sic_denominators_ordered(rng):
     # inner-common and private denominators never exceed the outer one
     channels = random_channelset(6, 5, seed=22)
     partition = Partition.from_blocks([[1, 2], [3, 4, 5]])
-    cfg = HrsConfig(total_power=30.0)
-    pre = _precoders_for(channels.H_hat, partition, cfg)
+    power = 30.0
+    pre = _precoders_for(channels.H_hat, partition, power)
     ht = channels.H_true.conj().T
     common = np.abs(ht @ np.stack(pre.inner, axis=1)) ** 2  # (N, G)
     private = np.abs(ht @ np.concatenate(pre.private, axis=1)) ** 2  # blocks are in user order here
@@ -456,8 +456,8 @@ def test_sic_denominators_ordered(rng):
 def test_rate_monotone_in_power_for_fixed_precoders():
     channels = random_channelset(4, 4, seed=23)
     partition = Partition.from_blocks([[1, 3], [2, 4]])
-    cfg = HrsConfig(total_power=10.0)
-    pre = _precoders_for(channels.H_hat, partition, cfg)
+    power = 10.0
+    pre = _precoders_for(channels.H_hat, partition, power)
     for alpha, beta in ((0.2, 0.3), (0.7, 0.9), (1e-3, 0.1)):
         lo = rate(channels.H_true, partition, pre, [alpha], [beta], 10.0)
         hi = rate(channels.H_true, partition, pre, [alpha], [beta], 20.0)
@@ -470,13 +470,13 @@ def test_rate_monotone_in_power_for_fixed_precoders():
 def test_feasibility_table():
     # with d = floor(M/G) per group, a partition is servable exactly when
     # G <= M, and each group's outer precoder is (M, d) (the identity alone)
-    cfg = HrsConfig()
+    power = 100.0
     for m in (1, 2, 3, 4, 5, 6, 8):
         for n in range(1, 7):
             channels = random_channelset(m, n, seed=100 * m + n, tau=0.3)
             for partition in enumerate_partitions(n):
                 g_count = partition.num_groups
-                out = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
+                out = evaluate_partition(channels.H_true, channels.H_hat, partition, power)
                 assert out.feasible == (g_count <= m)
                 groups = [channels.H_hat[:, cols] for cols in partition.layout.columns]
                 if out.feasible:
@@ -489,7 +489,7 @@ def test_feasibility_table():
 
 def test_singleton_partition_infeasible_when_users_exceed_antennas():
     channels = random_channelset(4, 8, seed=24)
-    out = evaluate_partition(channels.H_true, channels.H_hat, Partition.singletons(8), HrsConfig())
+    out = evaluate_partition(channels.H_true, channels.H_hat, Partition.singletons(8), 100.0)
     assert not out.feasible
     assert out.R_total == 0.0
 
@@ -497,9 +497,9 @@ def test_singleton_partition_infeasible_when_users_exceed_antennas():
 def test_grid_search_dominates_every_grid_point():
     channels = random_channelset(4, 4, seed=25, tau=0.3)
     partition = Partition.from_blocks([[1, 2], [3, 4]])
-    cfg = HrsConfig(total_power=25.0)
-    best = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
-    pre = _precoders_for(channels.H_hat, partition, cfg)
+    power = 25.0
+    best = evaluate_partition(channels.H_true, channels.H_hat, partition, power)
+    pre = _precoders_for(channels.H_hat, partition, power)
     for alpha in hrs.ALPHA_GRID:
         for beta in hrs.BETA_GRID:
             point = rate(channels.H_true, partition, pre, [alpha], [beta], 25.0)
@@ -513,7 +513,7 @@ def test_grid_search_dominates_every_grid_point():
 def test_power_grid_rows_are_one_row_splits(blocks):
     partition = Partition.from_blocks(blocks)
     g_count = partition.num_groups
-    cfg = HrsConfig(total_power=25.0)
+    power = 25.0
     alphas = (min(hrs.ALPHA_GRID),) if g_count == 1 else hrs.ALPHA_GRID
     alpha = np.repeat(alphas, len(hrs.BETA_GRID))
     beta = np.tile(hrs.BETA_GRID, len(alphas))
@@ -531,9 +531,9 @@ def test_power_grid_rows_are_one_row_splits(blocks):
             assert np.all(p_priv[k, partition.layout.columns[g]] == want)
 
     channels = random_channelset(8, 6, seed=26, tau=0.3)
-    best = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
+    best = evaluate_partition(channels.H_true, channels.H_hat, partition, power)
     assert best.best_alpha in alphas and best.best_beta in hrs.BETA_GRID
-    pre = _precoders_for(channels.H_hat, partition, cfg)
+    pre = _precoders_for(channels.H_hat, partition, power)
     again = rate(channels.H_true, partition, pre, [best.best_alpha], [best.best_beta], 25.0)
     # not bit-equal: numpy hands a one-row matmul to BLAS gemv and the grid's
     # to gemm, which sum the interference terms in different orders
@@ -545,19 +545,19 @@ def test_orthogonal_groups_prefer_minimal_outer_common():
     # so the total rate is non-increasing in alpha
     h = np.eye(4, dtype=complex)
     partition = Partition.from_blocks([[1, 2], [3, 4]])
-    cfg = HrsConfig(total_power=40.0)
-    pre = _precoders_for(h, partition, cfg)
+    power = 40.0
+    pre = _precoders_for(h, partition, power)
     rates = []
     for alpha in hrs.ALPHA_GRID:
         rates.append(rate(h, partition, pre, [alpha], [0.5], 40.0).R_total)
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
-    best = evaluate_partition(h, h, partition, cfg)
+    best = evaluate_partition(h, h, partition, power)
     assert best.best_alpha == min(hrs.ALPHA_GRID)
 
 
 def test_single_group_pins_alpha_at_grid_minimum():
     channels = random_channelset(4, 3, seed=26)
-    out = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(3), HrsConfig(total_power=10.0))
+    out = evaluate_partition(channels.H_true, channels.H_hat, Partition.universal(3), 10.0)
     assert out.feasible
     assert out.best_alpha == pytest.approx(1e-3)
 
@@ -565,10 +565,10 @@ def test_single_group_pins_alpha_at_grid_minimum():
 def test_permutation_equivariance(rng):
     channels = random_channelset(6, 5, seed=27, tau=0.5)
     partition = Partition.from_blocks([[1, 4], [2, 3], [5]])
-    cfg = HrsConfig(total_power=15.0)
-    base = evaluate_partition(channels.H_true, channels.H_hat, partition, cfg)
+    power = 15.0
+    base = evaluate_partition(channels.H_true, channels.H_hat, partition, power)
     perm = rng.permutation(5)
     inv = np.empty(5, dtype=int)
     inv[perm] = np.arange(5)
-    out = evaluate_partition(channels.H_true[:, perm], channels.H_hat[:, perm], relabeled(partition, inv), cfg)
+    out = evaluate_partition(channels.H_true[:, perm], channels.H_hat[:, perm], relabeled(partition, inv), power)
     assert out.R_total == pytest.approx(base.R_total, abs=1e-9)

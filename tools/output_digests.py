@@ -8,6 +8,7 @@ directory, at fixed sizes and seeds:
     gen-dataset  n8m8, 300 draws, seed 7: serially, with --threads 2, and its --csv
     gen-dataset  n12m12, 60 draws, seed 9
     gen-dataset  n8m4, 300 draws, seed 7: N > M, so most size pairs score raw
+    gen-dataset  n8m8, 300 draws, seed 7, total_power 10: the config's power reaches the labels
     train        --seed 3 --epochs 3 on the n8m8 dataset, and its --report
     compare      that model on that dataset: SVG, JSON lines, CSV and stdout
 
@@ -66,13 +67,15 @@ def digests(work: Path) -> dict:
 
     configs = {"n8m8": {"users": 8, "antennas": 8, "samples": 300, "seed": 7},
                "n12m12": {"users": 12, "antennas": 12, "samples": 60, "seed": 9},
-               "n8m4": {"users": 8, "antennas": 4, "samples": 300, "seed": 7}}
+               "n8m4": {"users": 8, "antennas": 4, "samples": 300, "seed": 7},
+               "n8m8-power10": {"users": 8, "antennas": 8, "samples": 300, "seed": 7, "total_power": 10}}
     for name, cfg in configs.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     run("gen-dataset", "--config", work / "n8m8.json", "--out", work / "n8m8.hrsdat", "--csv", work / "n8m8.csv")
     run("--threads", 2, "gen-dataset", "--config", work / "n8m8.json", "--out", work / "n8m8-threads2.hrsdat")
     run("gen-dataset", "--config", work / "n12m12.json", "--out", work / "n12m12.hrsdat")
     run("gen-dataset", "--config", work / "n8m4.json", "--out", work / "n8m4.hrsdat")
+    run("gen-dataset", "--config", work / "n8m8-power10.json", "--out", work / "n8m8-power10.hrsdat")
     run("--seed", 3, "train", "--data", work / "n8m8.hrsdat", "--out", work / "model.hrsmlp",
         "--report", work / "report.json", "--epochs", 3)
     stdout = run("compare", "--data", work / "n8m8.hrsdat", "--model", work / "model.hrsmlp", "--out", work / "compare")
@@ -82,6 +85,7 @@ def digests(work: Path) -> dict:
         "gen-dataset n8m8 --csv": "n8m8.csv",
         "gen-dataset n12m12": "n12m12.hrsdat",
         "gen-dataset n8m4": "n8m4.hrsdat",
+        "gen-dataset n8m8 total_power 10": "n8m8-power10.hrsdat",
         "train": "model.hrsmlp",
         "train --report": "report.json",
         "compare svg": "compare/n8m8_boxplot.svg",
