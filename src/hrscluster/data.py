@@ -49,7 +49,7 @@ from . import _binio
 from .channel import ArrayGeometry, CovarianceMatrix, build_covariance, corrupt_csi, sample_channels
 from .clustering import agglomerate, best_partition, calibrate_similarity
 from .errors import ConfigurationError, DataFormatError, StratificationError
-from .partitions import Partition, is_canonical_key
+from .partitions import Partition, first_non_canonical
 
 DATASET_MAGIC = b"HRSDAT01"
 DATASET_VERSION = 6
@@ -206,8 +206,8 @@ class Records(Sequence):
     Record r is draw ``draws[r]`` of ``store`` with its users in the order
     ``orders[r]`` (its user j is the draw's user ``orders[r, j]``); its class
     id ``ids[r]`` names its label in ``labels``. An integer index yields the
-    record's ``Sample``, gathered from the store; a slice the ``Records`` of
-    the slice's records, over the same store.
+    record's ``Sample``, gathered from the store; a slice or an integer array
+    the ``Records`` of the records it selects, over the same store.
     """
 
     def __init__(self, store: Store, draws, orders, ids, labels: tuple[str, ...]):
@@ -217,7 +217,7 @@ class Records(Sequence):
         return len(self.ids)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return Records(self.store, self.draws[index], self.orders[index], self.ids[index], self.labels)
         index = operator.index(index)
         draw, order = self.draws[index], self.orders[index]
@@ -242,13 +242,14 @@ class Records(Sequence):
                        self.ids[rows], self.labels)
 
 
-def h_hat_stack(samples) -> np.ndarray:
-    """The estimates of ``samples`` as one C-contiguous (S, M, N) complex array; ``samples``
-    is a ``Records``, or a list of ``Sample`` as ``predict_labels(model, [records[j]])`` passes."""
+def estimate_rows(samples) -> np.ndarray:
+    """The estimates of ``samples`` as one C-contiguous (S, N, M) complex array,
+    each transposed as the store holds it: row j is the sample's user j.
+    ``samples`` is a ``Records``, gathered from its store by (draw, user
+    order), or a list of ``Sample`` as ``predict_labels(model, [records[j]])`` passes."""
     if isinstance(samples, Records):
-        gathered = samples.store.matrices[samples.draws[:, None], 1, samples.orders]  # (S, N, M)
-        return np.ascontiguousarray(gathered.transpose(0, 2, 1))
-    return np.stack([np.asarray(s.H_hat, dtype=complex) for s in samples])
+        return samples.store.matrices[samples.draws[:, None], 1, samples.orders]
+    return np.array([np.asarray(s.H_hat).T for s in samples], dtype=complex)
 
 
 def class_ids(records: Records, class_index: dict[str, int]) -> np.ndarray:
@@ -500,10 +501,10 @@ def _layout(path, header: dict, blob_size: int):
     labels = tuple(sorted(class_index, key=class_index.get))
     if [class_index[label] for label in labels] != list(range(len(labels))):
         raise DataFormatError(f"{path}: class_index must number its labels 0..{len(labels) - 1}, each once")
-    for label in labels:
-        if not is_canonical_key(label, cfg.users):
-            raise DataFormatError(f"{path}: class_index key {label!r} is not a canonical partition key "
-                                  f"of {cfg.users} users")
+    label = first_non_canonical(labels, cfg.users)
+    if label is not None:
+        raise DataFormatError(f"{path}: class_index key {label!r} is not a canonical partition key "
+                              f"of {cfg.users} users")
     sizes, draws = header["split_sizes"], header["draws"]
     if len(sizes) != len(SPLITS) or min(sizes) < 0:
         raise DataFormatError(f"{path}: split_sizes {sizes} is not {len(SPLITS)} record counts, each >= 0")

@@ -6,25 +6,31 @@ pair; all standardized per feature) -> 256 ReLU -> 128 ReLU -> softmax over
 the partition classes. The pair similarities are the quantities
 agglomeration starts from; they are phase-invariant fourth-order functions
 of the estimate that the network would otherwise have to learn from the
-draws. Standardization is fitted on the training split, which is featurized
-once. Trained with mini-batch Adam on the mean categorical cross entropy; the
-recipe (``HIDDEN``, ``BATCH_SIZE``, ``LEARNING_RATE``, Adam's betas and eps)
-has no knob, a run sets its epochs and seed. All plain numpy, so training is
+draws. Standardization is fitted on the training split. Trained with
+mini-batch Adam on the mean categorical cross entropy; the recipe
+(``HIDDEN``, ``BATCH_SIZE``, ``LEARNING_RATE``, Adam's betas and eps) has no
+knob, a run sets its epochs and seed. All plain numpy, so training is
 bit-reproducible for a fixed seed and platform. ``evaluate_topk`` is the one
 top-k rule: k is capped at the class count and an empty sample list reads NaN.
 
-A split is a ``data.Records``; ``data.h_hat_stack`` and ``data.class_ids``
+A split is a ``data.Records``; ``data.estimate_rows`` and ``data.class_ids``
 read its estimates and its class ids. ``predict_labels`` also takes a list
 of ``data.Sample``, as the benchmark's one-record decisions pass it.
 
-Working memory does not scale with whole-split temporaries. ``_features``
-fills its output ``ROW_BLOCK`` rows at a time, from one C-contiguous stack
-of each block's estimates; every row goes through the same operations as in
-one stacked call, so the numbers are bit-identical. ``FeatureStats.fit``
-sums the squared deviations ``ROW_BLOCK`` rows at a time, in row order.
-The inference passes (``_top1``, ``predict_labels``, ``evaluate_topk``) run
-``forward`` on ``BATCH_SIZE`` rows at a time, so no probability matrix holds
-more rows than a training batch.
+No pass holds a whole split's features. ``train`` computes the pair
+similarities of the train and validation splits once each, ``ROW_BLOCK``
+samples at a time, and keeps them: (S, N(N-1)/2) floats, 3.3 MB for the
+n8m8 train split, whose feature matrix would take 18.5 MB.
+``FeatureStats.fit`` sums the train features, then their squared
+deviations, over ``ROW_BLOCK`` rows at a time in row order, so the mean and
+std are bit for bit numpy's of the stacked matrix. Every training step
+writes its mini-batch into one (``BATCH_SIZE``, F) buffer: the raw entries
+gathered from the split's store by (draw, user order), the similarities
+from the kept array; it is then standardized in place. The rows are the
+same floats as those of the standardized whole matrix, so the checkpoint is
+too. The inference passes (``_top1``, ``predict_labels``,
+``evaluate_topk``) featurize and run ``forward`` on ``BATCH_SIZE`` samples at
+a time, so no probability matrix holds more rows than a training batch.
 The forward pass works in place on each layer's pre-activation (bias, ReLU,
 exp and normalization), and ``backward`` turns the probabilities into the
 output delta in place.
@@ -38,9 +44,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _binio
-from .data import DatasetSplit, class_ids, h_hat_stack
+from .data import DatasetSplit, class_ids, estimate_rows
 from .errors import ConfigurationError, DataFormatError, NumericalConsistencyError
-from .partitions import is_canonical_key
+from .partitions import first_non_canonical
 
 MODEL_MAGIC = b"HRSMLP01"
 MODEL_VERSION = 2  # 2: inputs gained the user-pair similarities
@@ -56,7 +62,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Rows per block of featurization and of the feature statistics.
+# Rows per block of the pair similarities and of the feature statistics.
 ROW_BLOCK = 512
 
 # JSON types of the checkpoint header's fields.
@@ -72,27 +78,35 @@ class FeatureStats:
     std: np.ndarray
 
     @staticmethod
-    def fit(features: np.ndarray) -> "FeatureStats":
-        """Column means and standard deviations, floored at ``STD_FLOOR``.
+    def fit(features, count: int) -> "FeatureStats":
+        """Column means and standard deviations, floored at ``STD_FLOOR``, of
+        ``count`` feature rows, of which ``features(rows)`` gives those of the
+        slice ``rows``; it is asked for ``ROW_BLOCK`` rows at a time, twice.
 
-        The squared deviations are summed down the rows in order, a block's
-        sum starting from the previous block's, as ``features.std(axis=0)``
-        sums a C-ordered array; so the result is bit for bit its floor,
-        without its whole-split temporary.
+        The features and then their squared deviations are summed down the
+        rows in order, a block's sum starting from the previous blocks' total,
+        as ``x.mean(axis=0)`` and ``x.std(axis=0)`` sum a C-ordered ``x``; so
+        the result is bit for bit theirs for the rows stacked, floored,
+        without any whole-split array.
         """
-        mean = features.mean(axis=0)
-        total = np.zeros_like(mean)
-        for start in range(0, len(features), ROW_BLOCK):
-            squares = np.square(features[start : start + ROW_BLOCK] - mean)
-            squares[0] += total
-            total = squares.sum(axis=0)
-        return FeatureStats(mean, np.maximum(np.sqrt(total / len(features)), STD_FLOOR))
+        blocks = [slice(start, start + ROW_BLOCK) for start in range(0, count, ROW_BLOCK)]
+        mean = _row_sum(map(features, blocks)) / count
+        squares = _row_sum(np.square(features(rows) - mean) for rows in blocks)
+        return FeatureStats(mean, np.maximum(np.sqrt(squares / count), STD_FLOOR))
 
     def standardize(self, features: np.ndarray) -> np.ndarray:
         """Standardize unstandardized features in place; returns them."""
         features -= self.mean
         features /= self.std
         return features
+
+
+def _row_sum(blocks) -> np.ndarray:
+    """Column sums of the rows of ``blocks`` stacked, added in row order."""
+    total = None
+    for block in blocks:
+        total = (block if total is None else np.vstack((total, block))).sum(axis=0)
+    return total
 
 
 def feature_count(users: int, antennas: int) -> int:
@@ -127,30 +141,41 @@ def pair_similarities(h_hat: np.ndarray) -> np.ndarray:
     return np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0)
 
 
-def _features(samples) -> np.ndarray:
-    """Unstandardized classifier inputs, one row per sample.
-
-    Each row holds the estimate's entries, column-major with (re, im)
-    interleaved, then its pair similarities; only the estimate enters the
-    classifier. ``ROW_BLOCK`` samples at a time are computed in stacked
-    array operations.
-    """
-    m, n = np.shape(samples[0].H_hat)
-    out = np.empty((len(samples), feature_count(n, m)))
+def _similarities(samples) -> np.ndarray:
+    """``pair_similarities`` of every sample, computed ``ROW_BLOCK`` samples at a time."""
+    users = np.shape(samples[0].H_hat)[1]
+    out = np.empty((len(samples), users * (users - 1) // 2))
     for start in range(0, len(samples), ROW_BLOCK):
-        h_hat = h_hat_stack(samples[start : start + ROW_BLOCK])
-        rows = out[start : start + len(h_hat)]
-        flat = np.swapaxes(h_hat, 1, 2).reshape(len(h_hat), m * n)  # column-major per sample
-        rows[:, 0 : 2 * m * n : 2] = flat.real
-        rows[:, 1 : 2 * m * n : 2] = flat.imag
-        rows[:, 2 * m * n :] = pair_similarities(h_hat)
+        rows = estimate_rows(samples[start : start + ROW_BLOCK])
+        out[start : start + len(rows)] = pair_similarities(np.ascontiguousarray(rows.transpose(0, 2, 1)))
     return out
 
 
-def featurize_all(samples, stats: FeatureStats) -> np.ndarray:
+def _features(samples, sims=None, out=None) -> np.ndarray:
+    """Unstandardized classifier inputs, one row per sample, written into
+    ``out`` when it is given.
+
+    Each row holds the estimate's entries, column-major with (re, im)
+    interleaved, then its pair similarities: those of ``sims`` when it is
+    given, else ``_similarities`` of the samples. Only the estimate enters the
+    classifier. A sample's (N, M) estimate rows, viewed as float64, are its
+    entries in that order, so they are copied in one assignment.
+    """
+    rows = estimate_rows(samples)
+    count, n, m = rows.shape
+    if out is None:
+        out = np.empty((count, feature_count(n, m)))
+    out[:, : 2 * n * m] = rows.view(rows.real.dtype).reshape(count, 2 * n * m)
+    out[:, 2 * n * m :] = _similarities(samples) if sims is None else sims
+    return out
+
+
+def featurize_all(samples, stats: FeatureStats, sims=None) -> np.ndarray:
+    """Standardized classifier inputs of ``samples``; ``sims``, when given,
+    holds their pair similarities."""
     if not samples:
         return np.zeros((0, stats.mean.size))
-    x = _features(samples)
+    x = _features(samples, sims)
     if x.shape[1] != stats.mean.size:
         raise ConfigurationError(
             f"sample has {x.shape[1]} features, model expects {stats.mean.size}"
@@ -310,47 +335,51 @@ class TrainReport:
 
 def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tuple[MlpModel, TrainReport]:
     """Mini-batch Adam training; the final model is the last epoch's."""
-    if not dataset.train:
+    train_part, val_part = dataset.train, dataset.validation
+    if not train_part:
         raise ConfigurationError("training split is empty")
     labels_sorted = sorted(dataset.class_index, key=dataset.class_index.get)
-    x_train = _features(dataset.train)
-    stats = FeatureStats.fit(x_train)
-    stats.standardize(x_train)
-    y_train = class_ids(dataset.train, dataset.class_index)
-    x_val = featurize_all(dataset.validation, stats)
-    y_val = class_ids(dataset.validation, dataset.class_index)
+    sims = _similarities(train_part)
+    stats = FeatureStats.fit(lambda rows: _features(train_part[rows], sims[rows]), len(train_part))
+    y_train = class_ids(train_part, dataset.class_index)
+    val_sims = _similarities(val_part) if val_part else None
+    y_val = class_ids(val_part, dataset.class_index)
 
     rng = np.random.default_rng(hyper.seed)
-    model = init_model(x_train.shape[1], HIDDEN, labels_sorted, stats, rng)
+    model = init_model(stats.mean.size, HIDDEN, labels_sorted, stats, rng)
     state = AdamState.for_model(model)
 
-    n = len(x_train)
+    n = len(train_part)
+    batch = np.empty((BATCH_SIZE, stats.mean.size))  # every step's inputs, overwritten in place
     epoch_losses, epoch_val = [], []
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
-            xb, yb = x_train[idx], y_train[idx]
-            grads, batch_loss = backward(model, xb, yb)
+            xb = stats.standardize(_features(train_part[idx], sims[idx], batch[: len(idx)]))
+            grads, batch_loss = backward(model, xb, y_train[idx])
             total += batch_loss * len(idx)
             adam_step(model, state, grads)
         epoch_losses.append(total / n)
-        epoch_val.append(_top1(model, x_val, y_val) if len(x_val) else float("nan"))
+        epoch_val.append(_top1(model, val_part, y_val, val_sims) if val_part else float("nan"))
 
     topk = evaluate_topk(model, dataset.test, (1, 3, 5))
     return model, TrainReport(epoch_losses, epoch_val, topk[1], topk[3], topk[5])
 
 
-def _ranking(model: MlpModel, x: np.ndarray, depth: int) -> np.ndarray:
-    """The ``depth`` most probable class indices of each row of ``x``, most
-    probable first, ties toward the smaller index; ``forward`` runs on
-    ``BATCH_SIZE`` rows at a time. Each rank is one pass over a block's
-    probabilities: every row's ``argmax`` (the first of tied maxima), which
-    is then overwritten with -inf."""
-    ranking = np.empty((len(x), depth), dtype=np.intp)
-    for start in range(0, len(x), BATCH_SIZE):
-        probs = forward(model, x[start : start + BATCH_SIZE])
+def _ranking(model: MlpModel, samples, depth: int, sims=None) -> np.ndarray:
+    """The ``depth`` most probable class indices of each of ``samples``, most
+    probable first, ties toward the smaller index; ``sims``, when given,
+    holds the samples' pair similarities. The samples are featurized and run
+    through ``forward`` ``BATCH_SIZE`` at a time. Each rank is one pass over a
+    block's probabilities: every row's ``argmax`` (the first of tied maxima),
+    which is then overwritten with -inf."""
+    ranking = np.empty((len(samples), depth), dtype=np.intp)
+    for start in range(0, len(samples), BATCH_SIZE):
+        block = slice(start, start + BATCH_SIZE)
+        x = featurize_all(samples[block], model.feature_stats, None if sims is None else sims[block])
+        probs = forward(model, x)
         rows = np.arange(len(probs))
         for best in ranking[start : start + len(probs)].T:
             best[:] = probs.argmax(axis=1)
@@ -359,14 +388,13 @@ def _ranking(model: MlpModel, x: np.ndarray, depth: int) -> np.ndarray:
     return ranking
 
 
-def _top1(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    return float((_ranking(model, x, 1)[:, 0] == y).mean())
+def _top1(model: MlpModel, samples, y: np.ndarray, sims=None) -> float:
+    return float((_ranking(model, samples, 1, sims)[:, 0] == y).mean())
 
 
 def predict_labels(model: MlpModel, samples) -> list[str]:
     """Most probable partition key per sample."""
-    x = featurize_all(samples, model.feature_stats)
-    return [model.class_labels[i] for i in _ranking(model, x, 1)[:, 0]]
+    return [model.class_labels[i] for i in _ranking(model, samples, 1)[:, 0]]
 
 
 def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
@@ -385,8 +413,7 @@ def evaluate_topk(model: MlpModel, samples, k_list) -> dict[int, float]:
         raise ConfigurationError(f"k_list must hold at least one k, each at least 1, got {k_list}")
     if not samples:
         return {k: float("nan") for k in k_list}
-    x = featurize_all(samples, model.feature_stats)
-    ranking = _ranking(model, x, min(max(k_list), model.num_classes))
+    ranking = _ranking(model, samples, min(max(k_list), model.num_classes))
     out = {}
     truth = class_ids(samples, {label: i for i, label in enumerate(model.class_labels)})
     for k in k_list:
@@ -437,10 +464,10 @@ def _layout(path, header: dict, blob_size: int):
             raise DataFormatError(f"{path}: {key} has {len(header[key])} entries, layer_dims need {count}")
     labels = header["class_labels"]
     users = len(labels[0].replace("|", ",").split(","))  # a canonical key names each of its users once
-    for label in labels:
-        if not is_canonical_key(label, users):
-            raise DataFormatError(f"{path}: class_labels entry {label!r} is not a canonical partition key "
-                                  f"of {users} users")
+    label = first_non_canonical(labels, users)
+    if label is not None:
+        raise DataFormatError(f"{path}: class_labels entry {label!r} is not a canonical partition key "
+                              f"of {users} users")
     if len(set(labels)) != len(labels):
         raise DataFormatError(f"{path}: class_labels holds a label more than once")
     # FeatureStats.fit floors every std at STD_FLOOR, so no checkpoint train writes holds less

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -19,9 +18,6 @@ from .errors import ConfigurationError, ResourceLimitError
 
 # Bell(10); enumerating anything larger is guarded off.
 MAX_ENUMERATION_SIZE = 10
-
-# decimal user numbers without leading zeros, joined by "," within and "|" between blocks
-_KEY_SYNTAX = re.compile(r"[1-9][0-9]*(?:[,|][1-9][0-9]*)*")
 
 
 class Layout(NamedTuple):
@@ -105,15 +101,33 @@ class Partition:
         return Layout(columns, order, table[3, :g_count], table[1], table[2])
 
 
-def is_canonical_key(key: str, users: int) -> bool:
-    """Whether ``key`` is the canonical key of a partition of ``users`` users:
-    it names each of 1..users once, and its blocks, each ascending, are in the
-    order of their first users."""
-    if not _KEY_SYNTAX.fullmatch(key):
-        return False
-    blocks = [list(map(int, block.split(","))) for block in key.split("|")]
-    named = sorted(chain.from_iterable(blocks))
-    return len(named) == users and named == list(range(1, users + 1)) and sorted(map(sorted, blocks)) == blocks
+def first_non_canonical(keys, users: int) -> str | None:
+    """The first of ``keys`` that is not the canonical key of a partition of
+    ``users`` users, or None when every one is. A canonical key names each of
+    1..users once, and its blocks, each ascending, are in the order of their
+    first users.
+
+    The table is checked at once: one pattern per key admits the syntax with
+    exactly ``users`` user numbers, none with more digits than ``users`` (so
+    each fits an int64), then array predicates over the (key, position)
+    numbers check the rest.
+    """
+    number = f"[1-9][0-9]{{0,{len(str(users)) - 1}}}"
+    syntax = re.compile(f"{number}(?:[,|]{number}){{{users - 1}}}")
+    good = np.array([syntax.fullmatch(key) is not None for key in keys], dtype=bool)
+    parsed = [key for key, ok in zip(keys, good) if ok]
+    if parsed:
+        count = len(parsed)
+        named = np.array(",".join(parsed).replace("|", ",").split(","), dtype=np.int64).reshape(count, users)
+        separators = np.frombuffer(re.sub("[0-9]", "", "".join(parsed)).encode(), np.uint8)
+        opens = np.ones((count, users), dtype=bool)  # whether each position begins a block
+        opens[:, 1:] = separators.reshape(count, users - 1) == ord("|")
+        starts = np.maximum.accumulate(np.where(opens, np.arange(users), 0), axis=1)
+        block_first = np.take_along_axis(named, starts, axis=1)
+        # each user above the one before it in its block, each block's first above the previous block's
+        rising = named[:, 1:] > np.where(opens[:, 1:], block_first[:, :-1], named[:, :-1])
+        good[good] = rising.all(axis=1) & (np.sort(named, axis=1) == np.arange(1, users + 1)).all(axis=1)
+    return None if good.all() else keys[int(np.argmin(good))]
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

@@ -133,7 +133,7 @@ def test_features_are_blind_to_row_blocks(rng, monkeypatch):
 def test_feature_stats_are_blind_to_row_blocks(rng):
     x = rng.standard_normal((2 * mlp.ROW_BLOCK + 3, 6)) * [1e-3, 1.0, 1e3, 1.0, 7.0, 1.0] + [0, 5, -2e4, 3, 0, 1]
     x[:, 3] = 3.0  # a constant column, whose std is floored
-    stats = mlp.FeatureStats.fit(x)
+    stats = mlp.FeatureStats.fit(x.__getitem__, len(x))
     assert stats.mean.tobytes() == x.mean(axis=0).tobytes()
     assert stats.std.tobytes() == np.maximum(x.std(axis=0), mlp.STD_FLOOR).tobytes()
     assert stats.std[3] == mlp.STD_FLOOR
@@ -150,8 +150,7 @@ def test_inference_is_blind_to_row_blocks(rng, monkeypatch):
     for block in (1, len(records)):
         monkeypatch.setattr(mlp, "BATCH_SIZE", block)
         monkeypatch.setattr(mlp, "ROW_BLOCK", block)
-        x = mlp.featurize_all(records, model.feature_stats)
-        results.append((mlp._top1(model, x, y), mlp.predict_labels(model, records),
+        results.append((mlp._top1(model, records, y), mlp.predict_labels(model, records),
                         mlp.evaluate_topk(model, records, (1, 2, 3, 7))))
     assert results[0] == results[1]
     top1, predicted, topk = results[0]
@@ -369,18 +368,89 @@ def test_training_beats_chance_on_validation(tiny_dataset, tiny_model, monkeypat
     assert report.val_top1[-1] >= chance - 3 * sigma
 
 
-def test_training_featurizes_each_split_once(tiny_dataset, monkeypatch):
-    featurized = []
-    real = mlp._features
+def test_training_computes_each_splits_pair_similarities_once(tiny_dataset, monkeypatch):
+    # every estimate whose similarities are computed, in call order: train, validation (all epochs), test
+    seen = []
+    real = mlp.pair_similarities
 
-    def counting(samples):
-        featurized.append(len(samples))
-        return real(samples)
+    def recording(h_hat):
+        seen.append(h_hat.copy())
+        return real(h_hat)
 
-    monkeypatch.setattr(mlp, "_features", counting)
+    monkeypatch.setattr(mlp, "pair_similarities", recording)
     monkeypatch.setattr(mlp, "HIDDEN", (8,))
-    mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=1, seed=2))
-    assert featurized == [len(part) for _, part in tiny_dataset.parts()]
+    monkeypatch.setattr(mlp, "ROW_BLOCK", 64)
+    assert len(tiny_dataset.train) > 2 * mlp.ROW_BLOCK
+    mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=3, seed=2))
+    splits = [np.swapaxes(data.estimate_rows(part), 1, 2) for _, part in tiny_dataset.parts()]
+    assert np.concatenate(seen).tobytes() == np.concatenate(splits).tobytes()
+
+
+@pytest.fixture(params=["generated", "loaded"])
+def train_split(request, tiny_dataset, tmp_path):
+    """``tiny_dataset`` as generated (owned int64 columns), or written and loaded (<i4 columns in the blob)."""
+    if request.param == "generated":
+        return tiny_dataset
+    data.serialize(tiny_dataset, tmp_path / "ds.hrsdat")
+    return data.load(tmp_path / "ds.hrsdat")
+
+
+def test_training_batches_and_statistics_equal_those_of_the_full_feature_matrix(train_split, monkeypatch):
+    monkeypatch.setattr(mlp, "HIDDEN", (8,))
+    monkeypatch.setattr(mlp, "ROW_BLOCK", 64)
+    train = train_split.train
+    n, users = len(train), train.orders.shape[1]
+    assert n > 2 * mlp.ROW_BLOCK and n % mlp.BATCH_SIZE  # several row blocks, a partial last batch
+    assert (train.orders != np.arange(users)).any()  # augmented records: user orders other than the drawn one
+    steps = []
+    real = mlp.backward
+
+    def recording(model, batch, labels):
+        steps.append((batch.copy(), labels.copy()))
+        return real(model, batch, labels)
+
+    monkeypatch.setattr(mlp, "backward", recording)
+    hyper = mlp.TrainingHyper(epochs=2, seed=4)
+    model, _ = mlp.train(train_split, hyper)
+    # the statistics of the whole-split matrix, bit for bit, as numpy computes them
+    full = mlp._features(train)
+    stats = model.feature_stats
+    assert stats.mean.tobytes() == full.mean(axis=0).tobytes()
+    assert stats.std.tobytes() == np.maximum(full.std(axis=0), mlp.STD_FLOOR).tobytes()
+    full = stats.standardize(full)
+    # each step's batch is its rows of the standardized matrix, in train's row order
+    rng = np.random.default_rng(hyper.seed)
+    mlp.init_model(full.shape[1], mlp.HIDDEN, model.class_labels, stats, rng)
+    rows = [order[start : start + mlp.BATCH_SIZE] for order in (rng.permutation(n) for _ in range(hyper.epochs))
+            for start in range(0, n, mlp.BATCH_SIZE)]
+    assert len(steps) == len(rows) and len(rows[-1]) < mlp.BATCH_SIZE
+    y = data.class_ids(train, train_split.class_index)
+    for (batch, labels), idx in zip(steps, rows):
+        assert batch.tobytes() == full[idx].tobytes()
+        assert np.array_equal(labels, y[idx])
+
+
+def test_training_memory_stays_below_the_train_feature_matrix(rng, monkeypatch):
+    users, antennas, draws, records = 4, 16, 400, 8000
+    matrices = rng.standard_normal((draws, 2, users, antennas)) + 1j * rng.standard_normal((draws, 2, users, antennas))
+    store = data.Store(matrices, np.ones(draws), np.zeros((draws, users), dtype=np.int64))
+    labels = ("1,2,3,4", "1|2|3|4")
+
+    def part(count):
+        orders = np.argsort(rng.random((count, users)), axis=1)
+        return data.Records(store, rng.integers(0, draws, count), orders, rng.integers(0, 2, count), labels)
+
+    cfg = data.ScenarioConfig(users=users, antennas=antennas)
+    dataset = data.DatasetSplit(part(records), part(300), part(300), {label: i for i, label in enumerate(labels)}, cfg)
+    matrix = records * mlp.feature_count(users, antennas) * np.dtype(float).itemsize  # the whole-split features
+    monkeypatch.setattr(mlp, "HIDDEN", (8,))
+    tracemalloc.start()
+    try:
+        mlp.train(dataset, mlp.TrainingHyper(epochs=1, seed=6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix / 2  # 2.1 MB of 8.6; holding the matrix would exceed it alone
 
 
 def test_training_deterministic(tiny_dataset, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hrscluster.errors import ConfigurationError, ResourceLimitError
-from hrscluster.partitions import Partition, enumerate_partitions, is_canonical_key
+from hrscluster.partitions import Partition, enumerate_partitions, first_non_canonical
 from reference import bell_number, relabeled
 
 
@@ -28,29 +28,62 @@ def _round_trips(key, users):
     return partition.key() == key and partition.num_users == users
 
 
+def _mutated(key, rng, alphabet=tuple("0123456789,| +-")):
+    """``key`` with one character replaced, inserted or deleted, or two swapped."""
+    chars, i = list(key), int(rng.integers(len(key)))
+    op = int(rng.integers(4))
+    if op == 0:
+        chars[i] = rng.choice(alphabet)
+    elif op == 1:
+        chars.insert(i, rng.choice(alphabet))
+    elif op == 2:
+        del chars[i]
+    else:
+        j = int(rng.integers(len(key)))
+        chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+def _is_canonical(key, users):
+    return first_non_canonical([key], users) is None
+
+
 def test_canonical_key_check_agrees_with_the_key_round_trip():
     rng = np.random.default_rng(8)
-    alphabet = list("0123456789,| +-")
     for n in range(1, 6):
         for partition in enumerate_partitions(n):
             key = partition.key()
-            assert is_canonical_key(key, n)
-            for _ in range(20):  # one character replaced, inserted, deleted, or two swapped
-                chars, i = list(key), int(rng.integers(len(key)))
-                op = int(rng.integers(4))
-                if op == 0:
-                    chars[i] = rng.choice(alphabet)
-                elif op == 1:
-                    chars.insert(i, rng.choice(alphabet))
-                elif op == 2:
-                    del chars[i]
-                else:
-                    j = int(rng.integers(len(key)))
-                    chars[i], chars[j] = chars[j], chars[i]
+            assert _is_canonical(key, n)
+            for _ in range(20):
+                mutated = _mutated(key, rng)
                 for users in (n - 1, n, n + 1):
-                    assert is_canonical_key("".join(chars), users) == _round_trips("".join(chars), users)
+                    assert _is_canonical(mutated, users) == _round_trips(mutated, users)
     for key in ("", "1|", "|1", "01", "1,01", " 1", "+1", "2|1", "1|3,2", "1,1", "1,2|2"):
-        assert not is_canonical_key(key, len(key.replace("|", ",").split(",")))
+        assert not _is_canonical(key, len(key.replace("|", ",").split(",")))
+
+
+def test_label_table_check_names_the_first_key_the_per_key_rule_refuses():
+    rng = np.random.default_rng(9)
+    keys = [partition.key() for partition in enumerate_partitions(6)]
+    assert len(keys) == bell_number(6) and first_non_canonical(keys, 6) is None
+    assert first_non_canonical(list(rng.permutation(keys)), 6) is None
+    assert first_non_canonical([], 6) is None
+    for users in (5, 7):
+        assert first_non_canonical(keys, users) == keys[0]
+    # a user number beyond int64 is refused, not parsed
+    for huge in ("1,2,3,4,5|99999999999999999999", "99999999999999999999999999|1,2,3,4,5,6"):
+        assert first_non_canonical([*keys, huge], 6) == huge
+    for _ in range(300):  # tables mixing canonical, mutated and shuffled keys
+        table = []
+        for key in rng.choice(keys, int(rng.integers(1, 12))):
+            pick = int(rng.integers(3))
+            if pick == 1:
+                key = _mutated(key, rng)
+            elif pick == 2:
+                key = "".join(rng.permutation(list(key)))
+            table.append(str(key))
+        first_bad = next((key for key in table if not _round_trips(key, 6)), None)
+        assert first_non_canonical(table, 6) == first_bad
 
 
 def test_rejects_non_covering_blocks():
