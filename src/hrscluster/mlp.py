@@ -31,14 +31,20 @@ same floats as those of the standardized whole matrix, so the checkpoint is
 too. The inference passes (``_top1``, ``predict_labels``,
 ``evaluate_topk``) featurize and run ``forward`` on ``BATCH_SIZE`` samples at
 a time, so no probability matrix holds more rows than a training batch.
-The forward pass works in place on each layer's pre-activation (bias, ReLU,
-exp and normalization), and ``backward`` turns the probabilities into the
-output delta in place.
+
+A run allocates its working arrays once, so a step allocates nothing of
+parameter size: every step and validation block of ``train`` writes into one
+``Buffers`` set of ``BATCH_SIZE`` rows, and ``adam_step`` updates in place
+through the scratch pair ``AdamState`` holds, ``ADAM_CHUNK`` elements at a
+time. ``predict_labels`` and ``evaluate_topk`` build one forward-only set per
+call; a ``forward`` or ``backward`` given no buffers builds them for its batch.
+Each product and update is the expression form's, in its order, written
+through ``out=``, so the floats are too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -64,6 +70,8 @@ ADAM_EPS = 1e-8
 
 # Rows per block of the pair similarities and of the feature statistics.
 ROW_BLOCK = 512
+# Parameter elements per block of an Adam update, the size of its scratch pair.
+ADAM_CHUNK = 16384
 
 # JSON types of the checkpoint header's fields.
 _HEADER_FIELDS = {"layer_dims": (list, int), "feature_mean": (list, float), "feature_std": (list, float),
@@ -170,17 +178,17 @@ def _features(samples, sims=None, out=None) -> np.ndarray:
     return out
 
 
-def featurize_all(samples, stats: FeatureStats, sims=None) -> np.ndarray:
-    """Standardized classifier inputs of ``samples``; ``sims``, when given,
-    holds their pair similarities."""
+def featurize_all(samples, stats: FeatureStats, sims=None, out=None) -> np.ndarray:
+    """Standardized classifier inputs of ``samples``, written into ``out`` when
+    it is given; ``sims``, when given, holds their pair similarities."""
     if not samples:
         return np.zeros((0, stats.mean.size))
-    x = _features(samples, sims)
-    if x.shape[1] != stats.mean.size:
+    antennas, users = np.shape(samples[0].H_hat)
+    if feature_count(users, antennas) != stats.mean.size:
         raise ConfigurationError(
-            f"sample has {x.shape[1]} features, model expects {stats.mean.size}"
+            f"sample has {feature_count(users, antennas)} features, model expects {stats.mean.size}"
         )
-    return stats.standardize(x)
+    return stats.standardize(_features(samples, sims, out))
 
 
 @dataclass
@@ -216,29 +224,49 @@ def init_model(
     return MlpModel(weights, biases, stats, tuple(class_labels))
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities; rows sum to one."""
-    probs, _ = _forward_cached(model, batch)
+class Buffers:
+    """Every array a pass over a batch of up to ``rows`` rows writes, allocated
+    once and overwritten by each pass: the batch's inputs, each layer's
+    pre-activation (which becomes its ReLU output or the probabilities) and
+    one bool array per layer (its finiteness test, then ``backward``'s ReLU
+    mask). With ``grads``, also ``backward``'s delta of each hidden layer and
+    the gradients, one array per weight and per bias."""
+
+    def __init__(self, model: MlpModel, rows: int, grads: bool = True):
+        widths = [w.shape[1] for w in model.weights]
+        self.inputs = np.empty((rows, model.weights[0].shape[0]))
+        self.z = [np.empty((rows, width)) for width in widths]
+        self.flags = [np.empty((rows, width), dtype=bool) for width in widths]
+        if grads:
+            self.deltas = [np.empty((rows, width)) for width in widths[:-1]]
+            self.grads = ([np.empty(w.shape) for w in model.weights], [np.empty(b.shape) for b in model.biases])
+
+
+def forward(model: MlpModel, batch: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
+    """Class probabilities; rows sum to one. They live in ``buffers``, or in
+    fresh forward-only ones sized to the batch."""
+    probs, _ = _forward_cached(model, batch, buffers)
     return probs
 
 
-def _forward_cached(model: MlpModel, batch: np.ndarray):
+def _forward_cached(model: MlpModel, batch: np.ndarray, buffers: Buffers | None = None):
     x = np.atleast_2d(np.asarray(batch, dtype=float))
     if x.shape[1] != model.weights[0].shape[0]:
         raise ConfigurationError(
             f"batch width {x.shape[1]} does not match input layer {model.weights[0].shape[0]}"
         )
+    rows = len(x)
+    if buffers is None:
+        buffers = Buffers(model, rows, grads=False)
     activations = [x]
-    h = x
     last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
+    for i, (w, b, z, finite) in enumerate(zip(model.weights, model.biases, buffers.z, buffers.flags)):
+        z = np.matmul(activations[-1], w, out=z[:rows])
         z += b
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z, out=finite[:rows]).all():
             raise NumericalConsistencyError(f"non-finite activations at layer {i}")
         if i < last:
-            h = np.maximum(z, 0.0, out=z)
-            activations.append(h)
+            activations.append(np.maximum(z, 0.0, out=z))
         else:
             z -= z.max(axis=1, keepdims=True)  # shift-invariant, avoids overflow
             probs = np.exp(z, out=z)
@@ -256,59 +284,86 @@ def loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray):
+def backward(model: MlpModel, batch: np.ndarray, labels: np.ndarray, buffers: Buffers | None = None):
     """Analytic gradients of the mean loss for every weight and bias.
 
     Returns ((weight grads, bias grads), mean loss); the loss comes from the
     same forward pass as the gradients. Softmax and cross entropy fuse to
     (probs - onehot) / batch_size at the output, computed in the
     probabilities' own array; ReLU passes gradient only where its input was
-    positive.
+    positive. Every array lives in ``buffers`` (so the gradients are
+    overwritten by its next pass), or in fresh ones sized to the batch.
     """
-    probs, activations = _forward_cached(model, batch)
+    if buffers is None:
+        buffers = Buffers(model, len(np.atleast_2d(batch)))
+    probs, activations = _forward_cached(model, batch, buffers)
     batch_loss = loss(probs, labels)
     labels = np.asarray(labels, dtype=int)
     n = probs.shape[0]
     delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    grads_w, grads_b = buffers.grads
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = delta @ model.weights[i].T
-            delta *= activations[i] > 0
-    return (grads_w, grads_b), batch_loss
+            delta = np.matmul(delta, model.weights[i].T, out=buffers.deltas[i - 1][:n])
+            delta *= np.greater(activations[i], 0, out=buffers.flags[i - 1][:n])
+    return buffers.grads, batch_loss
 
 
 @dataclass
 class AdamState:
-    """Step count, and the moments m[i], v[i] of (weights + biases)[i]."""
+    """The moments m[i], v[i] of (weights + biases)[i], the step count, and
+    the scratch pair ``adam_step`` works through: (2, n), n elements at a time."""
 
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    scratch: np.ndarray
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
     @staticmethod
     def for_model(model: MlpModel) -> "AdamState":
         params = model.weights + model.biases
-        return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+        chunk = max(ADAM_CHUNK, *(p[0].size for p in params))  # at least one row of every parameter
+        return AdamState([np.zeros(p.shape) for p in params], [np.zeros(p.shape) for p in params],
+                         np.empty((2, chunk)))
 
 
 def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    Each parameter is updated a block of rows at a time, as many as
+    ``state.scratch`` holds, through its two rows; the operations and their
+    order are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), so the floats are too. The
+    gradients are only read.
+    """
     grads_w, grads_b = grads
     state.step += 1
     correct1 = 1.0 - ADAM_BETA1**state.step
     correct2 = 1.0 - ADAM_BETA2**state.step
-    for p, g, m, v in zip(model.weights + model.biases, [*grads_w, *grads_b], state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= LEARNING_RATE * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    for param, grad, moment1, moment2 in zip(model.weights + model.biases, [*grads_w, *grads_b], state.m, state.v):
+        block = state.scratch.shape[1] // param[0].size
+        for start in range(0, len(param), block):
+            rows = slice(start, start + block)
+            p, g, m, v = param[rows], grad[rows], moment1[rows], moment2[rows]
+            x, y = (s[: p.size].reshape(p.shape) for s in state.scratch)
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=x)
+            m += x
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=x)
+            x *= g
+            v += x
+            np.divide(m, correct1, out=x)
+            x *= LEARNING_RATE
+            np.divide(v, correct2, out=y)
+            np.sqrt(y, out=y)
+            y += ADAM_EPS
+            x /= y
+            p -= x
     return model
 
 
@@ -350,46 +405,51 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
     state = AdamState.for_model(model)
 
     n = len(train_part)
-    batch = np.empty((BATCH_SIZE, stats.mean.size))  # every step's inputs, overwritten in place
+    buffers = Buffers(model, BATCH_SIZE)  # every step's and validation block's arrays
     epoch_losses, epoch_val = [], []
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
-            xb = stats.standardize(_features(train_part[idx], sims[idx], batch[: len(idx)]))
-            grads, batch_loss = backward(model, xb, y_train[idx])
+            xb = stats.standardize(_features(train_part[idx], sims[idx], buffers.inputs[: len(idx)]))
+            grads, batch_loss = backward(model, xb, y_train[idx], buffers)
             total += batch_loss * len(idx)
             adam_step(model, state, grads)
         epoch_losses.append(total / n)
-        epoch_val.append(_top1(model, val_part, y_val, val_sims) if val_part else float("nan"))
+        epoch_val.append(_top1(model, val_part, y_val, val_sims, buffers) if val_part else float("nan"))
+    del buffers  # before the test ranking builds its own
 
     topk = evaluate_topk(model, dataset.test, (1, 3, 5))
     return model, TrainReport(epoch_losses, epoch_val, topk[1], topk[3], topk[5])
 
 
-def _ranking(model: MlpModel, samples, depth: int, sims=None) -> np.ndarray:
+def _ranking(model: MlpModel, samples, depth: int, sims=None, buffers: Buffers | None = None) -> np.ndarray:
     """The ``depth`` most probable class indices of each of ``samples``, most
     probable first, ties toward the smaller index; ``sims``, when given,
     holds the samples' pair similarities. The samples are featurized and run
-    through ``forward`` ``BATCH_SIZE`` at a time. Each rank is one pass over a
-    block's probabilities: every row's ``argmax`` (the first of tied maxima),
-    which is then overwritten with -inf."""
+    through ``forward`` ``BATCH_SIZE`` at a time, in ``buffers`` of at least
+    that many rows, or in one forward-only set built for the call. Each rank
+    is one pass over a block's probabilities: every row's ``argmax`` (the
+    first of tied maxima), which is then overwritten with -inf."""
+    if buffers is None:
+        buffers = Buffers(model, min(BATCH_SIZE, len(samples)), grads=False)
     ranking = np.empty((len(samples), depth), dtype=np.intp)
     for start in range(0, len(samples), BATCH_SIZE):
         block = slice(start, start + BATCH_SIZE)
-        x = featurize_all(samples[block], model.feature_stats, None if sims is None else sims[block])
-        probs = forward(model, x)
+        part = samples[block]
+        x = featurize_all(part, model.feature_stats, None if sims is None else sims[block],
+                          buffers.inputs[: len(part)])
+        probs = forward(model, x, buffers)
         rows = np.arange(len(probs))
         for best in ranking[start : start + len(probs)].T:
             best[:] = probs.argmax(axis=1)
             probs[rows, best] = -np.inf
-        del probs  # before the next block's are allocated
     return ranking
 
 
-def _top1(model: MlpModel, samples, y: np.ndarray, sims=None) -> float:
-    return float((_ranking(model, samples, 1, sims)[:, 0] == y).mean())
+def _top1(model: MlpModel, samples, y: np.ndarray, sims=None, buffers: Buffers | None = None) -> float:
+    return float((_ranking(model, samples, 1, sims, buffers)[:, 0] == y).mean())
 
 
 def predict_labels(model: MlpModel, samples) -> list[str]:

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from hrscluster.errors import ConfigurationError, DataFormatError
 
 
 from conftest import as_records, finite_difference_grads, kink_free_batch
+import reference
 from reference import raw_features
 
 
@@ -174,6 +176,18 @@ def test_inference_memory_is_one_block_not_the_split(rng):
     assert peak < 2 * block  # the split's probabilities alone would take 8 blocks
 
 
+def test_one_record_prediction_allocates_no_gradient_buffers():
+    model = toy_model([2, 64, 4000], seed=21)
+    sample = data.Sample(np.zeros((1, 1), complex), np.ones((1, 1), complex), "c0", 1.0, (0,))
+    tracemalloc.start()
+    try:
+        mlp.predict_labels(model, [sample])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.weights[-1].nbytes / 4  # the output weight's gradient alone would exceed it
+
+
 def test_featurize_rejects_width_mismatch():
     stats = mlp.FeatureStats(np.zeros(4), np.ones(4))
     s = data.Sample(np.zeros((2, 2), complex), np.zeros((2, 2), complex), "1,2", 1.0, (0, 0))
@@ -329,6 +343,28 @@ def test_adam_deterministic_over_steps():
     assert runs[0] == runs[1]
 
 
+def test_training_steps_equal_the_expression_form_byte_for_byte(rng, monkeypatch):
+    monkeypatch.setattr(mlp, "ADAM_CHUNK", 40)
+    model = toy_model([12, 9, 7, 5], seed=19)
+    oracle = copy.deepcopy(model)
+    state, oracle_state = mlp.AdamState.for_model(model), mlp.AdamState.for_model(oracle)
+    assert model.weights[0].size > 2 * state.scratch.shape[1]  # updated in three chunks
+    buffers = mlp.Buffers(model, 8)
+    for step in range(20):
+        rows = 8 if step % 3 else 5  # full and partial batches
+        x = rng.standard_normal((rows, 12))
+        y = rng.integers(0, 5, rows)
+        grads, _ = mlp.backward(model, x, y, buffers if step % 4 else None)  # reused and fresh buffers
+        expected = reference.backward(oracle, x, y)
+        mlp.adam_step(model, state, grads)
+        reference.adam_step(oracle, oracle_state, expected)
+        for got, want in zip([*grads[0], *grads[1]], [*expected[0], *expected[1]]):
+            assert got.tobytes() == want.tobytes()  # also: the update left the gradients as they were
+        for got, want in ((model.weights + model.biases, oracle.weights + oracle.biases),
+                          (state.m, oracle_state.m), (state.v, oracle_state.v)):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 # ------------------------------------------------------------------- training
 
 
@@ -405,9 +441,9 @@ def test_training_batches_and_statistics_equal_those_of_the_full_feature_matrix(
     steps = []
     real = mlp.backward
 
-    def recording(model, batch, labels):
+    def recording(model, batch, labels, buffers):
         steps.append((batch.copy(), labels.copy()))
-        return real(model, batch, labels)
+        return real(model, batch, labels, buffers)
 
     monkeypatch.setattr(mlp, "backward", recording)
     hyper = mlp.TrainingHyper(epochs=2, seed=4)
@@ -451,6 +487,33 @@ def test_training_memory_stays_below_the_train_feature_matrix(rng, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < matrix / 2  # 2.1 MB of 8.6; holding the matrix would exceed it alone
+
+
+def test_training_steps_allocate_nothing_of_parameter_size(tiny_dataset, monkeypatch):
+    # traced bytes a step (backward start to the end of its Adam update) allocates beyond what it started with
+    peaks = []
+    real_backward, real_adam_step = mlp.backward, mlp.adam_step
+
+    def backward(*args):
+        peaks.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return real_backward(*args)
+
+    def adam_step(*args):
+        result = real_adam_step(*args)
+        peaks[-1] = tracemalloc.get_traced_memory()[1] - peaks[-1]
+        return result
+
+    monkeypatch.setattr(mlp, "backward", backward)
+    monkeypatch.setattr(mlp, "adam_step", adam_step)
+    tracemalloc.start()
+    try:
+        model, _ = mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=1, seed=5))
+    finally:
+        tracemalloc.stop()
+    params = sum(p.nbytes for p in model.weights + model.biases)
+    assert len(peaks) > 2
+    assert max(peaks[1:]) < params / 4  # the gradients alone take all of them
 
 
 def test_training_deterministic(tiny_dataset, monkeypatch):
