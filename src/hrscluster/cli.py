@@ -9,9 +9,10 @@ Subcommands:
 
 Global flags: ``--seed`` overrides the config seed, ``--threads`` (at least 1)
 sets the generation worker count.
-Exit codes: 0 success, 2 configuration error (an input that cannot be read
-or an output that cannot be written among them), 3 data-format error,
-4 numerical-consistency error.
+Exit codes: 0 success, 2 configuration error (an input that cannot be read,
+an output that cannot be written and an output over an input or over
+another output among them), 3 data-format error, 4 numerical-consistency
+error.
 """
 
 from __future__ import annotations
@@ -65,16 +66,31 @@ def _apply_overrides(cfg: data.ScenarioConfig, args) -> data.ScenarioConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _check_outputs(*paths) -> None:
-    """Raise, before any work, the ``OSError`` that writing each output file
-    would meet at its directory; ``None`` names no output."""
-    for path in filter(None, paths):
+def _check_outputs(args, inputs, outputs) -> None:
+    """Refuse, before any work, the file of each set flag of ``outputs``:
+    raise the ``OSError`` that writing it would meet at its directory or at a
+    directory of its name, or a ``ConfigurationError`` if it is the file of a
+    flag of ``inputs`` or of an earlier output."""
+    named = [(flag, getattr(args, flag)) for flag in inputs]
+    for flag in outputs:
+        path = getattr(args, flag)
+        if not path:
+            continue
         try:
-            is_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
+            in_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
-        if not is_dir:
-            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+        if not in_dir or os.path.isdir(path):
+            code = errno.EISDIR if in_dir else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), path)
+        for other, other_path in named:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:  # one of them does not exist (yet)
+                same = Path(path).resolve() == Path(other_path).resolve()
+            if same:
+                raise ConfigurationError(f"--{flag} {path} is the same file as --{other} {other_path}")
+        named.append((flag, path))
 
 
 def _check_out_dir(path) -> None:
@@ -87,7 +103,7 @@ def _check_out_dir(path) -> None:
 
 
 def _cmd_gen_dataset(args) -> int:
-    _check_outputs(args.out, args.csv)
+    _check_outputs(args, ("config",), ("out", "csv"))
     cfg = _apply_overrides(data.ScenarioConfig.from_file(args.config), args)
     dataset = data.build_dataset(cfg, threads=args.threads)
     data.serialize(dataset, args.out)
@@ -101,7 +117,7 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_outputs(args.out, args.report)
+    _check_outputs(args, ("data",), ("out", "report"))
     dataset = data.load(args.data)
     seed = args.seed if args.seed is not None else dataset.config.seed
     hyper = mlp.TrainingHyper(epochs=args.epochs, seed=seed)

@@ -17,20 +17,21 @@ A split is a ``data.Records``; ``data.estimate_rows`` and ``data.class_ids``
 read its estimates and its class ids. ``predict_labels`` also takes a list
 of ``data.Sample``, as the benchmark's one-record decisions pass it.
 
-No pass holds a whole split's features. ``train`` computes the pair
-similarities of the train and validation splits once each, ``ROW_BLOCK``
-samples at a time, and keeps them: (S, N(N-1)/2) floats, 3.3 MB for the
-n8m8 train split, whose feature matrix would take 18.5 MB.
-``FeatureStats.fit`` sums the train features, then their squared
-deviations, over ``ROW_BLOCK`` rows at a time in row order, so the mean and
-std are bit for bit numpy's of the stacked matrix. Every training step
-writes its mini-batch into one (``BATCH_SIZE``, F) buffer: the raw entries
-gathered from the split's store by (draw, user order), the similarities
-from the kept array; it is then standardized in place. The rows are the
-same floats as those of the standardized whole matrix, so the checkpoint is
-too. The inference passes (``_top1``, ``predict_labels``,
-``evaluate_topk``) featurize and run ``forward`` on ``BATCH_SIZE`` samples at
-a time, so no probability matrix holds more rows than a training batch.
+No pass holds a whole split's features: every pass works ``BATCH_SIZE``
+rows at a time. Only the train split keeps its pair similarities, as its
+mini-batches are random gathers every epoch: ``train`` computes them once
+and keeps (S, N(N-1)/2) floats, 3.3 MB for the n8m8 train split, whose
+feature matrix would take 18.5 MB. ``FeatureStats.fit`` sums the train
+features, then their squared deviations, a block at a time in row order,
+so the mean and std are bit for bit numpy's of the stacked matrix. Every
+training step writes its mini-batch into one (``BATCH_SIZE``, F) buffer:
+the raw entries gathered from the split's store by (draw, user order), the
+similarities from the kept array; it is then standardized in place. The
+rows are the same floats as those of the standardized whole matrix, so the
+checkpoint is too. The inference passes (``_top1``, ``predict_labels``,
+``evaluate_topk``) gather each block's estimates once, compute its
+similarities from them and run ``forward`` on it, so no probability matrix
+holds more rows than a training batch.
 
 A run allocates its working arrays once, so a step allocates nothing of
 parameter size: every step and validation block of ``train`` writes into one
@@ -68,8 +69,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Rows per block of the pair similarities and of the feature statistics.
-ROW_BLOCK = 512
 # Parameter elements per block of an Adam update, the size of its scratch pair.
 ADAM_CHUNK = 16384
 
@@ -89,7 +88,7 @@ class FeatureStats:
     def fit(features, count: int) -> "FeatureStats":
         """Column means and standard deviations, floored at ``STD_FLOOR``, of
         ``count`` feature rows, of which ``features(rows)`` gives those of the
-        slice ``rows``; it is asked for ``ROW_BLOCK`` rows at a time, twice.
+        slice ``rows``; it is asked for ``BATCH_SIZE`` rows at a time, twice.
 
         The features and then their squared deviations are summed down the
         rows in order, a block's sum starting from the previous blocks' total,
@@ -97,7 +96,7 @@ class FeatureStats:
         the result is bit for bit theirs for the rows stacked, floored,
         without any whole-split array.
         """
-        blocks = [slice(start, start + ROW_BLOCK) for start in range(0, count, ROW_BLOCK)]
+        blocks = _blocks(count)
         mean = _row_sum(map(features, blocks)) / count
         squares = _row_sum(np.square(features(rows) - mean) for rows in blocks)
         return FeatureStats(mean, np.maximum(np.sqrt(squares / count), STD_FLOOR))
@@ -107,6 +106,11 @@ class FeatureStats:
         features -= self.mean
         features /= self.std
         return features
+
+
+def _blocks(count: int) -> list[slice]:
+    """The ``BATCH_SIZE``-row slices of ``count`` rows, in order."""
+    return [slice(start, start + BATCH_SIZE) for start in range(0, count, BATCH_SIZE)]
 
 
 def _row_sum(blocks) -> np.ndarray:
@@ -149,14 +153,9 @@ def pair_similarities(h_hat: np.ndarray) -> np.ndarray:
     return np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0)
 
 
-def _similarities(samples) -> np.ndarray:
-    """``pair_similarities`` of every sample, computed ``ROW_BLOCK`` samples at a time."""
-    users = np.shape(samples[0].H_hat)[1]
-    out = np.empty((len(samples), users * (users - 1) // 2))
-    for start in range(0, len(samples), ROW_BLOCK):
-        rows = estimate_rows(samples[start : start + ROW_BLOCK])
-        out[start : start + len(rows)] = pair_similarities(np.ascontiguousarray(rows.transpose(0, 2, 1)))
-    return out
+def _similarities(rows: np.ndarray) -> np.ndarray:
+    """``pair_similarities`` of (S, N, M) ``estimate_rows``."""
+    return pair_similarities(np.ascontiguousarray(rows.transpose(0, 2, 1)))
 
 
 def _features(samples, sims=None, out=None) -> np.ndarray:
@@ -165,22 +164,23 @@ def _features(samples, sims=None, out=None) -> np.ndarray:
 
     Each row holds the estimate's entries, column-major with (re, im)
     interleaved, then its pair similarities: those of ``sims`` when it is
-    given, else ``_similarities`` of the samples. Only the estimate enters the
-    classifier. A sample's (N, M) estimate rows, viewed as float64, are its
-    entries in that order, so they are copied in one assignment.
+    given (the train split keeps its own), else those of the gathered
+    estimates. Only the estimate enters the classifier. A sample's (N, M)
+    estimate rows, viewed as float64, are its entries in that order, so they
+    are copied in one assignment.
     """
     rows = estimate_rows(samples)
     count, n, m = rows.shape
     if out is None:
         out = np.empty((count, feature_count(n, m)))
     out[:, : 2 * n * m] = rows.view(rows.real.dtype).reshape(count, 2 * n * m)
-    out[:, 2 * n * m :] = _similarities(samples) if sims is None else sims
+    out[:, 2 * n * m :] = _similarities(rows) if sims is None else sims
     return out
 
 
-def featurize_all(samples, stats: FeatureStats, sims=None, out=None) -> np.ndarray:
+def featurize_all(samples, stats: FeatureStats, out=None) -> np.ndarray:
     """Standardized classifier inputs of ``samples``, written into ``out`` when
-    it is given; ``sims``, when given, holds their pair similarities."""
+    it is given."""
     if not samples:
         return np.zeros((0, stats.mean.size))
     antennas, users = np.shape(samples[0].H_hat)
@@ -188,7 +188,7 @@ def featurize_all(samples, stats: FeatureStats, sims=None, out=None) -> np.ndarr
         raise ConfigurationError(
             f"sample has {feature_count(users, antennas)} features, model expects {stats.mean.size}"
         )
-    return stats.standardize(_features(samples, sims, out))
+    return stats.standardize(_features(samples, out=out))
 
 
 @dataclass
@@ -394,62 +394,60 @@ def train(dataset: DatasetSplit, hyper: TrainingHyper = TrainingHyper()) -> tupl
     if not train_part:
         raise ConfigurationError("training split is empty")
     labels_sorted = sorted(dataset.class_index, key=dataset.class_index.get)
-    sims = _similarities(train_part)
-    stats = FeatureStats.fit(lambda rows: _features(train_part[rows], sims[rows]), len(train_part))
+    n, users = train_part.orders.shape
+    blocks = _blocks(n)
+    sims = np.empty((n, users * (users - 1) // 2))  # the train split's, kept for its mini-batches
+    for rows in blocks:
+        sims[rows] = _similarities(estimate_rows(train_part[rows]))
+    stats = FeatureStats.fit(lambda rows: _features(train_part[rows], sims[rows]), n)
     y_train = class_ids(train_part, dataset.class_index)
-    val_sims = _similarities(val_part) if val_part else None
     y_val = class_ids(val_part, dataset.class_index)
 
     rng = np.random.default_rng(hyper.seed)
     model = init_model(stats.mean.size, HIDDEN, labels_sorted, stats, rng)
     state = AdamState.for_model(model)
 
-    n = len(train_part)
     buffers = Buffers(model, BATCH_SIZE)  # every step's and validation block's arrays
     epoch_losses, epoch_val = [], []
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
+        for rows in blocks:
+            idx = order[rows]
             xb = stats.standardize(_features(train_part[idx], sims[idx], buffers.inputs[: len(idx)]))
             grads, batch_loss = backward(model, xb, y_train[idx], buffers)
             total += batch_loss * len(idx)
             adam_step(model, state, grads)
         epoch_losses.append(total / n)
-        epoch_val.append(_top1(model, val_part, y_val, val_sims, buffers) if val_part else float("nan"))
+        epoch_val.append(_top1(model, val_part, y_val, buffers) if val_part else float("nan"))
     del buffers  # before the test ranking builds its own
 
     topk = evaluate_topk(model, dataset.test, (1, 3, 5))
     return model, TrainReport(epoch_losses, epoch_val, topk[1], topk[3], topk[5])
 
 
-def _ranking(model: MlpModel, samples, depth: int, sims=None, buffers: Buffers | None = None) -> np.ndarray:
+def _ranking(model: MlpModel, samples, depth: int, buffers: Buffers | None = None) -> np.ndarray:
     """The ``depth`` most probable class indices of each of ``samples``, most
-    probable first, ties toward the smaller index; ``sims``, when given,
-    holds the samples' pair similarities. The samples are featurized and run
-    through ``forward`` ``BATCH_SIZE`` at a time, in ``buffers`` of at least
-    that many rows, or in one forward-only set built for the call. Each rank
-    is one pass over a block's probabilities: every row's ``argmax`` (the
+    probable first, ties toward the smaller index. The samples are featurized
+    and run through ``forward`` ``BATCH_SIZE`` at a time, in ``buffers`` of at
+    least that many rows, or in one forward-only set built for the call. Each
+    rank is one pass over a block's probabilities: every row's ``argmax`` (the
     first of tied maxima), which is then overwritten with -inf."""
     if buffers is None:
         buffers = Buffers(model, min(BATCH_SIZE, len(samples)), grads=False)
     ranking = np.empty((len(samples), depth), dtype=np.intp)
-    for start in range(0, len(samples), BATCH_SIZE):
-        block = slice(start, start + BATCH_SIZE)
+    for block in _blocks(len(samples)):
         part = samples[block]
-        x = featurize_all(part, model.feature_stats, None if sims is None else sims[block],
-                          buffers.inputs[: len(part)])
-        probs = forward(model, x, buffers)
+        probs = forward(model, featurize_all(part, model.feature_stats, buffers.inputs[: len(part)]), buffers)
         rows = np.arange(len(probs))
-        for best in ranking[start : start + len(probs)].T:
+        for best in ranking[block].T:
             best[:] = probs.argmax(axis=1)
             probs[rows, best] = -np.inf
     return ranking
 
 
-def _top1(model: MlpModel, samples, y: np.ndarray, sims=None, buffers: Buffers | None = None) -> float:
-    return float((_ranking(model, samples, 1, sims, buffers)[:, 0] == y).mean())
+def _top1(model: MlpModel, samples, y: np.ndarray, buffers: Buffers | None = None) -> float:
+    return float((_ranking(model, samples, 1, buffers)[:, 0] == y).mean())
 
 
 def predict_labels(model: MlpModel, samples) -> list[str]:

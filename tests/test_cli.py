@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -216,27 +217,74 @@ def test_removed_training_flags_exit_2(workdir, tmp_path, capsys, flag, value):
         ["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{missing}"],
         ["train", "--data", "{data}", "--out", "{missing}", "--epochs", "1"],
         ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{missing}"],
+        # an output file cannot be written over a directory
+        ["gen-dataset", "--config", "{cfg}", "--out", "{dir}"],
+        ["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{dir}"],
+        ["train", "--data", "{data}", "--out", "{dir}", "--epochs", "1"],
+        ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{dir}"],
         # compare writes into a directory, which cannot be made over a file or under one
         ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}"],
         ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}/sub"],
     ],
-    ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "compare--out",
-         "compare--out-under-file"],
+    ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "gen-dataset--out-dir",
+         "gen-dataset--csv-dir", "train--out-dir", "train--report-dir", "compare--out", "compare--out-under-file"],
 )
 def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv):
     paths = {"cfg": workdir / "cfg.json", "data": workdir / "data.hrsdat", "model": workdir / "model.hrsmlp",
-             "out": tmp_path / "out", "missing": tmp_path / "missing" / "out", "file": tmp_path / "a-file"}
+             "out": tmp_path / "out", "missing": tmp_path / "missing" / "out", "file": tmp_path / "a-file",
+             "dir": tmp_path / "a-dir"}
     paths["file"].write_text("")
+    paths["dir"].mkdir()
     # an unwritable output is refused before any generation, training or scoring
     monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
     monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
     monkeypatch.setattr(evaluation, "run_baselines", lambda *args, **kwargs: pytest.fail("run_baselines ran"))
     assert cli.run([arg.format(**paths) for arg in argv]) == 2
-    bad, reason = {
+    reasons = {
+        "{missing}": (paths["missing"], "No such file or directory"),
         "{file}": (paths["file"], "File exists"),
         "{file}/sub": (paths["file"] / "sub", "Not a directory"),
-    }.get(argv[-1], (paths["missing"], "No such file or directory"))
+        "{dir}": (paths["dir"], "Is a directory"),
+    }
+    bad, reason = next(reasons[arg] for arg in argv if arg in reasons)
     assert capsys.readouterr().err == f"error: cannot open {bad}: {reason}\n"
+    assert not paths["out"].exists()
+    assert not any(paths["dir"].iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["gen-dataset", "--config", "{cfg}", "--out", "{cfg}"], ("--out", "--config")),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{out}"], ("--csv", "--out")),
+        # one file spelled two ways, before it exists
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{dir}/../out"], ("--csv", "--out")),
+        (["train", "--data", "{data}", "--out", "{data}", "--epochs", "1"], ("--out", "--data")),
+        # a hard link: another path, the same file
+        (["train", "--data", "{data}", "--out", "{link}", "--epochs", "1"], ("--out", "--data")),
+        (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{data}"],
+         ("--report", "--data")),
+        (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{out}"],
+         ("--report", "--out")),
+    ],
+    ids=["gen-dataset--out-config", "gen-dataset--csv-out", "gen-dataset--csv-out-spelled", "train--out-data",
+         "train--out-data-link", "train--report-data", "train--report-out"],
+)
+def test_output_over_an_input_or_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv, flags):
+    paths = {"cfg": tmp_path / "cfg.json", "data": tmp_path / "data.hrsdat", "link": tmp_path / "link.hrsdat",
+             "out": tmp_path / "out", "dir": tmp_path / "a-dir"}
+    for name in ("cfg", "data"):
+        paths[name].write_bytes((workdir / paths[name].name).read_bytes())
+    os.link(paths["data"], paths["link"])
+    paths["dir"].mkdir()
+    inputs = {name: paths[name].read_bytes() for name in ("cfg", "data")}
+    monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
+    monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.run(argv) == 2
+    output, other = (argv[argv.index(flag) + 1] for flag in flags)
+    assert capsys.readouterr().err == f"error: {flags[0]} {output} is the same file as {flags[1]} {other}\n"
+    assert {name: paths[name].read_bytes() for name in ("cfg", "data")} == inputs
     assert not paths["out"].exists()
 
 

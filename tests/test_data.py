@@ -798,7 +798,7 @@ def test_loaded_split_is_a_read_only_column_backed_sequence(tmp_path):
     assert type(sample) is data.Sample and not sample.H_true.flags.writeable and not sample.H_hat.flags.writeable
     assert type(sample.label_rate) is float and all(type(c) is int for c in sample.cov_assignment)
     # features of the columns, in several row blocks, equal those of the samples bit for bit
-    assert len(train) > 2 * mlp.ROW_BLOCK
+    assert len(train) > 2 * mlp.BATCH_SIZE
     assert mlp._features(train).tobytes() == mlp._features(list(train)).tobytes()
     assert mlp._features(part).tobytes() == mlp._features(list(part)).tobytes()
     assert np.array_equal(data.class_ids(train, dataset.class_index),

@@ -120,9 +120,9 @@ def test_features_start_with_raw_entries(rng):
 
 def test_features_are_blind_to_row_blocks(rng, monkeypatch):
     m, n = 3, 4
-    samples = _estimates(rng, 2 * mlp.ROW_BLOCK + 3, m, n)
+    samples = _estimates(rng, 2 * mlp.BATCH_SIZE + 3, m, n)
     blocked = mlp._features(samples)
-    monkeypatch.setattr(mlp, "ROW_BLOCK", len(samples))
+    monkeypatch.setattr(mlp, "BATCH_SIZE", len(samples))
     assert blocked.tobytes() == mlp._features(samples).tobytes()
     rows, cols = np.triu_indices(n, 1)
     for s, row in zip(samples, blocked):
@@ -133,7 +133,7 @@ def test_features_are_blind_to_row_blocks(rng, monkeypatch):
 
 
 def test_feature_stats_are_blind_to_row_blocks(rng):
-    x = rng.standard_normal((2 * mlp.ROW_BLOCK + 3, 6)) * [1e-3, 1.0, 1e3, 1.0, 7.0, 1.0] + [0, 5, -2e4, 3, 0, 1]
+    x = rng.standard_normal((2 * mlp.BATCH_SIZE + 3, 6)) * [1e-3, 1.0, 1e3, 1.0, 7.0, 1.0] + [0, 5, -2e4, 3, 0, 1]
     x[:, 3] = 3.0  # a constant column, whose std is floored
     stats = mlp.FeatureStats.fit(x.__getitem__, len(x))
     assert stats.mean.tobytes() == x.mean(axis=0).tobytes()
@@ -151,7 +151,6 @@ def test_inference_is_blind_to_row_blocks(rng, monkeypatch):
     results = []
     for block in (1, len(records)):
         monkeypatch.setattr(mlp, "BATCH_SIZE", block)
-        monkeypatch.setattr(mlp, "ROW_BLOCK", block)
         results.append((mlp._top1(model, records, y), mlp.predict_labels(model, records),
                         mlp.evaluate_topk(model, records, (1, 2, 3, 7))))
     assert results[0] == results[1]
@@ -404,22 +403,54 @@ def test_training_beats_chance_on_validation(tiny_dataset, tiny_model, monkeypat
     assert report.val_top1[-1] >= chance - 3 * sigma
 
 
-def test_training_computes_each_splits_pair_similarities_once(tiny_dataset, monkeypatch):
-    # every estimate whose similarities are computed, in call order: train, validation (all epochs), test
-    seen = []
-    real = mlp.pair_similarities
+def test_training_computes_the_train_splits_pair_similarities_once(tiny_dataset, monkeypatch):
+    # every estimate whose similarities are computed, and every step, in call order
+    events = []
+    real_similarities, real_backward = mlp.pair_similarities, mlp.backward
 
-    def recording(h_hat):
-        seen.append(h_hat.copy())
-        return real(h_hat)
+    def similarities(h_hat):
+        events.append(h_hat.copy())
+        return real_similarities(h_hat)
 
-    monkeypatch.setattr(mlp, "pair_similarities", recording)
+    def backward(model, batch, labels, buffers):
+        events.append(None)
+        return real_backward(model, batch, labels, buffers)
+
+    monkeypatch.setattr(mlp, "pair_similarities", similarities)
+    monkeypatch.setattr(mlp, "backward", backward)
     monkeypatch.setattr(mlp, "HIDDEN", (8,))
-    monkeypatch.setattr(mlp, "ROW_BLOCK", 64)
-    assert len(tiny_dataset.train) > 2 * mlp.ROW_BLOCK
-    mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=3, seed=2))
-    splits = [np.swapaxes(data.estimate_rows(part), 1, 2) for _, part in tiny_dataset.parts()]
-    assert np.concatenate(seen).tobytes() == np.concatenate(splits).tobytes()
+    monkeypatch.setattr(mlp, "BATCH_SIZE", 64)
+    assert len(tiny_dataset.train) > 2 * mlp.BATCH_SIZE
+    epochs = 3
+    mlp.train(tiny_dataset, mlp.TrainingHyper(epochs=epochs, seed=2))
+    # the estimates computed between one epoch's steps and the next's
+    between = [[]]
+    for event in events:
+        if event is not None:
+            between[-1].append(event)
+        elif between[-1]:
+            between.append([])
+    train, val, test = (np.swapaxes(data.estimate_rows(part), 1, 2) for _, part in tiny_dataset.parts())
+    # the train split once, before the first step; the validation split after each epoch; the test split once
+    want = [train] + [val] * (epochs - 1) + [np.concatenate([val, test])]
+    assert [np.concatenate(seen).tobytes() for seen in between] == [split.tobytes() for split in want]
+
+
+def test_inference_gathers_each_estimate_once(rng, monkeypatch):
+    m, n = 2, 3
+    model = toy_model([mlp.feature_count(n, m), 8, 6], seed=19)
+    records = as_records([data.Sample(s.H_true, s.H_hat, model.class_labels[i % 6], 1.0, s.cov_assignment)
+                          for i, s in enumerate(_estimates(rng, 2 * mlp.BATCH_SIZE + 3, m, n))])
+    gathers = []
+    real = mlp.estimate_rows
+
+    def counting(samples):
+        gathers.append(len(samples))
+        return real(samples)
+
+    monkeypatch.setattr(mlp, "estimate_rows", counting)
+    mlp.evaluate_topk(model, records, (1, 3))
+    assert gathers == [mlp.BATCH_SIZE, mlp.BATCH_SIZE, 3]  # one gather per block
 
 
 @pytest.fixture(params=["generated", "loaded"])
@@ -433,10 +464,10 @@ def train_split(request, tiny_dataset, tmp_path):
 
 def test_training_batches_and_statistics_equal_those_of_the_full_feature_matrix(train_split, monkeypatch):
     monkeypatch.setattr(mlp, "HIDDEN", (8,))
-    monkeypatch.setattr(mlp, "ROW_BLOCK", 64)
+    monkeypatch.setattr(mlp, "BATCH_SIZE", 64)
     train = train_split.train
     n, users = len(train), train.orders.shape[1]
-    assert n > 2 * mlp.ROW_BLOCK and n % mlp.BATCH_SIZE  # several row blocks, a partial last batch
+    assert n > 2 * mlp.BATCH_SIZE and n % mlp.BATCH_SIZE  # several row blocks, a partial last batch
     assert (train.orders != np.arange(users)).any()  # augmented records: user orders other than the drawn one
     steps = []
     real = mlp.backward
@@ -601,7 +632,7 @@ def test_topk_ranks_row_blocks_like_one_full_ranking(rng):
     model.weights[-1][:, 2] = model.weights[-1][:, 0]  # classes 0 and 2 tie on every row
     samples = [
         data.Sample(np.zeros((1, 1), complex), h, f"c{i % 5}", 1.0, (0,))
-        for i, h in enumerate(rng.standard_normal((mlp.ROW_BLOCK + 1, 1, 1)) + 0j)
+        for i, h in enumerate(rng.standard_normal((mlp.BATCH_SIZE + 1, 1, 1)) + 0j)
     ]
     probs = mlp.forward(model, mlp.featurize_all(samples, model.feature_stats))
     assert np.all(probs[:, 0] == probs[:, 2])
