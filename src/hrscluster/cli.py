@@ -93,13 +93,17 @@ def _check_outputs(args, inputs, outputs) -> None:
         named.append((flag, path))
 
 
-def _check_out_dir(path) -> None:
+def _check_out_dir(path, files=()) -> None:
     """Raise, before any work, the ``OSError`` that making directory ``path``
-    and its parents would meet at an existing file."""
+    and its parents would meet at an existing file, or that writing one of
+    ``files`` in it would meet at a directory of that name."""
     existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
     if not existing.is_dir():
         code = errno.EEXIST if existing == Path(path) else errno.ENOTDIR
         raise OSError(code, os.strerror(code), path)
+    for file in files:
+        if (Path(path) / file).is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(path) / file))
 
 
 def _cmd_gen_dataset(args) -> int:
@@ -135,6 +139,7 @@ def _cmd_train(args) -> int:
 def _cmd_compare(args) -> int:
     _check_out_dir(args.out)
     dataset = data.load(args.data)
+    _check_out_dir(args.out, evaluation.report_files(dataset.config.name))
     model = mlp.load_model(args.model)
     _check_compatible(dataset, model)
     _evaluate(dataset, model, args.out)
@@ -154,6 +159,12 @@ def _cmd_sweep(args) -> int:
         if cfg.name in scenarios:
             raise ConfigurationError(f"{scenarios[cfg.name][0]} and {cfg_path} both name the scenario {cfg.name!r}")
         scenarios[cfg.name] = cfg_path, cfg
+    summary = out_root / "summary.csv"
+    for name in scenarios:  # every file the runs write, checked before the first run
+        if name == summary.name:  # its directory would take the summary's path
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(summary))
+        _check_out_dir(out_root / name, ("dataset.hrsdat", "model.hrsmlp", *evaluation.report_files(name)))
+    _check_out_dir(out_root, (summary.name,))
     rows = []
     for _, cfg in scenarios.values():
         scdir = out_root / cfg.name
@@ -164,8 +175,8 @@ def _cmd_sweep(args) -> int:
         model, rep = mlp.train(dataset, hyper)
         mlp.save_model(model, scdir / "model.hrsmlp")
         rows.append(_evaluate(dataset, model, scdir))
-    evaluation.write_summary_csv(rows, out_root / "summary.csv")
-    print(f"summary -> {out_root / 'summary.csv'}")
+    evaluation.write_summary_csv(rows, summary)
+    print(f"summary -> {summary}")
     return 0
 
 

@@ -24,16 +24,18 @@ on them instead of decomposing the blocks again (see ``hrs``).
 ``best_partition(H_true, H_hat, dendrogram, total_power)`` picks the level
 with the best achievable rate as the clustering decision; for small N
 ``exhaustive_best(H_true, H_hat, total_power)`` sweeps all set partitions as
-the optimality reference. Both keep the highest rate, then the fewest groups,
-and each evaluates all its candidates in one ``hrs.evaluate_partitions``
-pass: at N = M = 12 the level sweep makes about 35 stacked SVD calls per
-draw, on top of the agglomeration's 11.
+the optimality reference. Both keep the feasible candidate of largest key
+(R_total, -num_groups), the earlier of equal keys: the highest rate, then fewer
+groups, then the earlier candidate. Each evaluates all its candidates in one
+``hrs.evaluate_partitions`` pass: at N = M = 12 the level sweep makes about 35
+stacked SVD calls per draw, on top of the agglomeration's 11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -167,22 +169,18 @@ def agglomerate(H_hat: np.ndarray) -> Dendrogram:
         return bases[block]
 
     @cache
-    def score(a, b):  # not bit-symmetric; the scan passes the smaller minimum first
+    def score(pair):  # not bit-symmetric; combinations passes the smaller minimum first
+        a, b = pair
         return _standardize(_overlap(basis(a), basis(b), len(a), len(b)), m, len(a), len(b))
 
     blocks = [(u,) for u in range(1, n + 1)]
     levels = [Partition(tuple(blocks))]
     trace: list[MergeStep] = []
     while len(blocks) > 1:
-        best_score, best_pair = -np.inf, None
-        for i, a in enumerate(blocks):
-            for b in blocks[i + 1 :]:
-                s = score(a, b)
-                if s > best_score:
-                    best_score, best_pair = s, (a, b)
-        trace.append(MergeStep(len(levels), best_pair, float(best_score)))
-        merged = tuple(sorted(best_pair[0] + best_pair[1]))
-        blocks = sorted([b for b in blocks if b not in best_pair] + [merged])  # by block minimum
+        pair = max(combinations(blocks, 2), key=score)  # the first of equal scores
+        trace.append(MergeStep(len(levels), pair, float(score(pair))))
+        merged = tuple(sorted(pair[0] + pair[1]))
+        blocks = sorted([b for b in blocks if b not in pair] + [merged])  # by block minimum
         levels.append(Partition(tuple(blocks)))
     return Dendrogram(tuple(levels), tuple(trace), bases)
 
@@ -206,26 +204,16 @@ def exhaustive_best(H_true: np.ndarray, H_hat: np.ndarray, total_power: float) -
 
 
 def _best_feasible(H_true, H_hat, partitions, total_power: float, bases) -> tuple[Partition, RateBreakdown]:
-    """Highest R_total; on a tie fewer groups, then the earlier partition.
+    """The feasible candidate of largest key (R_total, -num_groups), the first
+    of equal keys: highest rate, then fewer groups, then the earlier candidate.
 
     Every candidate is evaluated in one ``evaluate_partitions`` pass, so each
     block of H_hat is decomposed at most once per search and the candidates'
     precoders share their stacked calls.
     """
     partitions = list(partitions)
-    best: tuple[Partition, RateBreakdown] | None = None
-    for partition, result in zip(partitions, evaluate_partitions(H_true, H_hat, partitions, total_power, bases)):
-        if not result.feasible:
-            continue
-        if (
-            best is None
-            or result.R_total > best[1].R_total
-            or (
-                result.R_total == best[1].R_total
-                and partition.num_groups < best[0].num_groups
-            )
-        ):
-            best = (partition, result)
-    if best is None:
+    results = evaluate_partitions(H_true, H_hat, partitions, total_power, bases)
+    feasible = [(partition, result) for partition, result in zip(partitions, results) if result.feasible]
+    if not feasible:
         raise NoFeasiblePartitionError("every candidate partition is infeasible")
-    return best
+    return max(feasible, key=lambda candidate: (candidate[1].R_total, -candidate[0].num_groups))

@@ -175,18 +175,24 @@ def write_boxplot_svg(results: list[MethodResult], scenario: str, path) -> None:
     Path(path).write_text("\n".join(parts))
 
 
+def report_files(scenario: str) -> tuple[str, str, str]:
+    """The names of the records, summary and boxplot files ``report`` writes."""
+    return f"{scenario}_rates.jsonl", f"{scenario}_summary.csv", f"{scenario}_boxplot.svg"
+
+
 def report(
     results: list[MethodResult],
     metrics: dict,
     scenario: str,
     out_dir,
 ) -> dict:
-    """Write ``<scenario>_rates.jsonl``, ``_summary.csv`` and ``_boxplot.svg``
-    under ``out_dir``; returns the summary row."""
+    """Write the ``report_files`` of ``scenario`` under ``out_dir``; returns
+    the summary row."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_records_jsonl(results, scenario, out / f"{scenario}_rates.jsonl")
+    records, summary, boxplot = (out / name for name in report_files(scenario))
+    write_records_jsonl(results, scenario, records)
     row = {"scenario": scenario, "relative_rate": relative_rate(results).ratio, **metrics}
-    write_summary_csv([row], out / f"{scenario}_summary.csv")
-    write_boxplot_svg(results, scenario, out / f"{scenario}_boxplot.svg")
+    write_summary_csv([row], summary)
+    write_boxplot_svg(results, scenario, boxplot)
     return row

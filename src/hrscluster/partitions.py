@@ -133,9 +133,10 @@ def first_non_canonical(keys, users: int) -> str | None:
 def enumerate_partitions(n: int) -> list[Partition]:
     """All set partitions of ``{1..n}`` in canonical order.
 
-    Enumerates restricted-growth strings: user 1 opens block 0 and each later
-    user joins an existing block or opens the next one. Guarded at n = 10
-    (Bell(10) = 115975).
+    Restricted-growth strings, built a user at a time: user 1 opens block 0
+    and each string is extended by every block index it uses, then by the next
+    one, which keeps them in lexicographic order. Block ``b`` of a string's
+    partition holds the users of index ``b``. Guarded at n = 10 (Bell(10) = 115975).
     """
     if n < 1:
         raise ConfigurationError("need at least one user")
@@ -144,19 +145,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
             f"refusing to enumerate partitions of {n} users "
             f"(limit {MAX_ENUMERATION_SIZE}, Bell({MAX_ENUMERATION_SIZE}) = 115975)"
         )
-    out: list[Partition] = []
-    assignment = [0] * n
-
-    def grow(user: int, num_blocks: int):
-        if user == n:
-            blocks: list[list[int]] = [[] for _ in range(num_blocks)]
-            for u, b in enumerate(assignment):
-                blocks[b].append(u + 1)
-            out.append(Partition(tuple(tuple(b) for b in blocks)))
-            return
-        for b in range(num_blocks + 1):
-            assignment[user] = b
-            grow(user + 1, max(num_blocks, b + 1))
-
-    grow(0, 0)
-    return out
+    strings = [(0,)]
+    for _ in range(1, n):
+        strings = [s + (b,) for s in strings for b in range(max(s) + 2)]
+    return [Partition(tuple(tuple(u for u, b in enumerate(s, 1) if b == g) for g in range(max(s) + 1))) for s in strings]

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,45 +212,75 @@ def test_removed_training_flags_exit_2(workdir, tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, bad, reason",
     [
-        ["gen-dataset", "--config", "{cfg}", "--out", "{missing}"],
-        ["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{missing}"],
-        ["train", "--data", "{data}", "--out", "{missing}", "--epochs", "1"],
-        ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{missing}"],
+        (["gen-dataset", "--config", "{cfg}", "--out", "{missing}"], "{missing}", "No such file or directory"),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{missing}"], "{missing}",
+         "No such file or directory"),
+        (["train", "--data", "{data}", "--out", "{missing}", "--epochs", "1"], "{missing}", "No such file or directory"),
+        (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{missing}"], "{missing}",
+         "No such file or directory"),
         # an output file cannot be written over a directory
-        ["gen-dataset", "--config", "{cfg}", "--out", "{dir}"],
-        ["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{dir}"],
-        ["train", "--data", "{data}", "--out", "{dir}", "--epochs", "1"],
-        ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{dir}"],
+        (["gen-dataset", "--config", "{cfg}", "--out", "{dir}"], "{dir}", "Is a directory"),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{dir}"], "{dir}", "Is a directory"),
+        (["train", "--data", "{data}", "--out", "{dir}", "--epochs", "1"], "{dir}", "Is a directory"),
+        (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{dir}"], "{dir}",
+         "Is a directory"),
         # compare writes into a directory, which cannot be made over a file or under one
-        ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}"],
-        ["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}/sub"],
+        (["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}"], "{file}", "File exists"),
+        (["compare", "--data", "{data}", "--model", "{model}", "--out", "{file}/sub"], "{file}/sub",
+         "Not a directory"),
+        # nor can its report files be written over directories of their names
+        (["compare", "--data", "{data}", "--model", "{model}", "--out", "{tree}"], "{tree}/clitiny_rates.jsonl",
+         "Is a directory"),
+        (["compare", "--data", "{data}", "--model", "{model}", "--out", "{tree}"], "{tree}/clitiny_summary.csv",
+         "Is a directory"),
+        (["compare", "--data", "{data}", "--model", "{model}", "--out", "{tree}"], "{tree}/clitiny_boxplot.svg",
+         "Is a directory"),
+        # sweep runs alpha before clitiny: each file of either, and the summary, is checked before the first run
+        (["sweep", "--configs", "{configs}", "--out", "{file}"], "{file}/alpha", "Not a directory"),
+        (["sweep", "--configs", "{configs}", "--out", "{tree}"], "{tree}/clitiny", "File exists"),
+        (["sweep", "--configs", "{configs}", "--out", "{tree}"], "{tree}/clitiny/model.hrsmlp", "Is a directory"),
+        (["sweep", "--configs", "{configs}", "--out", "{tree}"], "{tree}/clitiny/clitiny_boxplot.svg",
+         "Is a directory"),
+        (["sweep", "--configs", "{configs}", "--out", "{tree}"], "{tree}/summary.csv", "Is a directory"),
+        # a scenario named summary.csv would make its directory where the summary goes
+        (["sweep", "--configs", "{summary-configs}", "--out", "{out}"], "{out}/summary.csv", "Is a directory"),
     ],
     ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "gen-dataset--out-dir",
-         "gen-dataset--csv-dir", "train--out-dir", "train--report-dir", "compare--out", "compare--out-under-file"],
+         "gen-dataset--csv-dir", "train--out-dir", "train--report-dir", "compare--out", "compare--out-under-file",
+         "compare--rates-dir", "compare--summary-dir", "compare--boxplot-dir", "sweep--out-file",
+         "sweep--scenario-file", "sweep--model-dir", "sweep--boxplot-dir", "sweep--summary-dir",
+         "sweep--scenario-summary"],
 )
-def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv):
+def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv, bad, reason):
     paths = {"cfg": workdir / "cfg.json", "data": workdir / "data.hrsdat", "model": workdir / "model.hrsmlp",
              "out": tmp_path / "out", "missing": tmp_path / "missing" / "out", "file": tmp_path / "a-file",
-             "dir": tmp_path / "a-dir"}
+             "dir": tmp_path / "a-dir", "tree": tmp_path / "tree", "configs": tmp_path / "configs",
+             "summary-configs": tmp_path / "summary-configs"}
     paths["file"].write_text("")
     paths["dir"].mkdir()
+    for name, scenario in (("configs", "alpha"), ("configs", "clitiny"), ("summary-configs", "summary.csv")):
+        paths[name].mkdir(exist_ok=True)
+        cfg = {"name": scenario, "users": 4, "antennas": 8, "samples": 20, "seed": 31}
+        (paths[name] / f"{scenario}.json").write_text(json.dumps(cfg))
+    bad = bad.format(**paths)
+    if bad.startswith(str(paths["tree"])):  # the test makes each path under {tree} that a case names
+        if reason == "File exists":
+            paths["tree"].mkdir()
+            Path(bad).write_text("")
+        else:
+            Path(bad).mkdir(parents=True)
+    tree = sorted(paths["tree"].rglob("*"))
     # an unwritable output is refused before any generation, training or scoring
     monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
     monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
     monkeypatch.setattr(evaluation, "run_baselines", lambda *args, **kwargs: pytest.fail("run_baselines ran"))
     assert cli.run([arg.format(**paths) for arg in argv]) == 2
-    reasons = {
-        "{missing}": (paths["missing"], "No such file or directory"),
-        "{file}": (paths["file"], "File exists"),
-        "{file}/sub": (paths["file"] / "sub", "Not a directory"),
-        "{dir}": (paths["dir"], "Is a directory"),
-    }
-    bad, reason = next(reasons[arg] for arg in argv if arg in reasons)
     assert capsys.readouterr().err == f"error: cannot open {bad}: {reason}\n"
     assert not paths["out"].exists()
     assert not any(paths["dir"].iterdir())
+    assert sorted(paths["tree"].rglob("*")) == tree
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_channelset
+from hrscluster import clustering
 from hrscluster.channel import ArrayGeometry, build_covariance, sample_channels
 from hrscluster.clustering import (
     Dendrogram,
@@ -11,8 +12,8 @@ from hrscluster.clustering import (
     exhaustive_best,
     pf_similarity,
 )
-from hrscluster.errors import CalibrationError, DegenerateInputError, ResourceLimitError
-from hrscluster.hrs import evaluate_partition
+from hrscluster.errors import CalibrationError, DegenerateInputError, NoFeasiblePartitionError, ResourceLimitError
+from hrscluster.hrs import RateBreakdown, evaluate_partition
 from hrscluster.partitions import Partition, enumerate_partitions
 from reference import normalized_similarity, projection_matrix
 
@@ -340,6 +341,42 @@ def test_exhaustive_with_shared_bases_matches_independent_evaluations():
         assert exhaustive_best(channels.H_true, channels.H_hat, power) == _enumerated_best(
             channels.H_true, channels.H_hat, power
         )
+
+
+def _crafted_search(monkeypatch, keys, rates, feasible):
+    """``_best_feasible`` over the partitions of ``keys``, each evaluated to
+    the crafted rate and feasibility at its position; returns the candidates,
+    their breakdowns and the search's result."""
+    candidates = [Partition.from_key(key) for key in keys]
+    breakdowns = [RateBreakdown(0.0, 0.0, r, r, 0.5, 0.5, ok) for r, ok in zip(rates, feasible)]
+
+    def crafted(h_true, h_hat, partitions, total_power, bases):
+        assert partitions == candidates
+        return breakdowns
+
+    monkeypatch.setattr(clustering, "evaluate_partitions", crafted)
+    return candidates, breakdowns, clustering._best_feasible(None, None, iter(candidates), 1.0, None)
+
+
+@pytest.mark.parametrize(
+    "keys, rates, feasible, want",
+    [
+        (["1,2,3", "1|2|3"], [1.0, 1.5], [True, True], 1),  # the higher rate, whatever its group count
+        (["1|2|3", "1,2|3"], [2.0, 2.0], [True, True], 1),  # equal rates: fewer groups, even when later
+        (["1,2|3", "1,3|2"], [2.0, 2.0], [True, True], 0),  # equal rates and group counts: the earlier
+        (["1,3|2", "1,2|3"], [2.0, 2.0], [True, True], 0),
+        (["1,2,3", "1,2|3", "1|2|3"], [9.0, 1.0, 0.5], [False, True, True], 1),  # infeasible is skipped
+    ],
+    ids=["rate", "fewer-groups", "earlier", "earlier-swapped", "infeasible-skipped"],
+)
+def test_best_feasible_keeps_rate_then_fewer_groups_then_the_earlier(monkeypatch, keys, rates, feasible, want):
+    candidates, breakdowns, best = _crafted_search(monkeypatch, keys, rates, feasible)
+    assert best[0] is candidates[want] and best[1] is breakdowns[want]
+
+
+def test_best_feasible_refuses_all_infeasible_candidates(monkeypatch):
+    with pytest.raises(NoFeasiblePartitionError):
+        _crafted_search(monkeypatch, ["1,2", "1|2"], [3.0, 2.0], [False, False])
 
 
 def test_aligned_channels_prefer_universal():

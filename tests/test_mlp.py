@@ -118,14 +118,12 @@ def test_features_start_with_raw_entries(rng):
         assert np.array_equal(row[: 2 * 3 * 5], raw_features(s))
 
 
-def test_features_are_blind_to_row_blocks(rng, monkeypatch):
+def test_each_feature_row_is_its_samples_own_and_matches_the_references(rng):
     m, n = 3, 4
     samples = _estimates(rng, 2 * mlp.BATCH_SIZE + 3, m, n)
-    blocked = mlp._features(samples)
-    monkeypatch.setattr(mlp, "BATCH_SIZE", len(samples))
-    assert blocked.tobytes() == mlp._features(samples).tobytes()
+    features = mlp._features(samples)
     rows, cols = np.triu_indices(n, 1)
-    for s, row in zip(samples, blocked):
+    for s, row in zip(samples, features):
         assert row.tobytes() == mlp._features([s])[0].tobytes()
         assert row[: 2 * m * n].tobytes() == raw_features(s).tobytes()
         want = [pf_similarity(s.H_hat[:, [i]], s.H_hat[:, [j]]) for i, j in zip(rows, cols)]

@@ -160,6 +160,19 @@ def test_enumerate_brute_force_cross_check():
     assert len(seen) == len(enumerate_partitions(n)) == bell_number(4)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_lists_restricted_growth_strings_in_lexicographic_order(n):
+    strings = []
+    for p in enumerate_partitions(n):
+        string = [0] * n  # the block index of each user
+        for b, block in enumerate(p.blocks):
+            for u in block:
+                string[u - 1] = b
+        strings.append(tuple(string))
+    assert len(strings) == bell_number(n)
+    assert all(a < b for a, b in zip(strings, strings[1:]))
+
+
 def test_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_partitions(11)
