@@ -9,10 +9,10 @@ Subcommands:
 
 Global flags: ``--seed`` overrides the config seed, ``--threads`` (at least 1)
 sets the generation worker count.
-Exit codes: 0 success, 2 configuration error (an input that cannot be read,
-an output that cannot be written and an output over an input or over
-another output among them), 3 data-format error, 4 numerical-consistency
-error.
+Exit codes: 0 success, 2 configuration error (among them an input that
+cannot be read and, refused before any generation, training or scoring, an
+output that cannot be written or that is an input or an earlier output of
+the same command), 3 data-format error, 4 numerical-consistency error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import dataclasses
 import errno
 import json
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -66,52 +65,46 @@ def _apply_overrides(cfg: data.ScenarioConfig, args) -> data.ScenarioConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _check_outputs(args, inputs, outputs) -> None:
-    """Refuse, before any work, the file of each set flag of ``outputs``:
-    raise the ``OSError`` that writing it would meet at its directory or at a
-    directory of its name, or a ``ConfigurationError`` if it is the file of a
-    flag of ``inputs`` or of an earlier output."""
-    named = [(flag, getattr(args, flag)) for flag in inputs]
-    for flag in outputs:
-        path = getattr(args, flag)
-        if not path:
+def _check_writes(reads, writes, makes_dirs=False) -> None:
+    """Refuse, before any work, each file of ``writes`` whose path is not None.
+
+    ``reads`` and ``writes`` are (flag, path) pairs, ``writes`` in write order.
+    Raise the ``OSError`` that writing a file would meet: at its directory,
+    which must exist, or which the command makes with its parents when
+    ``makes_dirs``; or at a directory of its path, existing or made for an
+    earlier write. Raise a ``ConfigurationError`` if it is the file of a read
+    or of an earlier write."""
+    named, made = list(reads), set()
+    for flag, path in writes:
+        if path is None:
             continue
-        try:
-            in_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        if not in_dir or os.path.isdir(path):
-            code = errno.EISDIR if in_dir else errno.ENOTDIR
-            raise OSError(code, os.strerror(code), path)
+        file, parent = Path(path), Path(path).parent
+        existing = next(p for p in (parent, *parent.parents) if p.exists())
+        if not existing.is_dir():  # a file where the directory is, or above it
+            code = errno.EEXIST if makes_dirs and existing == parent else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(parent if makes_dirs else path))
+        if path == "" or (existing != parent and not makes_dirs):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        resolved = file.resolve()
+        if file.is_dir() or resolved in made:
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        made.update(resolved.parents)
         for other, other_path in named:
             try:
                 same = os.path.samefile(path, other_path)
             except OSError:  # one of them does not exist (yet)
-                same = Path(path).resolve() == Path(other_path).resolve()
+                same = resolved == Path(other_path).resolve()
             if same:
-                raise ConfigurationError(f"--{flag} {path} is the same file as --{other} {other_path}")
+                raise ConfigurationError(f"{flag} {path} is the same file as {other} {other_path}")
         named.append((flag, path))
 
 
-def _check_out_dir(path, files=()) -> None:
-    """Raise, before any work, the ``OSError`` that making directory ``path``
-    and its parents would meet at an existing file, or that writing one of
-    ``files`` in it would meet at a directory of that name."""
-    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
-    if not existing.is_dir():
-        code = errno.EEXIST if existing == Path(path) else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), path)
-    for file in files:
-        if (Path(path) / file).is_dir():
-            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(path) / file))
-
-
 def _cmd_gen_dataset(args) -> int:
-    _check_outputs(args, ("config",), ("out", "csv"))
+    _check_writes([("--config", args.config)], [("--out", args.out), ("--csv", args.csv)])
     cfg = _apply_overrides(data.ScenarioConfig.from_file(args.config), args)
     dataset = data.build_dataset(cfg, threads=args.threads)
     data.serialize(dataset, args.out)
-    if args.csv:
+    if args.csv is not None:
         data.export_labels_csv(dataset, args.csv)
     print(
         f"{cfg.name}: {len(dataset.train)}/{len(dataset.validation)}/{len(dataset.test)} "
@@ -121,13 +114,13 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_outputs(args, ("data",), ("out", "report"))
+    _check_writes([("--data", args.data)], [("--out", args.out), ("--report", args.report)])
     dataset = data.load(args.data)
     seed = args.seed if args.seed is not None else dataset.config.seed
     hyper = mlp.TrainingHyper(epochs=args.epochs, seed=seed)
     model, rep = mlp.train(dataset, hyper)
     mlp.save_model(model, args.out)
-    if args.report:
+    if args.report is not None:
         Path(args.report).write_text(json.dumps(dataclasses.asdict(rep), indent=2))
     print(
         f"trained on {len(dataset.train)} samples: final loss {rep.train_loss[-1]:.4f}, "
@@ -137,9 +130,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_out_dir(args.out)
     dataset = data.load(args.data)
-    _check_out_dir(args.out, evaluation.report_files(dataset.config.name))
+    _check_writes([("--data", args.data), ("--model", args.model)],
+                  [("--out", Path(args.out) / name) for name in evaluation.report_files(dataset.config.name)],
+                  makes_dirs=True)
     model = mlp.load_model(args.model)
     _check_compatible(dataset, model)
     _evaluate(dataset, model, args.out)
@@ -160,11 +154,9 @@ def _cmd_sweep(args) -> int:
             raise ConfigurationError(f"{scenarios[cfg.name][0]} and {cfg_path} both name the scenario {cfg.name!r}")
         scenarios[cfg.name] = cfg_path, cfg
     summary = out_root / "summary.csv"
-    for name in scenarios:  # every file the runs write, checked before the first run
-        if name == summary.name:  # its directory would take the summary's path
-            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(summary))
-        _check_out_dir(out_root / name, ("dataset.hrsdat", "model.hrsmlp", *evaluation.report_files(name)))
-    _check_out_dir(out_root, (summary.name,))
+    writes = [("--out", out_root / name / file) for name in scenarios
+              for file in ("dataset.hrsdat", "model.hrsmlp", *evaluation.report_files(name))]
+    _check_writes([("--configs", path) for path in configs], [*writes, ("--out", summary)], makes_dirs=True)
     rows = []
     for _, cfg in scenarios.values():
         scdir = out_root / cfg.name

@@ -246,12 +246,19 @@ def test_removed_training_flags_exit_2(workdir, tmp_path, capsys, flag, value):
         (["sweep", "--configs", "{configs}", "--out", "{tree}"], "{tree}/summary.csv", "Is a directory"),
         # a scenario named summary.csv would make its directory where the summary goes
         (["sweep", "--configs", "{summary-configs}", "--out", "{out}"], "{out}/summary.csv", "Is a directory"),
+        # an empty path names no file; only an unset flag leaves an optional output out
+        (["gen-dataset", "--config", "{cfg}", "--out", ""], "", "No such file or directory"),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", ""], "", "No such file or directory"),
+        (["train", "--data", "{data}", "--out", "", "--epochs", "1"], "", "No such file or directory"),
+        (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", ""], "",
+         "No such file or directory"),
     ],
     ids=["gen-dataset--out", "gen-dataset--csv", "train--out", "train--report", "gen-dataset--out-dir",
          "gen-dataset--csv-dir", "train--out-dir", "train--report-dir", "compare--out", "compare--out-under-file",
          "compare--rates-dir", "compare--summary-dir", "compare--boxplot-dir", "sweep--out-file",
          "sweep--scenario-file", "sweep--model-dir", "sweep--boxplot-dir", "sweep--summary-dir",
-         "sweep--scenario-summary"],
+         "sweep--scenario-summary", "gen-dataset--out-empty", "gen-dataset--csv-empty", "train--out-empty",
+         "train--report-empty"],
 )
 def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv, bad, reason):
     paths = {"cfg": workdir / "cfg.json", "data": workdir / "data.hrsdat", "model": workdir / "model.hrsmlp",
@@ -284,38 +291,55 @@ def test_unwritable_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize(
-    "argv, flags",
+    "argv, message",
     [
-        (["gen-dataset", "--config", "{cfg}", "--out", "{cfg}"], ("--out", "--config")),
-        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{out}"], ("--csv", "--out")),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{cfg}"], "--out {cfg} is the same file as --config {cfg}"),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{out}"],
+         "--csv {out} is the same file as --out {out}"),
         # one file spelled two ways, before it exists
-        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{dir}/../out"], ("--csv", "--out")),
-        (["train", "--data", "{data}", "--out", "{data}", "--epochs", "1"], ("--out", "--data")),
+        (["gen-dataset", "--config", "{cfg}", "--out", "{out}", "--csv", "{dir}/../out"],
+         "--csv {dir}/../out is the same file as --out {out}"),
+        (["train", "--data", "{data}", "--out", "{data}", "--epochs", "1"],
+         "--out {data} is the same file as --data {data}"),
         # a hard link: another path, the same file
-        (["train", "--data", "{data}", "--out", "{link}", "--epochs", "1"], ("--out", "--data")),
+        (["train", "--data", "{data}", "--out", "{link}", "--epochs", "1"],
+         "--out {link} is the same file as --data {data}"),
         (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{data}"],
-         ("--report", "--data")),
+         "--report {data} is the same file as --data {data}"),
         (["train", "--data", "{data}", "--out", "{out}", "--epochs", "1", "--report", "{out}"],
-         ("--report", "--out")),
+         "--report {out} is the same file as --out {out}"),
+        # compare's reports are named by the scenario: the dataset stored as clitiny_rates.jsonl, the model
+        # as clitiny_summary.csv, and a hard link to the dataset as clitiny_boxplot.svg
+        (["compare", "--data", "{reports}/clitiny_rates.jsonl", "--model", "{model}", "--out", "{reports}"],
+         "--out {reports}/clitiny_rates.jsonl is the same file as --data {reports}/clitiny_rates.jsonl"),
+        (["compare", "--data", "{data}", "--model", "{reports}/clitiny_summary.csv", "--out", "{reports}"],
+         "--out {reports}/clitiny_summary.csv is the same file as --model {reports}/clitiny_summary.csv"),
+        (["compare", "--data", "{data}", "--model", "{model}", "--out", "{linked}"],
+         "--out {linked}/clitiny_boxplot.svg is the same file as --data {data}"),
     ],
     ids=["gen-dataset--out-config", "gen-dataset--csv-out", "gen-dataset--csv-out-spelled", "train--out-data",
-         "train--out-data-link", "train--report-data", "train--report-out"],
+         "train--out-data-link", "train--report-data", "train--report-out", "compare--rates-data",
+         "compare--summary-model", "compare--boxplot-data-link"],
 )
-def test_output_over_an_input_or_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv, flags):
-    paths = {"cfg": tmp_path / "cfg.json", "data": tmp_path / "data.hrsdat", "link": tmp_path / "link.hrsdat",
-             "out": tmp_path / "out", "dir": tmp_path / "a-dir"}
-    for name in ("cfg", "data"):
+def test_output_over_an_input_or_output_exits_2(workdir, tmp_path, capsys, monkeypatch, argv, message):
+    paths = {"cfg": tmp_path / "cfg.json", "data": tmp_path / "data.hrsdat", "model": tmp_path / "model.hrsmlp",
+             "link": tmp_path / "link.hrsdat", "out": tmp_path / "out", "dir": tmp_path / "a-dir",
+             "reports": tmp_path / "reports", "linked": tmp_path / "linked"}
+    for name in ("cfg", "data", "model"):
         paths[name].write_bytes((workdir / paths[name].name).read_bytes())
     os.link(paths["data"], paths["link"])
-    paths["dir"].mkdir()
-    inputs = {name: paths[name].read_bytes() for name in ("cfg", "data")}
+    for name in ("dir", "reports", "linked"):
+        paths[name].mkdir()
+    (paths["reports"] / "clitiny_rates.jsonl").write_bytes(paths["data"].read_bytes())
+    (paths["reports"] / "clitiny_summary.csv").write_bytes(paths["model"].read_bytes())
+    os.link(paths["data"], paths["linked"] / "clitiny_boxplot.svg")
+    inputs = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     monkeypatch.setattr(data, "build_dataset", lambda *args, **kwargs: pytest.fail("build_dataset ran"))
     monkeypatch.setattr(mlp, "train", lambda *args, **kwargs: pytest.fail("train ran"))
-    argv = [arg.format(**paths) for arg in argv]
-    assert cli.run(argv) == 2
-    output, other = (argv[argv.index(flag) + 1] for flag in flags)
-    assert capsys.readouterr().err == f"error: {flags[0]} {output} is the same file as {flags[1]} {other}\n"
-    assert {name: paths[name].read_bytes() for name in ("cfg", "data")} == inputs
+    monkeypatch.setattr(evaluation, "run_baselines", lambda *args, **kwargs: pytest.fail("run_baselines ran"))
+    assert cli.run([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == inputs
     assert not paths["out"].exists()
 
 

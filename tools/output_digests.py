@@ -11,6 +11,8 @@ directory, at fixed sizes and seeds:
     gen-dataset  n8m8, 300 draws, seed 7, total_power 10: the config's power reaches the labels
     train        --seed 3 --epochs 3 on the n8m8 dataset, and its --report
     compare      that model on that dataset: SVG, JSON lines, CSV and stdout
+    sweep        one n4m8 scenario, 20 draws, seed 31: its dataset, model, three
+                 reports and summary.csv
 
 and prints one JSON object mapping each output to its sha256. Two versions
 of the program write the same bytes when they print the same object. Each
@@ -71,6 +73,9 @@ def digests(work: Path) -> dict:
                "n8m8-power10": {"users": 8, "antennas": 8, "samples": 300, "seed": 7, "total_power": 10}}
     for name, cfg in configs.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
+    (work / "sweep-configs").mkdir()
+    (work / "sweep-configs" / "tiny.json").write_text(
+        json.dumps({"name": "tiny", "users": 4, "antennas": 8, "samples": 20, "seed": 31}))
     run("gen-dataset", "--config", work / "n8m8.json", "--out", work / "n8m8.hrsdat", "--csv", work / "n8m8.csv")
     run("--threads", 2, "gen-dataset", "--config", work / "n8m8.json", "--out", work / "n8m8-threads2.hrsdat")
     run("gen-dataset", "--config", work / "n12m12.json", "--out", work / "n12m12.hrsdat")
@@ -79,6 +84,7 @@ def digests(work: Path) -> dict:
     run("--seed", 3, "train", "--data", work / "n8m8.hrsdat", "--out", work / "model.hrsmlp",
         "--report", work / "report.json", "--epochs", 3)
     stdout = run("compare", "--data", work / "n8m8.hrsdat", "--model", work / "model.hrsmlp", "--out", work / "compare")
+    run("sweep", "--configs", work / "sweep-configs", "--out", work / "sweep")
     files = {
         "gen-dataset n8m8": "n8m8.hrsdat",
         "gen-dataset n8m8 --threads 2": "n8m8-threads2.hrsdat",
@@ -91,6 +97,12 @@ def digests(work: Path) -> dict:
         "compare svg": "compare/n8m8_boxplot.svg",
         "compare jsonl": "compare/n8m8_rates.jsonl",
         "compare csv": "compare/n8m8_summary.csv",
+        "sweep dataset": "sweep/tiny/dataset.hrsdat",
+        "sweep model": "sweep/tiny/model.hrsmlp",
+        "sweep svg": "sweep/tiny/tiny_boxplot.svg",
+        "sweep jsonl": "sweep/tiny/tiny_rates.jsonl",
+        "sweep csv": "sweep/tiny/tiny_summary.csv",
+        "sweep summary.csv": "sweep/summary.csv",
     }
     out = {}
     for name, rel in files.items():
