@@ -9,22 +9,23 @@ blocks (the label is invariant to such reorderings); the stratified
 
 Every split, generated or loaded, is one ``Records``: index columns over a
 ``Store`` that holds each draw once (its matrices, laid out as in the blob,
-its label rate and its covariance indices). A record names its draw, the
-order of its users and its class id. Generation fills the store; balancing,
-augmentation and the split are index maps over it, which ``build_dataset``
-composes into each split's columns, copying no matrix. Indexing or
-iterating ``Records`` gathers the record's ``Sample``: its draw's matrices
-and covariance indices with the users in the record's order.
+its label rate, class id and covariance indices) and the label table the
+ids index. A record names its draw and the order of its users; its label is
+its draw's. Generation fills the store; balancing, augmentation and the
+split are index maps over it, which ``build_dataset`` composes into each
+split's columns, copying no matrix. Indexing or iterating ``Records``
+gathers the record's ``Sample``: its draw's matrices and covariance indices
+with the users in the record's order.
 
 Datasets are stored in a binary container (magic ``HRSDAT01``, format
-version 6) whose header holds the generating configuration, the class
+version 7) whose header holds the generating configuration, the class
 index, the number of stored draws and the three split sizes. Its blob holds
-the store, every draw a record uses once (matrices, then label rates, then
-covariance indices), then each record's draw, user order and class id, in
-storage order (train, validation, test); every column is fixed-width.
-``load`` reads and CRC-checks the whole file in one pass, checks every
-column with one array predicate each, and views the store and the record
-columns in the blob, read-only, copying nothing.
+the one store all splits index, each draw a record uses once (matrices, label
+rates, class ids, covariance indices), then each record's draw and user
+order, in storage order (train, validation, test); every column is
+fixed-width. ``load`` reads and CRC-checks the whole file in one pass,
+checks every column with one array predicate each, and views the store and
+the record columns in the blob, read-only, copying nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import ConfigurationError, DataFormatError, StratificationError
 from .partitions import Partition, first_non_canonical
 
 DATASET_MAGIC = b"HRSDAT01"
-DATASET_VERSION = 6
+DATASET_VERSION = 7
 
 REFERENCE_SCENARIOS = ((8, 4), (8, 8), (8, 12), (12, 6), (12, 12), (12, 16))
 # The default sector centres, -pi/2 + pi/3 * g for g = 0..3: one covariance each.
@@ -189,14 +190,16 @@ class Sample:
 
 
 class Store(NamedTuple):
-    """Draws, each held once and laid out as in the blob: ``matrices`` is (D, 2,
-    N, M), each draw's ``H_true`` then ``H_hat``, transposed; ``rates`` the
-    draws' label rates; ``assignments`` their (D, N) covariance indices, in
-    each draw's own user order."""
+    """Draws, each held once, as the blob's columns in blob order: ``matrices``
+    is (D, 2, N, M), each draw's ``H_true`` then ``H_hat``, transposed, then the
+    draws' label rates, class ids into ``labels`` and (D, N) covariance indices,
+    in each draw's own user order."""
 
     matrices: np.ndarray
     rates: np.ndarray
+    ids: np.ndarray
     assignments: np.ndarray
+    labels: tuple[str, ...]
 
 
 class Records(Sequence):
@@ -204,31 +207,36 @@ class Records(Sequence):
     ``take``) or viewed read-only in the blob (``load``).
 
     Record r is draw ``draws[r]`` of ``store`` with its users in the order
-    ``orders[r]`` (its user j is the draw's user ``orders[r, j]``); its class
-    id ``ids[r]`` names its label in ``labels``. An integer index yields the
-    record's ``Sample``, gathered from the store; a slice or an integer array
-    the ``Records`` of the records it selects, over the same store.
+    ``orders[r]`` (its user j is the draw's user ``orders[r, j]``); its label
+    and label rate are its draw's. An integer index yields the record's
+    ``Sample``, gathered from the store; a slice or an integer array the
+    ``Records`` of the records it selects, over the same store.
     """
 
-    def __init__(self, store: Store, draws, orders, ids, labels: tuple[str, ...]):
-        self.store, self.draws, self.orders, self.ids, self.labels = store, draws, orders, ids, labels
+    def __init__(self, store: Store, draws, orders):
+        self.store, self.draws, self.orders = store, draws, orders
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.draws)
 
     def __getitem__(self, index):
         if isinstance(index, (slice, np.ndarray)):
-            return Records(self.store, self.draws[index], self.orders[index], self.ids[index], self.labels)
+            return Records(self.store, self.draws[index], self.orders[index])
         index = operator.index(index)
-        draw, order = self.draws[index], self.orders[index]
-        pair = self.store.matrices[draw].take(order, axis=1)  # (2, N, M), C-contiguous
+        store, draw, order = self.store, self.draws[index], self.orders[index]
+        pair = store.matrices[draw].take(order, axis=1)  # (2, N, M), C-contiguous
         pair.flags.writeable = False
         h_true, h_hat = pair.transpose(0, 2, 1)  # (M, N) each, column-major: strides (16, 16 M)
-        return Sample(h_true, h_hat, self.labels[self.ids[index]], float(self.store.rates[draw]),
-                      tuple(self.store.assignments[draw, order].tolist()))
+        return Sample(h_true, h_hat, store.labels[store.ids[draw]], float(store.rates[draw]),
+                      tuple(store.assignments[draw, order].tolist()))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Each record's class id, its draw's, which indexes ``store.labels``."""
+        return self.store.ids[self.draws]
 
     @property
     def rates(self) -> np.ndarray:
@@ -238,8 +246,7 @@ class Records(Sequence):
     def take(self, rows, orders) -> "Records":
         """The records ``rows``, the users of each reordered by its row of
         ``orders``; the index maps are composed, no matrix is copied."""
-        return Records(self.store, self.draws[rows], np.take_along_axis(self.orders[rows], orders, axis=1),
-                       self.ids[rows], self.labels)
+        return Records(self.store, self.draws[rows], np.take_along_axis(self.orders[rows], orders, axis=1))
 
 
 def estimate_rows(samples) -> np.ndarray:
@@ -254,7 +261,7 @@ def estimate_rows(samples) -> np.ndarray:
 
 def class_ids(records: Records, class_index: dict[str, int]) -> np.ndarray:
     """The ``class_index`` id of each record's label, -1 where it has none."""
-    return np.array([class_index.get(label, -1) for label in records.labels], dtype=np.int64)[records.ids]
+    return np.array([class_index.get(label, -1) for label in records.store.labels], dtype=np.int64)[records.ids]
 
 
 @dataclass
@@ -299,8 +306,8 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
     Every sample owns a child seed derived from (master seed, index), so the
     result is identical whether generated serially or across workers, of
     which at most ``os.cpu_count()`` are started. The draws fill one store,
-    each record its draw with its users as drawn; labels are numbered in the
-    order they are first drawn. ``threads`` must be at least 1.
+    each record its draw with its users as drawn; the store numbers labels in
+    the order they are first drawn. ``threads`` must be at least 1.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be at least 1, got {threads}")
@@ -312,13 +319,13 @@ def generate_samples(cfg: ScenarioConfig, threads: int = 1) -> Records:
         with Pool(min(threads, os.cpu_count() or 1, -(-cfg.samples // _GEN_CHUNK))) as pool:
             draws = pool.map(one, indices, chunksize=_GEN_CHUNK)
     store = Store(np.empty((cfg.samples, 2, cfg.users, cfg.antennas), dtype=complex), np.empty(cfg.samples),
-                  np.empty((cfg.samples, cfg.users), dtype=np.int64))
-    ids, labels = np.empty(cfg.samples, dtype=np.int64), {}
+                  np.empty(cfg.samples, dtype=np.int64), np.empty((cfg.samples, cfg.users), dtype=np.int64), ())
+    labels = {}
     for i, (h_true, h_hat, label, rate, assignment) in enumerate(draws):
         store.matrices[i, 0], store.matrices[i, 1] = h_true.T, h_hat.T
-        ids[i], store.rates[i], store.assignments[i] = labels.setdefault(label, len(labels)), rate, assignment
+        store.ids[i], store.rates[i], store.assignments[i] = labels.setdefault(label, len(labels)), rate, assignment
     orders = np.tile(np.arange(cfg.users), (cfg.samples, 1))
-    return Records(store, np.arange(cfg.samples), orders, ids, tuple(labels))
+    return Records(store._replace(labels=tuple(labels)), np.arange(cfg.samples), orders)
 
 
 def _classes(ids) -> list[np.ndarray]:
@@ -359,8 +366,8 @@ def augment(records: Records, rows, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """
     copies = 1 + NUM_SHUFFLES
     orders = np.tile(np.arange(records.orders.shape[1]), (len(rows) * copies, 1))
-    for position, row in enumerate(rows.tolist()):
-        columns = Partition.from_key(records.labels[records.ids[row]]).layout.columns
+    for position, label_id in enumerate(records.ids[rows].tolist()):
+        columns = Partition.from_key(records.store.labels[label_id]).layout.columns
         rng = np.random.default_rng((seed, position, _SALT_AUGMENT))
         for perm in orders[position * copies + 1 : (position + 1) * copies]:
             for cols in columns:
@@ -376,7 +383,7 @@ def split(records: Records, rows, seed: int) -> tuple[np.ndarray, np.ndarray, np
     ascending, and the class index, which numbers the labels in sorted order.
     """
     ids = records.ids[rows]
-    by_label = {records.labels[ids[members[0]]]: members for members in _classes(ids)}
+    by_label = {records.store.labels[ids[members[0]]]: members for members in _classes(ids)}
     labels = sorted(by_label)
     rng = np.random.default_rng((seed, _SALT_SPLIT))
     part = np.zeros(len(rows), dtype=np.int8)  # 0 train, 1 validation, 2 test
@@ -398,17 +405,15 @@ def build_dataset(cfg: ScenarioConfig, threads: int = 1) -> DatasetSplit:
     raw = generate_samples(cfg, threads=threads)
     rows, orders = augment(raw, balance(raw), cfg.seed)
     *picks, class_index = split(raw, rows, cfg.seed)
-    # the generation records, ids numbered as in class_index; a class balancing dropped reads -1 and is never taken
-    named = Records(raw.store, raw.draws, raw.orders, class_ids(raw, class_index), tuple(class_index))
-    return DatasetSplit(*(named.take(rows[pick], orders[pick]) for pick in picks), class_index, cfg)
+    return DatasetSplit(*(raw.take(rows[pick], orders[pick]) for pick in picks), class_index, cfg)
 
 
 def _blob_layout(draws: int, records: int, m: int, n: int) -> tuple:
     """``(dtype, shape)`` of each blob column in blob order: per draw its
-    matrices, label rate and covariance indices, then per record its draw,
-    user order and class id."""
-    return (("<c16", (draws, 2, n, m)), ("<f8", (draws,)), ("<i4", (draws, n)),
-            ("<i4", (records,)), ("<i4", (records, n)), ("<i4", (records,)))
+    matrices, label rate, class id and covariance indices, then per record
+    its draw and user order."""
+    return (("<c16", (draws, 2, n, m)), ("<f8", (draws,)), ("<i4", (draws,)), ("<i4", (draws, n)),
+            ("<i4", (records,)), ("<i4", (records, n)))
 
 
 def _nbytes(column) -> int:
@@ -419,13 +424,13 @@ def _nbytes(column) -> int:
 def serialize(dataset: DatasetSplit, path) -> None:
     """Write the dataset container; byte-exact and reloadable.
 
-    Every split is checked before the file is opened. The store written holds
-    each draw some record uses once, in the order of the splits' stores and
-    of the draws in each, so a loaded dataset writes its own bytes again.
+    Every split is checked before the file is opened, and all must index one
+    store. The file stores each draw some record uses once, in store order,
+    its class id numbered as in ``class_index``, so a loaded dataset writes
+    its own bytes again.
     """
     cfg, parts = dataset.config, [part for _, part in dataset.parts()]
-    ids = [_columns(f"{name} split: ", part, dataset.class_index, cfg) for name, part in dataset.parts()]
-    store, draws = _stored(parts)
+    store, draws, orders = _stored(f"{path}: ", parts, dataset.class_index, cfg)
     header = {
         "format_version": DATASET_VERSION,
         "config": cfg.to_dict(),
@@ -433,41 +438,37 @@ def serialize(dataset: DatasetSplit, path) -> None:
         "draws": len(store.rates),
         "split_sizes": [len(part) for part in parts],
     }
-    columns = (*store, draws, np.concatenate([part.orders for part in parts]), np.concatenate(ids))
+    columns = (*store[:-1], draws, orders)  # the store's columns without its label table, then the records'
     layout = _blob_layout(len(store.rates), len(draws), cfg.antennas, cfg.users)
     _binio.write_container(path, DATASET_MAGIC, header,
                            (np.ascontiguousarray(column, dtype) for column, (dtype, _) in zip(columns, layout)))
 
 
-def _columns(where: str, records: Records, class_index: dict[str, int], cfg: ScenarioConfig) -> np.ndarray:
-    """The ``class_index`` id of each of ``records``, refused unless its
-    matrices are M x N, its draws have N covariance indices and its records
-    N users, every label is in ``class_index`` and its columns pass
-    ``_check_columns``."""
-    m, n, store = cfg.antennas, cfg.users, records.store
-    shape, count, users = store.matrices.shape[:1:-1], store.assignments.shape[1], records.orders.shape[1]
+def _stored(where: str, parts, class_index: dict[str, int], cfg: ScenarioConfig):
+    """``(store, draws, orders)`` as the file holds ``parts``: the draws some
+    record uses, each once, in store order, with class ids numbered as in
+    ``class_index``, and each record's draw in that store and user order.
+    Refused unless every part indexes one store, whose matrices are M x N and
+    whose draws have N covariance indices, every record has N users, every
+    label used is in ``class_index`` and the columns pass ``_check_columns``."""
+    store = parts[0].store
+    if any(part.store is not store for part in parts):
+        raise DataFormatError(f"{where}the splits index different draw stores; a dataset indexes one")
+    m, n, orders = cfg.antennas, cfg.users, np.concatenate([part.orders for part in parts])
+    shape, count, users = store.matrices.shape[:1:-1], store.assignments.shape[1], orders.shape[1]
     if (shape, count, users) != ((m, n), n, n):
         raise DataFormatError(f"sample matrices have shape {shape}, {count} covariance indices and {users} "
                               f"users, expected {(m, n)}, {n} and {n}")
-    ids = class_ids(records, class_index)
-    if (ids < 0).any():
-        label = records.labels[records.ids[np.argmax(ids < 0)]]
-        raise DataFormatError(f"sample label {label!r} is not a key of class_index")
-    _check_columns(where, store, records.draws, records.orders, ids, len(class_index), cfg.num_covs)
-    return ids
-
-
-def _stored(parts) -> tuple[Store, np.ndarray]:
-    """One store of the draws the records of ``parts`` use, each once, in the
-    order of their stores and of the draws in each, and each record's draw in it."""
-    stores = list({id(part.store): part.store for part in parts}.values())
-    starts = dict(zip(map(id, stores), accumulate((len(store.rates) for store in stores), initial=0)))
-    store = stores[0] if len(stores) == 1 else Store(*map(np.concatenate, zip(*stores)))
-    used, draws = np.unique(np.concatenate([part.draws + starts[id(part.store)] for part in parts]),
-                            return_inverse=True)
+    used, draws = np.unique(np.concatenate([part.draws for part in parts]), return_inverse=True)
     if len(used) < len(store.rates):
-        store = Store(*(column[used] for column in store))
-    return store, draws
+        store = Store(*(column[used] for column in store[:-1]), store.labels)
+    ids = np.array([class_index.get(label, -1) for label in store.labels], dtype=np.int64)[store.ids]
+    if (ids < 0).any():
+        label = store.labels[store.ids[np.argmax(ids < 0)]]
+        raise DataFormatError(f"sample label {label!r} is not a key of class_index")
+    store = store._replace(ids=ids, labels=tuple(sorted(class_index, key=class_index.get)))
+    _check_columns(where, store, draws, orders, cfg.num_covs)
+    return store, draws, orders
 
 
 def load(path) -> DatasetSplit:
@@ -479,13 +480,12 @@ def load(path) -> DatasetSplit:
     (cfg, class_index, labels, sizes, layout), blob = _binio.read_container(
         path, DATASET_MAGIC, DATASET_VERSION, partial(_layout, path))
     offsets = accumulate(map(_nbytes, layout), initial=0)
-    matrices, rates, assignments, draws, orders, ids = (
-        np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
-        for (dtype, shape), offset in zip(layout, offsets))
-    store = Store(matrices, rates, assignments)
-    _check_columns(f"{path}: ", store, draws, orders, ids, len(labels), cfg.num_covs)
+    *columns, draws, orders = (np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
+                               for (dtype, shape), offset in zip(layout, offsets))
+    store = Store(*columns, labels)
+    _check_columns(f"{path}: ", store, draws, orders, cfg.num_covs)
     bounds = list(accumulate(sizes, initial=0))
-    parts = [Records(store, draws[lo:hi], orders[lo:hi], ids[lo:hi], labels) for lo, hi in zip(bounds, bounds[1:])]
+    parts = [Records(store, draws[lo:hi], orders[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     return DatasetSplit(*parts, class_index, cfg)
 
 
@@ -518,26 +518,29 @@ def _layout(path, header: dict, blob_size: int):
     return cfg, class_index, labels, sizes, layout
 
 
-def _check_columns(where: str, store: Store, draws, orders, ids, num_classes: int, num_covs: int) -> None:
+def _check_columns(where: str, store: Store, draws, orders, num_covs: int) -> None:
     """Refuse, naming the first bad draw or record, a label rate that is not
-    finite, a covariance index outside [0, num_covs), a record's draw outside
-    the store, a user order that is no permutation, or a class id outside
-    [0, num_classes)."""
-    count, n = len(store.rates), orders.shape[1]
-    assignments = store.assignments
+    finite, a class id outside the store's label table, a covariance index
+    outside [0, num_covs), a record's draw outside the store, a user order
+    that is no permutation, or a stored draw that no record uses."""
+    count, n, num_classes = len(store.rates), orders.shape[1], len(store.labels)
+    ids, assignments = store.ids, store.assignments
     checks = (
         ("draw", "label_rate", store.rates, ~np.isfinite(store.rates), "a finite number"),
+        ("draw", "label id", ids, (ids < 0) | (ids >= num_classes), f"in [0, {num_classes}), the ids of class_index"),
         ("draw", "cov_assignment", assignments, ((assignments < 0) | (assignments >= num_covs)).any(axis=1),
          f"{n} indices in [0, {num_covs})"),
         ("record", "draw", draws, (draws < 0) | (draws >= count), f"in [0, {count}), the stored draws"),
         ("record", "order", orders, (np.sort(orders, axis=1) != np.arange(n)).any(axis=1),
          f"a permutation of 0..{n - 1}"),
-        ("record", "label id", ids, (ids < 0) | (ids >= num_classes), f"in [0, {num_classes}), the ids of class_index"),
     )
     for unit, name, column, bad, rule in checks:
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise DataFormatError(f"{where}{unit} {i} has {name} {column[i].tolist()!r}, which is not {rule}")
+    unused = np.bincount(draws, minlength=count) == 0
+    if unused.any():
+        raise DataFormatError(f"{where}draw {np.argmax(unused)} is stored, but no record uses it")
 
 
 def export_labels_csv(dataset: DatasetSplit, path) -> None:
@@ -546,5 +549,5 @@ def export_labels_csv(dataset: DatasetSplit, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["label", "rate", "scenario", "split"])
         for split_name, part in dataset.parts():
-            writer.writerows([part.labels[i], repr(rate), dataset.config.name, split_name]
+            writer.writerows([part.store.labels[i], repr(rate), dataset.config.name, split_name]
                              for i, rate in zip(part.ids.tolist(), part.rates.tolist()))

@@ -103,4 +103,4 @@ def as_records(samples):
     assignments = np.array([s.cov_assignment for s in samples], dtype=np.int64)
     assignments = assignments.reshape(len(samples), -1 if samples else n)
     orders = np.tile(np.arange(n), (len(samples), 1))
-    return data.Records(data.Store(matrices, rates, assignments), np.arange(len(samples)), orders, ids, labels)
+    return data.Records(data.Store(matrices, rates, ids, assignments, labels), np.arange(len(samples)), orders)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -400,13 +402,14 @@ def test_version_one_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_version_one_dataset_exits_3(workdir, tmp_path, capsys, version):
     # a version-1 dataset was labelled with Monte Carlo similarity constants
     # and its config carried their draw count; version 2 kept its records in
     # the header; version 3's config carried the sweep grid and quadrature sizes;
     # version 4's config carried the dataset recipe and num_covs; version 5
-    # stored every record's matrices, each augmented copy of a draw again
+    # stored every record's matrices, each augmented copy of a draw again;
+    # version 6 stored a class id per record, not per draw
     path = tmp_path / "old.hrsdat"
     header, blob = _binio.read_container(workdir / "data.hrsdat", data.DATASET_MAGIC, data.DATASET_VERSION)
     header["format_version"] = version
@@ -434,19 +437,25 @@ def _no_layer_dims(header, blob):
 
 
 def _record_columns(header, blob):
-    """A writable copy of a dataset blob, and views of its per-draw rate and
-    covariance columns and its per-record draw, user order and label id columns."""
-    cfg, draws, count = header["config"], header["draws"], sum(header["split_sizes"])
-    blob, n = bytearray(blob), cfg["users"]
-    start = draws * 2 * cfg["antennas"] * n * 16
-    records = start + draws * (8 + 4 * n)
-    return blob, {
-        "label_rate": np.frombuffer(blob, "<f8", draws, start),
-        "cov_assignment": np.frombuffer(blob, "<i4", draws * n, start + 8 * draws).reshape(draws, n),
-        "draw": np.frombuffer(blob, "<i4", count, records),
-        "order": np.frombuffer(blob, "<i4", count * n, records + 4 * count).reshape(count, n),
-        "label": np.frombuffer(blob, "<i4", count, records + 4 * (n + 1) * count),
-    }
+    """A writable copy of a dataset blob, and views of its columns as
+    ``data._blob_layout`` lays them out: per draw its matrices, label rate,
+    label id and covariance indices, then per record its draw and user order."""
+    cfg, blob = header["config"], bytearray(blob)
+    layout = data._blob_layout(header["draws"], sum(header["split_sizes"]), cfg["antennas"], cfg["users"])
+    offsets = accumulate(map(data._nbytes, layout), initial=0)
+    names = ("matrices", "label_rate", "label", "cov_assignment", "draw", "order")
+    return blob, {name: np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
+                  for name, (dtype, shape), offset in zip(names, layout, offsets)}
+
+
+def _unused_draw(header, blob):
+    """Store draw 0 twice: the copy becomes draw 0, which no record uses."""
+    _, columns = _record_columns(header, blob)
+    columns["draw"] += 1  # each record keeps its draw, now one place further on
+    header["draws"] += 1
+    per_draw = (columns[name] for name in ("matrices", "label_rate", "label", "cov_assignment"))
+    return header, b"".join([*(np.concatenate([c[:1], c]).tobytes() for c in per_draw),
+                             columns["draw"].tobytes(), columns["order"].tobytes()])
 
 
 def _label_outside_class_index(header, blob):
@@ -482,7 +491,8 @@ def _set_first_record(key, value):
 
 
 def _one_record_short(header, blob):
-    record = 4 + 4 * header["config"]["users"] + 4  # its draw, user order and label id
+    cfg = header["config"]
+    record = sum(map(data._nbytes, data._blob_layout(0, 1, cfg["antennas"], cfg["users"])))  # its draw and order
     return header, blob[:-record]
 
 
@@ -657,7 +667,7 @@ def test_inconsistent_header_exits_3(workdir, tmp_path, capsys, kind, field, edi
 def test_compare_refuses_a_fault_in_the_train_records_it_does_not_score(workdir, tmp_path, capsys, fault, message):
     source = workdir / "data.hrsdat"
     path = tmp_path / "data.hrsdat"
-    assert data.load(source).train  # so record 0, the one spoilt below, is a train record
+    assert 0 in data.load(source).train.draws  # so draw 0, the one spoilt below, is a train record's
     if fault == "flipped byte":
         raw = bytearray(source.read_bytes())
         raw[16 + int.from_bytes(raw[8:16], "little") + 100] ^= 0xFF  # inside draw 0's H_true
@@ -682,6 +692,8 @@ def test_compare_refuses_a_fault_in_the_train_records_it_does_not_score(workdir,
                      id="cov-assignment-out-of-range"),
         pytest.param(_set_record("label_rate", 2, float("nan")), "draw 2 has label_rate nan,", id="nan-rate"),
         pytest.param(_set_record("label_rate", 2, float("inf")), "draw 2 has label_rate inf,", id="inf-rate"),
+        pytest.param(_set_record("label", 2, -1), "draw 2 has label id -1,", id="negative-label-id"),
+        pytest.param(_unused_draw, "draw 0 is stored, but no record uses it", id="draw-no-record-uses"),
     ],
 )
 def test_bad_draw_or_record_column_exits_3_naming_it(workdir, tmp_path, capsys, edit, message):

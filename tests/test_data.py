@@ -547,7 +547,7 @@ def test_split_union_is_disjoint_partition(tiny_config):
     # every augmented row lands in exactly one split, and each split lists its rows ascending
     assert np.array_equal(np.sort(np.concatenate([train, val, test])), np.arange(len(rows)))
     assert all(np.all(np.diff(part) > 0) for part in (train, val, test))
-    assert {raw.labels[i] for i in raw.ids[rows].tolist()} == set(class_index)
+    assert {raw.store.labels[i] for i in raw.ids[rows].tolist()} == set(class_index)
 
 
 # ------------------------------------------------------------- serialization
@@ -624,8 +624,8 @@ def test_serialize_peak_memory_stays_below_twice_the_file(tmp_path):
 def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_path):
     good = tiny_dataset.test[0]
     bad = data.Sample(good.H_true[:, :-1], good.H_hat[:, :-1], good.label, good.label_rate, good.cov_assignment)
-    dataset = data.DatasetSplit(tiny_dataset.train, tiny_dataset.validation[:0], as_records([bad]),
-                                tiny_dataset.class_index, tiny_dataset.config)
+    records = as_records([bad])  # one store, which every split indexes
+    dataset = data.DatasetSplit(records[:0], records[:0], records, tiny_dataset.class_index, tiny_dataset.config)
     path = tmp_path / "bad.hrsdat"
     with pytest.raises(DataFormatError, match="shape"):
         data.serialize(dataset, path)
@@ -647,10 +647,20 @@ def test_serialize_rejects_a_misshapen_sample_before_writing(tiny_dataset, tmp_p
 def test_serialize_rejects_a_non_finite_label_rate_before_writing(tiny_dataset, tmp_path, field, value, message):
     # a label or covariance indices that the record columns cannot hold are refused the same way
     bad = dataclasses.replace(tiny_dataset.test[0], **{field: value})
-    dataset = data.DatasetSplit(tiny_dataset.train, tiny_dataset.validation[:0], as_records([bad]),
-                                tiny_dataset.class_index, tiny_dataset.config)
+    records = as_records([bad])  # one store, which every split indexes
+    dataset = data.DatasetSplit(records[:0], records[:0], records, tiny_dataset.class_index, tiny_dataset.config)
     path = tmp_path / "bad.hrsdat"
     with pytest.raises(DataFormatError, match=message):
+        data.serialize(dataset, path)
+    assert not path.exists()
+
+
+def test_serialize_refuses_splits_over_different_stores_before_writing(tiny_dataset, tmp_path):
+    # a dataset indexes one store; splits over two are refused, not merged
+    dataset = data.DatasetSplit(tiny_dataset.train, tiny_dataset.validation, as_records(list(tiny_dataset.test)),
+                                tiny_dataset.class_index, tiny_dataset.config)
+    path = tmp_path / "two.hrsdat"
+    with pytest.raises(DataFormatError, match="different draw stores"):
         data.serialize(dataset, path)
     assert not path.exists()
 
@@ -662,7 +672,7 @@ def test_loaded_matrices_are_read_only_column_major_views_of_one_buffer(tiny_dat
     loaded = data.load(path)
     store = loaded.train.store
     assert loaded.validation.store is store and loaded.test.store is store
-    columns = (*store, *(getattr(part, name) for _, part in loaded.parts() for name in ("draws", "orders", "ids")))
+    columns = (*store[:-1], *(getattr(part, name) for _, part in loaded.parts() for name in ("draws", "orders")))
     assert all(not column.flags.writeable for column in columns)
     blob = _binio.read_container(path, data.DATASET_MAGIC, data.DATASET_VERSION)[1]
 
@@ -778,7 +788,7 @@ def test_loaded_split_is_a_read_only_column_backed_sequence(tmp_path):
     for name, written in dataset.parts():
         records = getattr(loaded, name)
         assert isinstance(records, data.Records) and len(records) == len(written)
-        for column in (*records.store, records.draws, records.orders, records.ids):
+        for column in (*records.store[:-1], records.draws, records.orders):
             assert not column.flags.writeable
     train, written = loaded.train, dataset.train
     # every stored value and the Python type of every scalar, field by field
@@ -828,7 +838,8 @@ def test_serialize_refuses_loaded_records_that_do_not_fit_the_dataset(tmp_path):
 
 def test_empty_dataset_round_trip(tmp_path):
     cfg = data.ScenarioConfig(users=4, antennas=8, samples=1)
-    empty = data.DatasetSplit(as_records([]), as_records([]), as_records([]), {}, cfg)
+    records = as_records([])
+    empty = data.DatasetSplit(records, records, records, {}, cfg)
     path = tmp_path / "empty.hrsdat"
     data.serialize(empty, path)
     loaded = data.load(path)

@@ -375,8 +375,9 @@ def _toy_split(n=60, seed=12):
         h = (rng.standard_normal((1, 2)) + shift) + 1j * (rng.standard_normal((1, 2)) + shift)
         samples.append(data.Sample(np.zeros((1, 2), complex), h, label, 1.0, (0, 0)))
     cfg = data.ScenarioConfig(users=2, antennas=1, samples=n, seed=seed)
-    *picks, index = data.split(as_records(samples), np.arange(n), seed)
-    return data.DatasetSplit(*(as_records([samples[i] for i in pick]) for pick in picks), index, cfg)
+    records = as_records(samples)  # one store, which every split indexes
+    *picks, index = data.split(records, np.arange(n), seed)
+    return data.DatasetSplit(*(records[pick] for pick in picks), index, cfg)
 
 
 def test_training_learns_separable_toy_problem(monkeypatch):
@@ -498,12 +499,13 @@ def test_training_batches_and_statistics_equal_those_of_the_full_feature_matrix(
 def test_training_memory_stays_below_the_train_feature_matrix(rng, monkeypatch):
     users, antennas, draws, records = 4, 16, 400, 8000
     matrices = rng.standard_normal((draws, 2, users, antennas)) + 1j * rng.standard_normal((draws, 2, users, antennas))
-    store = data.Store(matrices, np.ones(draws), np.zeros((draws, users), dtype=np.int64))
     labels = ("1,2,3,4", "1|2|3|4")
+    store = data.Store(matrices, np.ones(draws), rng.integers(0, 2, draws), np.zeros((draws, users), dtype=np.int64),
+                       labels)
 
     def part(count):
         orders = np.argsort(rng.random((count, users)), axis=1)
-        return data.Records(store, rng.integers(0, draws, count), orders, rng.integers(0, 2, count), labels)
+        return data.Records(store, rng.integers(0, draws, count), orders)
 
     cfg = data.ScenarioConfig(users=users, antennas=antennas)
     dataset = data.DatasetSplit(part(records), part(300), part(300), {label: i for i, label in enumerate(labels)}, cfg)
@@ -557,13 +559,13 @@ def test_training_deterministic(tiny_dataset, monkeypatch):
 
 def test_training_from_generated_and_from_loaded_records_writes_the_same_checkpoint(tiny_dataset, tmp_path,
                                                                                    monkeypatch):
-    # generation owns int64 class ids; a load views the blob's <i4 ids and <f8 columns
+    # generation owns its draws' int64 class ids; a load views the blob's <i4 ids and <f8 columns
     path = tmp_path / "ds.hrsdat"
     data.serialize(tiny_dataset, path)
     loaded = data.load(path)
     assert all(isinstance(part, data.Records) for _, part in (*tiny_dataset.parts(), *loaded.parts()))
-    assert tiny_dataset.train.ids.dtype == np.int64 and loaded.train.ids.dtype == np.dtype("<i4")
-    assert not loaded.train.ids.flags.writeable and tiny_dataset.train.ids.flags.owndata
+    assert tiny_dataset.train.store.ids.dtype == np.int64 and loaded.train.store.ids.dtype == np.dtype("<i4")
+    assert not loaded.train.store.ids.flags.writeable and tiny_dataset.train.store.ids.flags.owndata
     monkeypatch.setattr(mlp, "HIDDEN", (16, 8))
     hyper = mlp.TrainingHyper(epochs=2, seed=5)
     written = []
